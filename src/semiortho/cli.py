@@ -193,7 +193,7 @@ def _op_verdict_dict(route: str, v: OperatorOrthoVerdict) -> dict:
             witness["theta"] = v.witness.theta
             witness["x_theta"] = _encode(v.witness.x_theta)
             witness["y_theta"] = _encode(v.witness.y_theta)
-    return {
+    entry = {
         "route": route,
         "holds": v.holds,
         "margin": v.margin,
@@ -202,6 +202,9 @@ def _op_verdict_dict(route: str, v: OperatorOrthoVerdict) -> dict:
         "assumptions": list(v.assumptions),
         "witness": witness,
     }
+    if v.margin_lower is not None:
+        entry["margin_lower"] = v.margin_lower
+    return entry
 
 
 def _base_report(command: str, instance: Optional[dict], args: dict) -> dict:

@@ -49,14 +49,18 @@ class ABoundedOperator:
 
 
 def check_a_bounded(a: PsdOperator, t: np.ndarray) -> BoundedCheck:
-    """Test ||A T v|| <= rank_tol * lam_max * ||v|| on a basis of N(A) and
-    report the worst relative residual."""
+    """Test ||A T v|| <= rank_tol * lam_max * ||T||_F * ||v|| on a basis of
+    N(A) and report the worst relative residual, which is invariant under
+    rescaling T or A."""
     t = a.check_matrix(t)
     nb = null_basis(a)
     if nb.shape[1] == 0 or a.lam_max == 0.0:
         return BoundedCheck(ok=True, residual=0.0)
     image = a.matrix @ (t @ nb)
-    residual = float(np.max(np.linalg.norm(image, axis=0))) / a.lam_max
+    worst = float(np.max(np.linalg.norm(image, axis=0)))
+    if worst == 0.0:
+        return BoundedCheck(ok=True, residual=0.0)
+    residual = worst / (a.lam_max * float(np.linalg.norm(t)))
     return BoundedCheck(ok=residual <= a.tol.rank_tol, residual=residual)
 
 

@@ -53,12 +53,16 @@ class OperatorWitness:
 
 @dataclass(frozen=True)
 class OperatorOrthoVerdict:
+    """Verdict of one route. ``margin_lower`` is a certified lower bound on
+    the margin where the route proves one (the direct route), else None."""
+
     holds: bool
     margin: float
     method: Method
     witness: Optional[OperatorWitness] = None
     boundary: bool = False
     assumptions: tuple[str, ...] = ()
+    margin_lower: Optional[float] = None
 
 
 def _finish(
@@ -67,6 +71,7 @@ def _finish(
     tol: float,
     witness: Optional[OperatorWitness],
     assumptions: tuple[str, ...] = (),
+    margin_lower: Optional[float] = None,
 ) -> OperatorOrthoVerdict:
     margin = float(margin)
     return OperatorOrthoVerdict(
@@ -76,124 +81,103 @@ def _finish(
         witness=witness,
         boundary=abs(margin) <= tol,
         assumptions=assumptions,
+        margin_lower=None if margin_lower is None else float(margin_lower),
     )
-
-
-def _smax_sq_batch(t_tilde: np.ndarray, s_tilde: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Squared top singular values of t_tilde + lam * s_tilde for many lam."""
-    lams = np.asarray(lams)
-    m = t_tilde[None, :, :] + lams[:, None, None] * s_tilde[None, :, :]
-    gram = m.conj().transpose(0, 2, 1) @ m
-    return np.linalg.eigvalsh(gram)[:, -1].real
 
 
 def _field_is_complex(*objs: ABoundedOperator) -> bool:
     return any(o.is_complex for o in objs)
 
 
+# Cut budget of the direct route, which makes one eigensolve per cut plus two
+# to bind T and S. Complex decisions on 2x2 to 5x5 stress pairs (repeated top
+# singular values, A-isometries, S = T) certified within about 105 cuts and
+# real ones within 20; the rest is slack, and a call stays under 200
+# eigensolves.
+_DIRECT_MAX_CUTS = 150
+
+
+def _objective(
+    op_t: ABoundedOperator, op_s: ABoundedOperator, eps: float, lam: Scalar
+) -> tuple[float, complex]:
+    """g(lambda) and a subgradient of g, written d/dRe + i d/dIm.
+
+    With v the top eigenvector of M* M, M = T~ + lambda S~, the smooth part
+    sigma_max(M)^2 >= ||M v||^2 has subgradient 2 <M v, S~ v> (Lewis & Overton,
+    Acta Numerica 1996). Of the disc that is the subdifferential of
+    2 eps ||T|| ||S|| |lambda| at 0, the element that shortens the subgradient
+    most is taken, so a zero subgradient proves lambda = 0 optimal.
+    """
+    penalty = 2.0 * eps * op_t.norm * op_s.norm
+    m = op_t.tilde + lam * op_s.tilde
+    w, vecs = np.linalg.eigh(m.conj().T @ m)
+    v = vecs[:, -1]
+    grad = 2.0 * complex(np.vdot(op_s.tilde @ v, m @ v))
+    if lam != 0:
+        grad += penalty * lam / abs(lam)
+    elif grad != 0:
+        grad *= max(0.0, 1.0 - penalty / abs(grad))
+    return float(w[-1]) - op_t.norm**2 + penalty * abs(lam), grad
+
+
 def op_orth_direct(
-    a: PsdOperator,
-    t: np.ndarray,
-    s: np.ndarray,
-    eps: float,
-    ray_grid: int = 48,
-    phase_grid: int = 96,
+    a: PsdOperator, t: np.ndarray, s: np.ndarray, eps: float
 ) -> OperatorOrthoVerdict:
     """Decide T perp S by minimizing g(lambda) over the scalar field.
 
-    g restricted to each ray is convex (a max of convex quadratics plus a
-    linear term), so a coarse grid brackets the ray minimum and a
-    golden-section polish pins it down. Outside |lambda| <=
-    2 (1 + eps) ||T||_A / ||S||_A the triangle inequality forces g >= 0, which
-    bounds the search interval. For the complex field a phase/ray grid is
-    followed by alternating one-dimensional refinements.
+    g is convex on the whole field (the top singular value of an affine family
+    plus a norm term), and outside |lambda| <= 2 (1 + eps) ||T||_A / ||S||_A
+    the triangle inequality forces g >= 0 = g(0). A deep-cut ellipsoid method
+    on that disc (an interval for the real field) keeps every minimizer inside
+    its current ellipsoid E, so g(c) - max over E of <h, x - c> bounds min g
+    from below at each centre c with subgradient h. The margin is the least g
+    seen, attained at the witness lambda; ``margin_lower`` is the best such
+    lower bound. The search stops once the bound proves the verdict
+    (margin_lower >= -tol) or pins the margin to tol / 4; if the cut budget
+    runs out first, the verdict rests on the margin alone.
     """
     eps = validate_epsilon(eps)
     op_t = bind_operator(a, t)
     op_s = bind_operator(a, s)
     tol = a.tol.verdict_margin_tol
     if norm_is_zero(op_t) or norm_is_zero(op_s):
-        return _finish(0.0, Method.DIRECT_MINIMIZATION, tol, OperatorWitness(lam=0.0))
+        return _finish(
+            0.0, Method.DIRECT_MINIMIZATION, tol, OperatorWitness(lam=0.0), margin_lower=0.0
+        )
 
-    n_t, n_s = op_t.norm, op_s.norm
-    penalty = 2.0 * eps * n_t * n_s
-
-    def g(lam: Scalar) -> float:
-        m = op_t.tilde + lam * op_s.tilde
-        gram = m.conj().T @ m
-        smax_sq = float(np.linalg.eigvalsh(gram)[-1].real)
-        return smax_sq - n_t**2 + penalty * abs(lam)
-
-    def g_batch(lams: np.ndarray) -> np.ndarray:
-        return _smax_sq_batch(op_t.tilde, op_s.tilde, lams) - n_t**2 + penalty * np.abs(lams)
-
-    lam_cap = 2.0 * (1.0 + eps) * n_t / n_s
+    dim = 2 if _field_is_complex(op_t, op_s) else 1
+    center = np.zeros(dim)
+    shape = (2.0 * (1.0 + eps) * op_t.norm / op_s.norm) ** 2 * np.eye(dim)
     best_lam: Scalar = 0.0
-    best_val = 0.0  # g(0) = 0 exactly
-
-    if _field_is_complex(op_t, op_s):
-        # dips can be very narrow in |lambda|; a log-spaced radial grid plus
-        # convexity-bracket polishing per phase keeps them visible
-        ts = np.concatenate([[0.0], lam_cap * np.geomspace(1e-9, 1.0, ray_grid)])
-        phases = np.exp(2j * math.pi * np.arange(phase_grid) / phase_grid)
-        lams = np.outer(ts, phases)
-        vals = g_batch(lams.ravel()).reshape(lams.shape)
-        per_phase_idx = np.argmin(vals, axis=0)
-        per_phase_val = vals[per_phase_idx, np.arange(phase_grid)]
-        candidates = np.argsort(per_phase_val)[:6]
-
-        def polish_phase(p: int) -> tuple[float, float]:
-            i = int(per_phase_idx[p])
-            lo = float(ts[max(i - 1, 0)])
-            hi = float(ts[min(i + 1, len(ts) - 1)])
-            rad, val = golden_min(lambda r: g(r * phases[p]), lo, hi, rel_tol=1e-10)
-            return rad, val
-
-        theta = 0.0
-        radius = 0.0
-        for p in candidates:
-            rad, val = polish_phase(int(p))
-            if val < best_val:
-                best_val = val
-                theta = 2.0 * math.pi * int(p) / phase_grid
-                radius = rad
-                best_lam = rad * complex(phases[int(p)])
-
-        if radius > 0.0:
-            delta = 2.0 * math.pi / phase_grid
-
-            def ray_min_at(th: float) -> tuple[float, float]:
-                return golden_min(
-                    lambda r: g(r * np.exp(1j * th)),
-                    max(radius / 3.0, 0.0),
-                    min(3.0 * radius, lam_cap),
-                    rel_tol=1e-8,
-                    max_iter=30,
-                )
-
-            th_best, val = golden_min(
-                lambda th: ray_min_at(th)[1], theta - delta, theta + delta,
-                rel_tol=1e-5, max_iter=18,
-            )
-            if val < best_val:
-                rad, val2 = ray_min_at(th_best)
-                best_val = min(val, val2)
-                best_lam = rad * np.exp(1j * th_best)
-    else:
-        ts = np.linspace(0.0, lam_cap, ray_grid + 1)
-        for direction in (1.0, -1.0):
-            vals = g_batch(direction * ts)
-            idx = int(np.argmin(vals))
-            lo = ts[max(idx - 1, 0)]
-            hi = ts[min(idx + 1, ray_grid)]
-            rad, val = golden_min(lambda r: g(direction * r), lo, hi)
-            if vals[idx] < val:
-                rad, val = ts[idx], float(vals[idx])
-            if val < best_val:
-                best_val, best_lam = val, direction * rad
+    upper, lower = 0.0, -math.inf  # g(0) = 0 exactly
+    for _ in range(_DIRECT_MAX_CUTS):
+        lam: Scalar = complex(center[0], center[1]) if dim == 2 else float(center[0])
+        val, grad = _objective(op_t, op_s, eps, lam)
+        if val < upper:
+            upper, best_lam = val, lam
+        h = np.array([grad.real, grad.imag][:dim])
+        ph = shape @ h
+        hph = float(h @ ph)
+        if hph <= 0.0 and h.any():
+            break  # the ellipsoid has collapsed in rounding; it proves nothing more
+        width = math.sqrt(max(hph, 0.0))
+        lower = max(lower, val - width)
+        if lower >= -tol or upper - lower <= tol / 4.0:
+            break
+        # deep cut <h, x - c> <= upper - g(c); 0 <= alpha < 1 here
+        alpha = (val - upper) / width
+        step = ph / width
+        if dim == 1:
+            center = center - (1.0 + alpha) / 2.0 * step
+            shape = shape * ((1.0 - alpha) / 2.0) ** 2
+        else:
+            center = center - (1.0 + 2.0 * alpha) / 3.0 * step
+            shrink = 2.0 * (1.0 + 2.0 * alpha) / (3.0 * (1.0 + alpha))
+            shape = (4.0 / 3.0) * (1.0 - alpha**2) * (shape - shrink * np.outer(step, step))
 
     return _finish(
-        best_val, Method.DIRECT_MINIMIZATION, tol, OperatorWitness(lam=best_lam)
+        upper, Method.DIRECT_MINIMIZATION, tol, OperatorWitness(lam=best_lam),
+        margin_lower=min(lower, upper),
     )
 
 
@@ -205,9 +189,7 @@ def direct_objective(a: PsdOperator, t: np.ndarray, s: np.ndarray, eps: float, l
     op_s = bind_operator(a, s)
     if norm_is_zero(op_t) or norm_is_zero(op_s):
         return 0.0
-    m = op_t.tilde + lam * op_s.tilde
-    smax_sq = float(np.linalg.eigvalsh(m.conj().T @ m)[-1].real)
-    return smax_sq - op_t.norm**2 + 2.0 * eps * op_t.norm * op_s.norm * abs(lam)
+    return _objective(op_t, op_s, eps, lam)[0]
 
 
 def _attainment_form(op_t: ABoundedOperator, op_s: ABoundedOperator) -> tuple[np.ndarray, np.ndarray]:

@@ -54,6 +54,18 @@ def test_diagonal_preserving_is_bounded():
     assert check_a_bounded(a, np.diag([2.0, 3.0])).ok
 
 
+def test_boundedness_check_is_scale_invariant(rng):
+    scales = 10.0 ** np.arange(-7, 8)
+    for trial in range(10):
+        a = random_psd(rng, 5, rank=3, complex_field=bool(trial % 2))
+        t = random_a_bounded(rng, a)
+        unbounded = gaussian(rng, (5, 5), a.is_complex)
+        assert not check_a_bounded(a, unbounded).ok
+        for c in scales:
+            assert check_a_bounded(a, c * t).ok, (trial, c)
+            assert not check_a_bounded(a, c * unbounded).ok, (trial, c)
+
+
 # ----------------------------- norms ------------------------------------------
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from semiortho import (
     RealFieldError,
     ZeroANormError,
     attainment_subset,
+    bind_operator,
     direct_objective,
     inner_a,
     norm_a,
@@ -20,7 +23,9 @@ from semiortho import (
     psd_decompose,
 )
 from semiortho.sampling import (
+    operator_with_multiplicity,
     random_a_bounded,
+    random_a_isometry,
     random_psd,
     shared_attainment_pair,
     zero_a_norm_operator,
@@ -78,6 +83,105 @@ def test_direct_complex_phase_matters():
     s = 1j * t
     assert not op_orth_direct(a, t, s, 0.0).holds
     assert not op_orth_theta_sweep_complex(a, t, s, 0.0).holds
+
+
+def test_direct_complex_witness_reproduces_margin(rng):
+    a = random_psd(rng, 4, rank=3, complex_field=True)
+    t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+    v = op_orth_direct(a, t, s, 0.1)
+    assert isinstance(v.witness.lam, complex) and v.margin < 0.0
+    assert direct_objective(a, t, s, 0.1, v.witness.lam) == pytest.approx(v.margin, abs=1e-9)
+
+
+# ----------------------------- direct-route certificate ------------------------
+
+
+def _certificate_instances(rng):
+    """Real and complex 2x2 to 4x4 pairs: generic, repeated top singular
+    value, A-isometries and shared attainment, with rank-deficient A."""
+    for trial in range(24):
+        complex_field = bool(trial % 2)
+        n = 2 + trial % 3
+        a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_field=complex_field)
+        kind = (trial // 2) % 4
+        if kind == 0:
+            t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+        elif kind == 1:
+            t = operator_with_multiplicity(rng, a, int(rng.integers(1, a.rank + 1)))
+            s = random_a_bounded(rng, a)
+        elif kind == 2:
+            t, s = random_a_isometry(rng, a), random_a_bounded(rng, a)
+        else:
+            t, s = shared_attainment_pair(rng, a, int(rng.integers(1, a.rank + 1)))
+        yield a, t, s, float(rng.choice([0.0, 0.1, 0.4, 0.8]))
+
+
+def _polar_grid_min(a, t, s, eps):
+    """Least g over a dense polar grid of the proven disc (a grid of the
+    interval for the real field): an upper bound on min g."""
+    op_t, op_s = bind_operator(a, t), bind_operator(a, s)
+    cap = 2.0 * (1.0 + eps) * op_t.norm / op_s.norm
+    if op_t.is_complex or op_s.is_complex:
+        radii = cap * np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 300)])
+        lams = np.outer(radii, np.exp(2j * np.pi * np.arange(256) / 256)).ravel()
+    else:
+        lams = np.linspace(-cap, cap, 20001)
+    m = op_t.tilde[None] + lams[:, None, None] * op_s.tilde[None]
+    smax = np.linalg.svd(m, compute_uv=False)[:, 0]
+    g = smax**2 - op_t.norm**2 + 2.0 * eps * op_t.norm * op_s.norm * np.abs(lams)
+    return float(np.min(g))
+
+
+def test_direct_certificate_brackets_grid_oracle(rng):
+    for a, t, s, eps in _certificate_instances(rng):
+        v = op_orth_direct(a, t, s, eps)
+        grid_min = _polar_grid_min(a, t, s, eps)
+        tol = a.tol.verdict_margin_tol
+        assert v.margin_lower <= v.margin
+        assert v.margin_lower <= grid_min + 1e-12
+        assert v.margin <= grid_min + tol / 4.0
+
+
+def test_direct_margin_lower_on_every_verdict(rng):
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_field=bool(rng.integers(2)))
+        t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+        v = op_orth_direct(a, t, s, float(rng.uniform(0.0, 0.99)))
+        assert v.margin_lower is not None and v.margin_lower <= v.margin
+    zero = op_orth_direct(A_REF, T_REF, np.zeros((2, 2)), EPS_REF)
+    assert zero.margin_lower == zero.margin == 0.0
+
+
+def test_direct_eigensolves_per_call_capped(rng, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for n in (2, 4, 16):
+        for _ in range(4):
+            a = random_psd(rng, n, complex_field=True)
+            t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+            calls.clear()
+            op_orth_direct(a, t, s, float(rng.uniform(0.0, 0.99)))
+            assert 0 < len(calls) <= 200
+
+
+def test_direct_complex_n128_memory(rng):
+    a = random_psd(rng, 128, complex_field=True)
+    t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+    tracemalloc.start()
+    try:
+        v = op_orth_direct(a, t, s, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.margin_lower <= v.margin
+    assert peak < 8 * 2**20
 
 
 # ----------------------------- attainment route --------------------------------
