@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import PsdOperator, Tolerances, psd_decompose
 from .errors import SemiorthoError
-from .operators import is_a_isometry, norm_attainment_set
+from .operators import bind_operator, is_a_isometry, norm_attainment_set, norm_is_zero
 from .orthogonality import (
     OperatorOrthoVerdict,
     op_orth_attainment_real,
@@ -243,7 +243,7 @@ def _epsilon(instance: dict, ns: argparse.Namespace) -> float:
 def cmd_norm(ns: argparse.Namespace) -> tuple[int, dict]:
     instance = load_instance(ns.instance)
     a = _decompose(instance)
-    t = _need(instance, "T")
+    t = bind_operator(a, _need(instance, "T"))
     att = norm_attainment_set(a, t)
     iso = is_a_isometry(a, t)
     report = _base_report("norm", instance, {"instance": ns.instance})
@@ -277,9 +277,8 @@ def _vec_routes(a, x, y, eps, route: str) -> list[tuple[str, OrthoVerdict]]:
 
 def _op_routes(a, t, s, eps, route: str, complex_field: bool) -> list[tuple[str, OperatorOrthoVerdict]]:
     runs = []
-    from .operators import bind_operator, norm_is_zero
-
-    zero_t = norm_is_zero(bind_operator(a, t))
+    t, s = bind_operator(a, t), bind_operator(a, s)
+    zero_t = norm_is_zero(t)
     if route in ("direct", "auto"):
         runs.append(("direct", op_orth_direct(a, t, s, eps)))
     if route == "attain" or (route == "auto" and not complex_field and not zero_t):
@@ -327,7 +326,7 @@ def cmd_check(ns: argparse.Namespace) -> tuple[int, dict]:
 def cmd_classify(ns: argparse.Namespace) -> tuple[int, dict]:
     instance = load_instance(ns.instance)
     a = _decompose(instance)
-    t = _need(instance, "T")
+    t = bind_operator(a, _need(instance, "T"))
     eps = _epsilon(instance, ns)
     report = _base_report(
         "classify",
@@ -342,7 +341,7 @@ def cmd_classify(ns: argparse.Namespace) -> tuple[int, dict]:
     }
     verified = True
     if sym.witness is not None:
-        u = sym.witness.matrix
+        u = sym.witness
         if sym.kind is SymmetryKind.NOT_RIGHT_SYMMETRIC:
             fwd = op_orth_direct(a, u, t, eps)
             bwd = op_orth_direct(a, t, u, eps)
@@ -350,7 +349,7 @@ def cmd_classify(ns: argparse.Namespace) -> tuple[int, dict]:
             fwd = op_orth_direct(a, t, u, eps)
             bwd = op_orth_direct(a, u, t, eps)
         verified = fwd.holds and not bwd.holds
-        entry["witness"] = _encode(u)
+        entry["witness"] = _encode(u.matrix)
         entry["witness_verified"] = verified
         entry["witness_margins"] = {"forward": fwd.margin, "reverse": bwd.margin}
         if sym.construction is not None:

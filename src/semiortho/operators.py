@@ -29,14 +29,18 @@ class ABoundedOperator:
     """An A-bounded operator with its cached reduction.
 
     ``tilde`` is the r x r matrix of the compression P T restricted to R(A),
-    written in coordinates that make the A-seminorm Euclidean; ``norm`` is
-    sigma_max(tilde) = ||T||_A.
+    written in coordinates that make the A-seminorm Euclidean; ``sigma`` its
+    singular values, descending; ``norm`` is sigma_max(tilde) = ||T||_A; and
+    ``top_coords`` (r x m) the right-singular vectors of the top singular-value
+    cluster, a copy that does not keep the other r - m columns alive.
     """
 
     psd: PsdOperator
     matrix: np.ndarray
     tilde: np.ndarray
     norm: float
+    sigma: np.ndarray
+    top_coords: np.ndarray
 
     @property
     def kernel(self) -> np.ndarray:
@@ -46,6 +50,11 @@ class ABoundedOperator:
     @property
     def is_complex(self) -> bool:
         return bool(np.iscomplexobj(self.matrix) or self.psd.is_complex)
+
+
+# An operator argument: a matrix, or a bound operator (used as it is when it
+# was bound to the same A, else its matrix is bound again).
+Operand = np.ndarray | ABoundedOperator
 
 
 def check_a_bounded(a: PsdOperator, t: np.ndarray) -> BoundedCheck:
@@ -70,39 +79,41 @@ def tilde_reduce(a: PsdOperator, t: np.ndarray) -> np.ndarray:
     The reduction is linear in T and preserves the operator A-norm:
     sigma_max of the result equals ||T||_A.
     """
-    t = _require_bounded(a, t)
-    return a.w_map.conj().T @ t @ a.w_inv_map
-
-
-def _require_bounded(a: PsdOperator, t: np.ndarray) -> np.ndarray:
     t = a.check_matrix(t)
     chk = check_a_bounded(a, t)
     if not chk.ok:
         raise NotABoundedError(
             f"operator does not map N(A) into N(A): residual {chk.residual:.3e}"
         )
-    return t
+    return a.w_map.conj().T @ t @ a.w_inv_map
 
 
-def _singular_system(tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values (descending) and right-singular vectors of tilde."""
-    r = tilde.shape[0]
-    if r == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    gram = tilde.conj().T @ tilde
-    w, v = np.linalg.eigh(gram)
+def lift_tilde(a: PsdOperator, tilde: np.ndarray) -> np.ndarray:
+    """Ambient operator with the given range-coordinate matrix, zero on N(A)."""
+    return a.w_inv_map @ tilde @ a.w_map.conj().T
+
+
+def bind_operator(a: PsdOperator, t: Operand) -> ABoundedOperator:
+    """Validate A-boundedness and cache the reduction of T with its singular
+    system, from one eigensolve of the Gram matrix of the reduction.
+
+    An operator already bound to ``a`` is returned as it is, so deciders can
+    bind once and pass the result on.
+    """
+    if isinstance(t, ABoundedOperator):
+        if t.psd is a:
+            return t
+        t = t.matrix
+    t = a.check_matrix(t)
+    tilde = tilde_reduce(a, t)
+    w, v = np.linalg.eigh(tilde.conj().T @ tilde)
     order = np.argsort(w)[::-1]
-    sig = np.sqrt(np.clip(w[order], 0.0, None))
-    return sig, v[:, order]
-
-
-def bind_operator(a: PsdOperator, t: np.ndarray) -> ABoundedOperator:
-    """Validate A-boundedness and cache the reduction of T."""
-    t = _require_bounded(a, t)
-    tilde = a.w_map.conj().T @ t @ a.w_inv_map
-    sig, _ = _singular_system(tilde)
-    norm = float(sig[0]) if sig.size else 0.0
-    return ABoundedOperator(psd=a, matrix=t, tilde=tilde, norm=norm)
+    sigma = np.sqrt(np.clip(w[order], 0.0, None))
+    norm = float(sigma[0]) if sigma.size else 0.0
+    m = int(np.count_nonzero(sigma >= norm * (1.0 - a.tol.cluster_tol)))
+    return ABoundedOperator(
+        psd=a, matrix=t, tilde=tilde, norm=norm, sigma=sigma, top_coords=v[:, order[:m]]
+    )
 
 
 def operator_norm_a(a: PsdOperator, t: np.ndarray) -> float:
@@ -138,16 +149,12 @@ def attainment_coords(op: ABoundedOperator) -> tuple[np.ndarray, np.ndarray]:
     Returns (singular values, r x m coordinate basis). For the zero operator
     every A-unit vector attains, so the basis spans all of the coordinates.
     """
-    sig, vecs = _singular_system(op.tilde)
-    r = op.tilde.shape[0]
     if op.norm == 0.0 or norm_is_zero(op):
-        return sig, np.eye(r, dtype=op.tilde.dtype)
-    cluster = sig >= sig[0] * (1.0 - op.psd.tol.cluster_tol)
-    m = int(np.count_nonzero(cluster))
-    return sig, vecs[:, :m]
+        return op.sigma, np.eye(op.tilde.shape[0], dtype=op.tilde.dtype)
+    return op.sigma, op.top_coords
 
 
-def norm_attainment_set(a: PsdOperator, t: np.ndarray) -> NormAttainment:
+def norm_attainment_set(a: PsdOperator, t: Operand) -> NormAttainment:
     """Norm, attainment subspace basis, and N(A) basis for an A-bounded T."""
     op = bind_operator(a, t)
     _, coords = attainment_coords(op)
@@ -166,7 +173,7 @@ class IsometryCheck:
     deviation: float
 
 
-def is_a_isometry(a: PsdOperator, t: np.ndarray) -> IsometryCheck:
+def is_a_isometry(a: PsdOperator, t: Operand) -> IsometryCheck:
     """Whether every A-unit vector attains ||T||_A.
 
     Equivalent to all singular values of the reduction being equal; the
@@ -174,7 +181,7 @@ def is_a_isometry(a: PsdOperator, t: np.ndarray) -> IsometryCheck:
     operator counts as an A-isometry of norm 0.
     """
     op = bind_operator(a, t)
-    sig, _ = _singular_system(op.tilde)
+    sig = op.sigma
     if sig.size == 0 or op.norm == 0.0 or norm_is_zero(op):
         return IsometryCheck(ok=True, deviation=0.0)
     deviation = float((sig[0] ** 2 - sig[-1] ** 2) / sig[0] ** 2)

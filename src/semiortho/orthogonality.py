@@ -19,7 +19,7 @@ assumption. Disagreement between routes is a defect, not an input property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import AttainmentSubsetError, ComplexFieldError, RealFieldError
 from .numerics import golden_min
 from .operators import (
     ABoundedOperator,
+    Operand,
     attainment_coords,
     bind_operator,
     norm_is_zero,
@@ -121,7 +122,7 @@ def _objective(
 
 
 def op_orth_direct(
-    a: PsdOperator, t: np.ndarray, s: np.ndarray, eps: float
+    a: PsdOperator, t: Operand, s: Operand, eps: float
 ) -> OperatorOrthoVerdict:
     """Decide T perp S by minimizing g(lambda) over the scalar field.
 
@@ -132,9 +133,10 @@ def op_orth_direct(
     its current ellipsoid E, so g(c) - max over E of <h, x - c> bounds min g
     from below at each centre c with subgradient h. The margin is the least g
     seen, attained at the witness lambda; ``margin_lower`` is the best such
-    lower bound. The search stops once the bound proves the verdict
-    (margin_lower >= -tol) or pins the margin to tol / 4; if the cut budget
-    runs out first, the verdict rests on the margin alone.
+    lower bound. The search stops once the bound proves "holds"
+    (margin_lower >= -tol), or once a margin below -tol proves "fails" and the
+    bound pins it to tol / 4; if the cut budget runs out first, the verdict
+    rests on the margin alone.
     """
     eps = validate_epsilon(eps)
     op_t = bind_operator(a, t)
@@ -162,7 +164,7 @@ def op_orth_direct(
             break  # the ellipsoid has collapsed in rounding; it proves nothing more
         width = math.sqrt(max(hph, 0.0))
         lower = max(lower, val - width)
-        if lower >= -tol or upper - lower <= tol / 4.0:
+        if lower >= -tol or (upper < -tol and upper - lower <= tol / 4.0):
             break
         # deep cut <h, x - c> <= upper - g(c); 0 <= alpha < 1 here
         alpha = (val - upper) / width
@@ -181,7 +183,7 @@ def op_orth_direct(
     )
 
 
-def direct_objective(a: PsdOperator, t: np.ndarray, s: np.ndarray, eps: float, lam: Scalar) -> float:
+def direct_objective(a: PsdOperator, t: Operand, s: Operand, eps: float, lam: Scalar) -> float:
     """Evaluate g(lambda) for the direct route; reproduces a direct-route
     margin when called at its witness lambda*."""
     eps = validate_epsilon(eps)
@@ -201,7 +203,7 @@ def _attainment_form(op_t: ABoundedOperator, op_s: ABoundedOperator) -> tuple[np
 
 
 def op_orth_attainment_real(
-    a: PsdOperator, t: np.ndarray, s: np.ndarray, eps: float
+    a: PsdOperator, t: Operand, s: Operand, eps: float
 ) -> OperatorOrthoVerdict:
     """Real-field single-vector criterion on the attainment subspace.
 
@@ -241,7 +243,7 @@ def op_orth_attainment_real(
 
 
 def op_orth_theta_sweep_complex(
-    a: PsdOperator, t: np.ndarray, s: np.ndarray, eps: float, grid: int = 128
+    a: PsdOperator, t: Operand, s: Operand, eps: float, grid: int = 128
 ) -> OperatorOrthoVerdict:
     """Complex-field criterion: for every theta in [0, pi) the Hermitian part
     of e^{-i theta} times the attainment form must meet the band [-E, E] from
@@ -288,7 +290,7 @@ def op_orth_theta_sweep_complex(
 
 
 def attainment_subset(
-    a: PsdOperator, t: np.ndarray, s: np.ndarray, tol: float = 1e-8
+    a: PsdOperator, t: Operand, s: Operand, tol: float = 1e-8
 ) -> bool:
     """Whether M_A^T is contained in M_A^S.
 
@@ -306,7 +308,7 @@ def attainment_subset(
 
 
 def op_orth_pointwise(
-    a: PsdOperator, t: np.ndarray, s: np.ndarray, eps: float
+    a: PsdOperator, t: Operand, s: Operand, eps: float
 ) -> OperatorOrthoVerdict:
     """Vector-level criterion Tx perp Sx minimized over M_A^T, valid when
     M_A^T is a subset of M_A^S (there ||Tx||_A ||Sx||_A = ||T||_A ||S||_A, so
@@ -317,14 +319,6 @@ def op_orth_pointwise(
     if _field_is_complex(op_t, op_s):
         raise ComplexFieldError("pointwise criterion is real-field only")
     require_positive_norm(op_t)
-    if not attainment_subset(a, t, s):
+    if not attainment_subset(a, op_t, op_s):
         raise AttainmentSubsetError("M_A^T is not contained in M_A^S")
-    inner = op_orth_attainment_real(a, t, s, eps)
-    return OperatorOrthoVerdict(
-        holds=inner.holds,
-        margin=inner.margin,
-        method=Method.POINTWISE,
-        witness=inner.witness,
-        boundary=inner.boundary,
-        assumptions=inner.assumptions,
-    )
+    return replace(op_orth_attainment_real(a, op_t, op_s, eps), method=Method.POINTWISE)

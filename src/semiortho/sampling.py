@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import PsdOperator, null_basis, psd_decompose
 from .numerics import orthonormal_complement
-from .operators import bind_operator
+from .operators import bind_operator, lift_tilde
 from .vectors import inner_a, norm_a
 
 
@@ -87,7 +87,7 @@ def lift_operator(
     With ``null_blocks`` the operator also moves N(A) into itself and leaks
     part of R(A) into N(A); neither block affects any A-seminorm quantity.
     """
-    t = a.w_inv_map @ tilde @ a.w_map.conj().T
+    t = lift_tilde(a, tilde)
     k = a.null_dim
     if null_blocks and k and rng is not None:
         nb = null_basis(a)

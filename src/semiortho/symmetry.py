@@ -27,9 +27,11 @@ from .errors import (
 from .numerics import orthonormal_complement
 from .operators import (
     ABoundedOperator,
+    Operand,
     attainment_coords,
     bind_operator,
     is_a_isometry,
+    lift_tilde,
     norm_is_zero,
 )
 from .vectors import validate_epsilon
@@ -142,18 +144,14 @@ def _require_real(a: PsdOperator, op: ABoundedOperator) -> None:
         raise ComplexFieldError("symmetry classification is real-field only")
 
 
-def _lift(a: PsdOperator, tilde: np.ndarray) -> np.ndarray:
-    """Ambient operator with the given range-coordinate matrix, zero on N(A)."""
-    return a.w_inv_map @ tilde @ a.w_map.conj().T
-
-
-def right_witness(a: PsdOperator, t: np.ndarray, eps: float) -> WitnessConstruction:
+def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
     """Build U with U perp T but not T perp U, for a non-isometry T.
 
-    Steps, in range coordinates with T normalized to A-norm 1: take the
-    attainment basis x_1..x_m, extend by x_{m+1}..x_r; pick an A-orthonormal
-    w_0 orthogonal to the (orthonormal) images of the attainment basis; flip
-    its sign so the norm cannot dip along +T x_{m+1}; send x_i to -T x_i for
+    Steps, in range coordinates: take the attainment basis x_1..x_m, extend
+    by x_{m+1}..x_r; take the images y_i = T x_i / sigma_i, the left singular
+    vectors, which stay orthonormal when the cluster's singular values differ
+    within cluster_tol; pick an A-orthonormal w_0 orthogonal to them; flip its
+    sign so the norm cannot dip along +T x_{m+1}; send x_i to -y_i for
     i <= m, x_{m+1} to w_0, the rest to zero.
     """
     eps = validate_epsilon(eps)
@@ -161,19 +159,18 @@ def right_witness(a: PsdOperator, t: np.ndarray, eps: float) -> WitnessConstruct
     _require_real(a, op)
     if norm_is_zero(op):
         raise ZeroANormError("zero operator is an A-isometry; no right witness exists")
-    if is_a_isometry(a, t).ok:
+    if is_a_isometry(a, op).ok:
         raise IsometryError("operator is an A-isometry; no right witness exists")
     r = a.rank
     if r < 2:
         raise RankTooSmallError("a non-isometry needs dim R(A) >= 2")
 
-    tilde_n = op.tilde / op.norm
     _, coords = attainment_coords(op)
     m = coords.shape[1]
     if m >= r:
         raise IsometryError("attainment subspace fills R(A); operator is an A-isometry")
     extension = orthonormal_complement(coords, r)
-    images = tilde_n @ coords
+    images = op.tilde @ coords / op.sigma[:m]
     gram_defect = float(np.max(np.abs(images.T @ images - np.eye(m))))
     if gram_defect > _ORTHO_ASSERT_TOL:
         raise WitnessConstructionError(
@@ -181,7 +178,7 @@ def right_witness(a: PsdOperator, t: np.ndarray, eps: float) -> WitnessConstruct
             "attainment cluster is ill-resolved"
         )
     w0 = orthonormal_complement(images, r)[:, 0]
-    lead = float(w0 @ (tilde_n @ extension[:, 0]))
+    lead = float(w0 @ (op.tilde @ extension[:, 0]))
     flipped = lead < 0.0
     if flipped:
         w0 = -w0
@@ -194,12 +191,12 @@ def right_witness(a: PsdOperator, t: np.ndarray, eps: float) -> WitnessConstruct
         w=w0,
         sign_flipped=flipped,
         params=None,
-        operator=_lift(a, tilde_u),
+        operator=lift_tilde(a, tilde_u),
         tilde=tilde_u,
     )
 
 
-def left_witness(a: PsdOperator, t: np.ndarray, eps: float) -> WitnessConstruction:
+def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
     """Build S with T perp S but not S perp T, for any T with ||T||_A > 0.
 
     Three branches, in range coordinates with T normalized to A-norm 1:
@@ -236,7 +233,7 @@ def left_witness(a: PsdOperator, t: np.ndarray, eps: float) -> WitnessConstructi
             w=None,
             sign_flipped=False,
             params=None,
-            operator=_lift(a, tilde_s),
+            operator=lift_tilde(a, tilde_s),
             tilde=tilde_s,
         )
 
@@ -300,24 +297,24 @@ def left_witness(a: PsdOperator, t: np.ndarray, eps: float) -> WitnessConstructi
         w=w,
         sign_flipped=False,
         params=params,
-        operator=_lift(a, tilde_s),
+        operator=lift_tilde(a, tilde_s),
         tilde=tilde_s,
     )
 
 
-def classify_right(a: PsdOperator, t: np.ndarray, eps: float) -> SymmetryReport:
+def classify_right(a: PsdOperator, t: Operand, eps: float) -> SymmetryReport:
     """Right symmetric iff A-isometry; otherwise attach a verified witness."""
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
     _require_real(a, op)
     if a.rank < 1:
         raise RankTooSmallError("right classification needs dim R(A) >= 1")
-    iso = is_a_isometry(a, t)
+    iso = is_a_isometry(a, op)
     if iso.ok:
         return SymmetryReport(
             kind=SymmetryKind.RIGHT_SYMMETRIC, epsilon=eps, evidence=iso.deviation
         )
-    construction = right_witness(a, t, eps)
+    construction = right_witness(a, op, eps)
     return SymmetryReport(
         kind=SymmetryKind.NOT_RIGHT_SYMMETRIC,
         epsilon=eps,
@@ -327,7 +324,7 @@ def classify_right(a: PsdOperator, t: np.ndarray, eps: float) -> SymmetryReport:
     )
 
 
-def classify_left(a: PsdOperator, t: np.ndarray, eps: float) -> SymmetryReport:
+def classify_left(a: PsdOperator, t: Operand, eps: float) -> SymmetryReport:
     """Left symmetric iff ||T||_A = 0; otherwise attach a verified witness."""
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
@@ -338,7 +335,7 @@ def classify_left(a: PsdOperator, t: np.ndarray, eps: float) -> SymmetryReport:
         return SymmetryReport(
             kind=SymmetryKind.LEFT_SYMMETRIC, epsilon=eps, evidence=op.norm
         )
-    construction = left_witness(a, t, eps)
+    construction = left_witness(a, op, eps)
     return SymmetryReport(
         kind=SymmetryKind.NOT_LEFT_SYMMETRIC,
         epsilon=eps,

@@ -236,3 +236,34 @@ def test_sup_form_matches_norm(rng):
     img = t @ v
     aligned = abs(np.vdot(img / norm_a(a, img), a.matrix @ img))
     assert aligned == pytest.approx(op.norm, rel=1e-9)
+
+
+def test_bind_bound_operator_returns_it(rng):
+    a = random_psd(rng, 5, rank=3, complex_field=True)
+    op = bind_operator(a, random_a_bounded(rng, a))
+    assert bind_operator(a, op) is op
+    # another decomposition of the same A binds the matrix afresh
+    other = psd_decompose(a.matrix)
+    rebound = bind_operator(other, op)
+    assert rebound.psd is other and rebound.norm == pytest.approx(op.norm, rel=1e-12)
+
+
+def test_bound_singular_system(rng):
+    a = random_psd(rng, 6, rank=4)
+    op = bind_operator(a, random_a_bounded(rng, a))
+    assert np.allclose(op.sigma, np.linalg.svd(op.tilde, compute_uv=False), atol=1e-12)
+    assert op.norm == op.sigma[0] and op.top_coords.shape == (4, 1)
+    top = op.top_coords[:, 0]
+    assert np.linalg.norm(op.tilde @ top) == pytest.approx(op.norm, rel=1e-12)
+
+
+def test_attainment_and_isometry_one_eigensolve_each(rng, eigh_calls):
+    for n in (4, 16):
+        a = random_psd(rng, n, rank=n - 1)
+        for t in (random_a_bounded(rng, a), random_a_isometry(rng, a), zero_a_norm_operator(rng, a)):
+            eigh_calls.clear()
+            norm_attainment_set(a, t)
+            assert len(eigh_calls) == 1
+            eigh_calls.clear()
+            is_a_isometry(a, t)
+            assert len(eigh_calls) == 1

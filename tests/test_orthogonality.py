@@ -153,22 +153,35 @@ def test_direct_margin_lower_on_every_verdict(rng):
     assert zero.margin_lower == zero.margin == 0.0
 
 
-def test_direct_eigensolves_per_call_capped(rng, monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
+def test_direct_holds_verdicts_are_certified():
+    """Complex n = 4 pairs with epsilon a relative 1e-6 to 1e-3 below the
+    boundary: every "holds" verdict rests on margin_lower >= -tol. (On these
+    100 pairs, stopping on U - L <= tol / 4 alone gave four "holds" verdicts
+    with margin_lower < -tol.)"""
+    rng = np.random.default_rng(3)
+    checked = 0
+    while checked < 100:
+        a = random_psd(rng, 4, complex_field=True)
+        t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+        scale = operator_norm_a(a, t) * operator_norm_a(a, s)
+        boundary = -op_orth_theta_sweep_complex(a, t, s, 0.0).margin / scale
+        eps = boundary - 10.0 ** rng.uniform(-6.0, -3.0)
+        if not 0.0 <= eps < 1.0:
+            continue
+        checked += 1
+        v = op_orth_direct(a, t, s, eps)
+        if v.holds:
+            assert v.margin_lower >= -a.tol.verdict_margin_tol
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+def test_direct_eigensolves_per_call_capped(rng, eigh_calls):
     for n in (2, 4, 16):
         for _ in range(4):
             a = random_psd(rng, n, complex_field=True)
             t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
-            calls.clear()
+            eigh_calls.clear()
             op_orth_direct(a, t, s, float(rng.uniform(0.0, 0.99)))
-            assert 0 < len(calls) <= 200
+            assert 0 < len(eigh_calls) <= 200
 
 
 def test_direct_complex_n128_memory(rng):

@@ -27,9 +27,11 @@ from semiortho import (
     right_witness,
 )
 from semiortho.sampling import (
+    lift_operator,
     operator_with_multiplicity,
     random_a_bounded,
     random_a_isometry,
+    random_orthonormal,
     random_psd,
     rank_one_operator,
     zero_a_norm_operator,
@@ -298,3 +300,30 @@ def test_left_witness_attains_at_z1(rng):
     z1 = p.eps1 * x + s1 * partner
     img = wc.tilde @ z1
     assert np.linalg.norm(img) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_right_witness_near_tie_cluster(rng):
+    # top two singular values 5e-9 to 1e-8 apart fall in one attainment
+    # cluster; the images T x_i / sigma_i stay orthonormal and the witness holds
+    for _ in range(60):
+        a = random_psd(rng, 4)
+        gap = 10.0 ** rng.uniform(math.log10(5e-9), -8.0)
+        left, right = random_orthonormal(rng, 4), random_orthonormal(rng, 4)
+        t = lift_operator(rng, a, (left * np.array([1.0, 1.0 - gap, 0.5, 0.2])) @ right.T)
+        eps = float(rng.uniform(0.05, 0.9))
+        report = classify_right(a, t, eps)
+        assert report.construction.attain_basis.shape[1] == 2
+        assert _verify_right(a, t, report.witness.matrix, eps)
+
+
+def test_classifiers_bind_once(rng, eigh_calls):
+    for n, rank in ((4, 4), (16, 12), (64, 64)):
+        a = random_psd(rng, n, rank=rank)
+        for t in (random_a_bounded(rng, a), operator_with_multiplicity(rng, a, 2),
+                  rank_one_operator(rng, a)):
+            eigh_calls.clear()
+            assert classify_right(a, t, 0.3).witness is not None
+            assert len(eigh_calls) <= 2  # T and the witness
+            eigh_calls.clear()
+            assert classify_left(a, t, 0.3).witness is not None
+            assert len(eigh_calls) <= 2
