@@ -53,15 +53,20 @@ def _as_square_matrix(m: np.ndarray) -> np.ndarray:
     return m.astype(np.float64, copy=False)
 
 
-def _check_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
-    """Validate near-Hermitian input and return its exactly Hermitian part."""
+def _hermitian_eig(matrix: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate near-Hermitian input; return its exactly Hermitian part with
+    that part's eigenvalues, descending, and matching eigenvectors."""
+    m = _as_square_matrix(matrix)
     scale = max(float(np.max(np.abs(m))), 1.0) if m.size else 1.0
     asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if asym > tol * scale:
         raise NotHermitianError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} > {tol:.1e} * {scale:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    m = (m + m.conj().T) / 2.0
+    w, v = np.linalg.eigh(m)
+    order = np.argsort(w)[::-1]
+    return m, w[order].astype(np.float64), v[:, order]
 
 
 def hermitian_eig(
@@ -72,10 +77,7 @@ def hermitian_eig(
     Returns (eigenvalues, eigenvectors) with unitary eigenvector columns
     matching the eigenvalue order, so matrix = V diag(w) V*.
     """
-    m = _check_hermitian(_as_square_matrix(matrix), tol.hermitian_tol)
-    w, v = np.linalg.eigh(m)
-    order = np.argsort(w)[::-1]
-    return w[order].astype(np.float64), v[:, order]
+    return _hermitian_eig(matrix, tol.hermitian_tol)[1:]
 
 
 @dataclass(frozen=True)
@@ -181,10 +183,7 @@ def psd_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PsdOpera
     Eigenvalues in [-rank_tol * lam_max, rank_tol * lam_max] are clipped to
     zero; anything below that band raises :class:`NotPositiveError`.
     """
-    m = _check_hermitian(_as_square_matrix(matrix), tol.hermitian_tol)
-    w, v = np.linalg.eigh(m)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
+    m, w, v = _hermitian_eig(matrix, tol.hermitian_tol)
     lam_max = max(float(w[0]) if w.size else 0.0, 0.0)
     clip = tol.rank_tol * lam_max
     if w.size and float(w[-1]) < -clip:

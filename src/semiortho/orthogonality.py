@@ -91,17 +91,21 @@ def _field_is_complex(*objs: ABoundedOperator) -> bool:
 
 
 # Cut budget of the direct route, which makes one eigensolve per cut plus two
-# to bind T and S. Complex decisions on 2x2 to 5x5 stress pairs (repeated top
-# singular values, A-isometries, S = T) certified within about 105 cuts and
-# real ones within 20; the rest is slack, and a call stays under 200
-# eigensolves.
+# to bind T and S. On 400 2x2 to 5x5 stress pairs (repeated top singular
+# values, A-isometries, S = T, shared attainment), complex decisions certified
+# within 101 cuts (mean 18) and real ones within 16 (mean 4); the rest is
+# slack, and a call stays under 200 eigensolves.
 _DIRECT_MAX_CUTS = 150
+# Relative gap below which the top eigenvalue of M* M counts as multiple: g is
+# not smooth there, so the route takes no Newton step.
+_SIMPLE_GAP = 1e-12
 
 
 def _objective(
     op_t: ABoundedOperator, op_s: ABoundedOperator, eps: float, lam: Scalar
-) -> tuple[float, complex]:
-    """g(lambda) and a subgradient of g, written d/dRe + i d/dIm.
+) -> tuple[float, complex, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """g(lambda), a subgradient of g written d/dRe + i d/dIm, and the
+    eigensystem (M, w, V) of M* M that a Newton step needs.
 
     With v the top eigenvector of M* M, M = T~ + lambda S~, the smooth part
     sigma_max(M)^2 >= ||M v||^2 has subgradient 2 <M v, S~ v> (Lewis & Overton,
@@ -118,7 +122,55 @@ def _objective(
         grad += penalty * lam / abs(lam)
     elif grad != 0:
         grad *= max(0.0, 1.0 - penalty / abs(grad))
-    return float(w[-1]) - op_t.norm**2 + penalty * abs(lam), grad
+    return float(w[-1]) - op_t.norm**2 + penalty * abs(lam), grad, (m, w, vecs)
+
+
+def _newton_step(
+    op_s: ABoundedOperator,
+    penalty: float,
+    lam: Scalar,
+    grad: complex,
+    eig: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Optional[tuple[float, float]]:
+    """Newton step -Hess^{-1} h of g at lambda as (dRe, dIm), or None where g
+    is not smooth (lambda = 0, a multiple top eigenvalue of M* M) or the
+    Hessian is not positive definite.
+
+    The Hessian is the second-order perturbation of a simple eigenvalue
+    (Overton, SIAM J. Matrix Anal. Appl. 9, 1988): with D_k the derivative of
+    M* M along Re lambda, Im lambda and b_k = D_k v,
+    Hess_kl = 2 ||S~ v||^2 delta_kl + 2 Re sum_j conj(V_j* b_k) (V_j* b_l) / (w_1 - w_j),
+    plus (penalty / |lambda|) (I - u u^T), u = lambda / |lambda|, the
+    curvature of the |lambda| term, which vanishes on the real line.
+    """
+    m, w, vecs = eig
+    if lam == 0 or (w.size > 1 and w[-1] - w[-2] <= _SIMPLE_GAP * w[-1]):
+        return None
+    v = vecs[:, -1]
+    sv = op_s.tilde @ v
+    p = op_s.tilde.conj().T @ (m @ v)
+    q = m.conj().T @ sv
+    rest = vecs[:, :-1]  # the other eigenvectors V_j
+    gaps = w[-1] - w[:-1]
+    # V_j* b_k taken as conj(b_k* V_j), which does not copy V
+    c1 = ((p + q).conj() @ rest).conj()
+    base = 2.0 * float(np.vdot(sv, sv).real)
+    hxx = base + 2.0 * float(np.sum(np.abs(c1) ** 2 / gaps))
+    if not isinstance(lam, complex):
+        return (-grad.real / hxx, 0.0) if hxx > 0.0 else None
+    c2 = ((1j * (q - p)).conj() @ rest).conj()
+    hyy = base + 2.0 * float(np.sum(np.abs(c2) ** 2 / gaps))
+    hxy = 2.0 * float(np.sum(c1.conj() * c2 / gaps).real)
+    ux, uy = lam.real / abs(lam), lam.imag / abs(lam)
+    curv = penalty / abs(lam)
+    hxx += curv * (1.0 - ux * ux)
+    hyy += curv * (1.0 - uy * uy)
+    hxy -= curv * ux * uy
+    det = hxx * hyy - hxy * hxy
+    if hxx <= 0.0 or det <= 0.0:
+        return None
+    gx, gy = grad.real, grad.imag
+    return -(hyy * gx - hxy * gy) / det, -(hxx * gy - hxy * gx) / det
 
 
 def op_orth_direct(
@@ -130,13 +182,18 @@ def op_orth_direct(
     plus a norm term), and outside |lambda| <= 2 (1 + eps) ||T||_A / ||S||_A
     the triangle inequality forces g >= 0 = g(0). A deep-cut ellipsoid method
     on that disc (an interval for the real field) keeps every minimizer inside
-    its current ellipsoid E, so g(c) - max over E of <h, x - c> bounds min g
-    from below at each centre c with subgradient h. The margin is the least g
-    seen, attained at the witness lambda; ``margin_lower`` is the best such
-    lower bound. The search stops once the bound proves "holds"
-    (margin_lower >= -tol), or once a margin below -tol proves "fails" and the
-    bound pins it to tol / 4; if the cut budget runs out first, the verdict
-    rests on the margin alone.
+    its current ellipsoid E, so g(x) + min over E of <h, y - x> bounds min g
+    from below at each query point x with subgradient h. The query point is
+    the centre of E, or the Newton point of the last query where g is smooth
+    there (lambda != 0, a simple top eigenvalue of M* M), the Hessian is
+    positive definite, the point lies in E and the last Newton step lowered g;
+    at a "fails" minimizer g is smooth in the generic case, and Newton steps
+    converge there quadratically where the ellipsoid alone converges linearly.
+    The margin is the least g seen, attained at the witness lambda;
+    ``margin_lower`` is the best lower bound. The search stops once the bound
+    proves "holds" (margin_lower >= -tol), or once a margin below -tol proves
+    "fails" and the bound pins it to tol / 4; if the cut budget runs out
+    first, the verdict rests on the margin alone.
     """
     eps = validate_epsilon(eps)
     op_t = bind_operator(a, t)
@@ -148,34 +205,64 @@ def op_orth_direct(
         )
 
     dim = 2 if _field_is_complex(op_t, op_s) else 1
-    center = np.zeros(dim)
-    shape = (2.0 * (1.0 + eps) * op_t.norm / op_s.norm) ** 2 * np.eye(dim)
+    penalty = 2.0 * eps * op_t.norm * op_s.norm
+    # E = {e + P^{1/2} z : |z| <= 1} with e = (ex, ey) and P = [[pxx, pxy], [pxy, pyy]];
+    # the real field keeps ey = pxy = pyy = 0
+    radius_sq = (2.0 * (1.0 + eps) * op_t.norm / op_s.norm) ** 2
+    ex = ey = pxy = 0.0
+    pxx, pyy = radius_sq, radius_sq if dim == 2 else 0.0
+    x = y = 0.0  # query point
+    newton_from = None  # g at the point the query was a Newton step from
     best_lam: Scalar = 0.0
     upper, lower = 0.0, -math.inf  # g(0) = 0 exactly
     for _ in range(_DIRECT_MAX_CUTS):
-        lam: Scalar = complex(center[0], center[1]) if dim == 2 else float(center[0])
-        val, grad = _objective(op_t, op_s, eps, lam)
+        lam: Scalar = complex(x, y) if dim == 2 else x
+        val, grad, eig = _objective(op_t, op_s, eps, lam)
         if val < upper:
             upper, best_lam = val, lam
-        h = np.array([grad.real, grad.imag][:dim])
-        ph = shape @ h
-        hph = float(h @ ph)
-        if hph <= 0.0 and h.any():
+        hx, hy = grad.real, grad.imag
+        phx, phy = pxx * hx + pxy * hy, pxy * hx + pyy * hy
+        hph = hx * phx + hy * phy
+        if hph <= 0.0 and (hx or hy):
             break  # the ellipsoid has collapsed in rounding; it proves nothing more
         width = math.sqrt(max(hph, 0.0))
-        lower = max(lower, val - width)
+        slope = hx * (ex - x) + hy * (ey - y)  # <h, e - x>
+        lower = max(lower, val + slope - width)
         if lower >= -tol or (upper < -tol and upper - lower <= tol / 4.0):
             break
-        # deep cut <h, x - c> <= upper - g(c); 0 <= alpha < 1 here
-        alpha = (val - upper) / width
-        step = ph / width
-        if dim == 1:
-            center = center - (1.0 + alpha) / 2.0 * step
-            shape = shape * ((1.0 - alpha) / 2.0) ** 2
-        else:
-            center = center - (1.0 + 2.0 * alpha) / 3.0 * step
-            shrink = 2.0 * (1.0 + 2.0 * alpha) / (3.0 * (1.0 + alpha))
-            shape = (4.0 / 3.0) * (1.0 - alpha**2) * (shape - shrink * np.outer(step, step))
+        # deep cut <h, z - x> <= upper - g(x), which every minimizer z meets,
+        # written about the centre e
+        alpha = (val - upper + slope) / width
+        if alpha >= 1.0:
+            break
+        if alpha > -1.0 / dim:
+            tau = (1.0 + dim * alpha) / (dim + 1.0)
+            ex, ey = ex - tau * phx / width, ey - tau * phy / width
+            if dim == 1:
+                pxx *= ((1.0 - alpha) / 2.0) ** 2
+            else:
+                scale = (4.0 / 3.0) * (1.0 - alpha**2)
+                shrink = 2.0 * tau / ((1.0 + alpha) * hph)
+                pxx, pxy, pyy = (
+                    scale * (pxx - shrink * phx * phx),
+                    scale * (pxy - shrink * phx * phy),
+                    scale * (pyy - shrink * phy * phy),
+                )
+        step = None
+        if newton_from is None or val < newton_from:
+            step = _newton_step(op_s, penalty, lam, grad, eig)
+        del eig  # frees M and the eigenvectors before the next eigensolve
+        if step is not None:
+            nx, ny = x + step[0], y + step[1]
+            dx, dy = nx - ex, ny - ey
+            if dim == 1:
+                inside = dx * dx <= pxx
+            else:
+                inside = pyy * dx * dx - 2.0 * pxy * dx * dy + pxx * dy * dy <= pxx * pyy - pxy * pxy
+            if inside:
+                x, y, newton_from = nx, ny, val
+                continue
+        x, y, newton_from = ex, ey, None
 
     return _finish(
         upper, Method.DIRECT_MINIMIZATION, tol, OperatorWitness(lam=best_lam),

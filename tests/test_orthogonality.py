@@ -184,6 +184,47 @@ def test_direct_eigensolves_per_call_capped(rng, eigh_calls):
             assert 0 < len(eigh_calls) <= 200
 
 
+def test_direct_newton_steps_on_failing_pairs(rng, eigh_calls):
+    """Complex pairs that fail by at least 0.01 of ||T||_A ||S||_A: the
+    minimizer is smooth there, and Newton steps certify "fails" in a few
+    eigensolves (about 85 per call with the ellipsoid alone)."""
+    for n in (4, 16):
+        counts = []
+        while len(counts) < 20:
+            a = random_psd(rng, n, complex_field=True)
+            t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+            eps = float(rng.uniform(0.0, 0.99))
+            scale = operator_norm_a(a, t) * operator_norm_a(a, s)
+            if op_orth_theta_sweep_complex(a, t, s, eps).margin / scale > -0.01:
+                continue
+            eigh_calls.clear()
+            v = op_orth_direct(a, t, s, eps)
+            counts.append(len(eigh_calls))
+            assert not v.holds and v.margin - v.margin_lower <= a.tol.verdict_margin_tol / 4.0
+        assert np.mean(counts) <= 25
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_direct_multiple_top_eigenvalue_falls_back(rng, eigh_calls, complex_field):
+    """With S = T of top multiplicity 2, the top eigenvalue of M* M is
+    multiple at every lambda, so no Newton step is taken; with S an
+    A-isometry it is multiple at lambda = 0. The ellipsoid still certifies."""
+    for n in (3, 4):
+        a = random_psd(rng, n, complex_field=complex_field)
+        t = operator_with_multiplicity(rng, a, 2)
+        cross = op_orth_theta_sweep_complex if complex_field else op_orth_attainment_real
+        for s in (t, random_a_isometry(rng, a)):
+            for eps in (0.0, 0.3, 0.8):
+                eigh_calls.clear()
+                v = op_orth_direct(a, t, s, eps)
+                assert len(eigh_calls) <= 200
+                assert v.holds == cross(a, t, s, eps).holds
+                if s is t:
+                    assert not v.holds
+                tol = a.tol.verdict_margin_tol
+                assert v.margin_lower <= v.margin <= _polar_grid_min(a, t, s, eps) + tol / 4.0
+
+
 def test_direct_complex_n128_memory(rng):
     a = random_psd(rng, 128, complex_field=True)
     t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
