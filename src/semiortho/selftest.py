@@ -423,6 +423,33 @@ def _suite_op_routes_complex(rng: np.random.Generator, trials: int) -> list[dict
     return failures
 
 
+def _suite_op_routes_complex_multiplicity(rng: np.random.Generator, trials: int) -> list[dict]:
+    """Complex pairs whose T attains its norm on a subspace of dimension
+    m = 2..4, with S random, an A-isometry, or also of multiplicity m."""
+    failures = []
+    for i in range(trials):
+        n = int(rng.integers(3, 7))
+        rank = int(rng.integers(2, n + 1))
+        m = int(rng.integers(2, min(4, rank) + 1))
+        a = smp.random_psd(rng, n, rank=rank, complex_field=True)
+        t = smp.operator_with_multiplicity(rng, a, m)
+        kind = i % 3
+        if kind == 0:
+            s = smp.random_a_bounded(rng, a)
+        elif kind == 1:
+            s = smp.random_a_isometry(rng, a)
+        else:
+            s = smp.operator_with_multiplicity(rng, a, m)
+        eps = _pick_eps(rng)
+        direct = op_orth_direct(a, t, s, eps)
+        sweep = op_orth_theta_sweep_complex(a, t, s, eps)
+        if direct.holds != sweep.holds:
+            failures.append(
+                _fail(i, "complex routes disagree", m=m, eps=eps, direct=direct.margin, sweep=sweep.margin)
+            )
+    return failures
+
+
 def _suite_op_homogeneity(rng: np.random.Generator, trials: int) -> list[dict]:
     failures = []
     for i in range(trials):
@@ -622,6 +649,8 @@ SUITES: dict[str, tuple[SuiteFn, Optional[int]]] = {
     "sym_right_isometry": (_suite_sym_right_isometry, 40),
     "sym_left_witness": (_suite_sym_left_witness, 100),
     "left_parameter_grid": (_suite_left_parameter_grid, 1),
+    # appended, so the suites above keep their generators (keyed by position)
+    "op_route_equivalence_complex_multiplicity": (_suite_op_routes_complex_multiplicity, 80),
 }
 
 
@@ -646,10 +675,10 @@ class SelftestOutcome:
         return all(r.passed for r in self.results)
 
     def table(self) -> str:
-        lines = [f"{'suite':34s} {'trials':>7s} {'time':>8s}  status"]
+        lines = [f"{'suite':42s} {'trials':>7s} {'time':>8s}  status"]
         for r in self.results:
             status = "pass" if r.passed else f"FAIL ({len(r.failures)})"
-            lines.append(f"{r.name:34s} {r.trials:7d} {r.seconds:7.2f}s  {status}")
+            lines.append(f"{r.name:42s} {r.trials:7d} {r.seconds:7.2f}s  {status}")
         overall = "SELFTEST PASS" if self.passed else "SELFTEST FAIL"
         lines.append(overall)
         return "\n".join(lines)
