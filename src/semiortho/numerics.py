@@ -1,59 +1,8 @@
-"""Small numerical kernels: golden-section search and orthonormal complements."""
+"""Orthonormal complements in K^dim."""
 
 from __future__ import annotations
 
-import math
-from typing import Callable
-
 import numpy as np
-
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def golden_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-12,
-    max_iter: int = 160,
-) -> tuple[float, float]:
-    """Minimize a unimodal function on [lo, hi] by golden-section search.
-
-    Returns (argmin, min) taken over every point actually evaluated, so the
-    reported value is a valid upper bound of the true minimum even when the
-    iteration budget runs out.
-    """
-    a, b = (lo, hi) if lo <= hi else (hi, lo)
-    best_x, best_f = a, f(a)
-    fb = f(b)
-    if fb < best_f:
-        best_x, best_f = b, fb
-
-    h = b - a
-    if h <= 0.0:
-        return best_x, best_f
-    n = min(max_iter, int(math.ceil(math.log(max(rel_tol, 1e-300)) / math.log(INV_PHI))))
-    c = a + INV_PHI_SQ * h
-    d = a + INV_PHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(n):
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h *= INV_PHI
-            c = a + INV_PHI_SQ * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= INV_PHI
-            d = a + INV_PHI * h
-            yd = f(d)
-        if yc < best_f:
-            best_x, best_f = c, yc
-        if yd < best_f:
-            best_x, best_f = d, yd
-    return best_x, best_f
 
 
 def orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -72,9 +21,3 @@ def orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
     q, _ = np.linalg.qr(basis, mode="complete")
     return q[:, m:]
 
-
-def extend_to_orthonormal_basis(basis: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full orthonormal basis of the space."""
-    dim = basis.shape[0]
-    comp = orthonormal_complement(basis, dim)
-    return np.hstack([basis, comp])

@@ -7,8 +7,12 @@ Three routes decide T perp S in the Chmielinski sense, and they must agree:
 * the real single-vector criterion: some norm-attaining x has
   |<Tx, Sx>_A| <= eps ||T||_A ||S||_A, reduced to an eigenvalue condition on
   the attainment subspace;
-* the complex theta sweep: for every phase theta the Hermitian part of the
-  rotated attainment form must straddle the band [-E, E].
+* the complex attainment route: the numerical range W(F) of the attainment
+  form F, convex by Toeplitz-Hausdorff, must come within the band
+  E = eps ||T||_A ||S||_A of 0. For a one-dimensional attainment subspace F
+  is a scalar and the distance is |F|; otherwise it is minus the least value
+  of the support function of W(F) over the unit disc, a convex problem that
+  the direct route's minimizer solves with a certificate.
 
 In finite dimensions every norm supremum is attained and the unit ball of the
 range geometry is compact, so sequence-based forms of these criteria collapse
@@ -20,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import PsdOperator
 from .errors import AttainmentSubsetError, ComplexFieldError, RealFieldError
-from .numerics import golden_min
 from .operators import (
     ABoundedOperator,
     Operand,
@@ -55,7 +59,8 @@ class OperatorWitness:
 @dataclass(frozen=True)
 class OperatorOrthoVerdict:
     """Verdict of one route. ``margin_lower`` is a certified lower bound on
-    the margin where the route proves one (the direct route), else None."""
+    the margin where the route proves one (the direct route and the complex
+    attainment route), else None."""
 
     holds: bool
     margin: float
@@ -90,12 +95,14 @@ def _field_is_complex(*objs: ABoundedOperator) -> bool:
     return any(o.is_complex for o in objs)
 
 
-# Cut budget of the direct route, which makes one eigensolve per cut plus two
-# to bind T and S. On 400 2x2 to 5x5 stress pairs (repeated top singular
-# values, A-isometries, S = T, shared attainment), complex decisions certified
-# within 101 cuts (mean 18) and real ones within 16 (mean 4); the rest is
-# slack, and a call stays under 200 eigensolves.
-_DIRECT_MAX_CUTS = 150
+# Cut budget of the ellipsoid minimizer, which makes one eigensolve per cut.
+# On 400 2x2 to 5x5 stress pairs (repeated top singular values, A-isometries,
+# S = T, shared attainment), the direct route's complex decisions certified
+# within 101 cuts (mean 18) and real ones within 16 (mean 4). On 600 complex
+# 3x3 to 6x6 pairs whose T attains its norm on 2 to 4 dimensions, the complex
+# attainment route took at most 91 (mean 45). The rest is slack, and a call
+# stays under 200 eigensolves.
+_MAX_CUTS = 150
 # Relative gap below which the top eigenvalue of M* M counts as multiple: g is
 # not smooth there, so the route takes no Newton step.
 _SIMPLE_GAP = 1e-12
@@ -173,53 +180,37 @@ def _newton_step(
     return -(hyy * gx - hxy * gy) / det, -(hxx * gy - hxy * gx) / det
 
 
-def op_orth_direct(
-    a: PsdOperator, t: Operand, s: Operand, eps: float
-) -> OperatorOrthoVerdict:
-    """Decide T perp S by minimizing g(lambda) over the scalar field.
+def _ellipsoid_min(
+    oracle: Callable, newton: Optional[Callable], dim: int, radius_sq: float,
+    tol: float, floor: float, exit_on_holds: bool,
+) -> tuple[float, float, object]:
+    """Certified minimum of a convex f with f(0) = 0 over the centred disc of
+    squared radius ``radius_sq`` (an interval for dim = 1), as (U, L, point).
 
-    g is convex on the whole field (the top singular value of an affine family
-    plus a norm term), and outside |lambda| <= 2 (1 + eps) ||T||_A / ||S||_A
-    the triangle inequality forces g >= 0 = g(0). A deep-cut ellipsoid method
-    on that disc (an interval for the real field) keeps every minimizer inside
-    its current ellipsoid E, so g(x) + min over E of <h, y - x> bounds min g
-    from below at each query point x with subgradient h. The query point is
-    the centre of E, or the Newton point of the last query where g is smooth
-    there (lambda != 0, a simple top eigenvalue of M* M), the Hessian is
-    positive definite, the point lies in E and the last Newton step lowered g;
-    at a "fails" minimizer g is smooth in the generic case, and Newton steps
-    converge there quadratically where the ellipsoid alone converges linearly.
-    The margin is the least g seen, attained at the witness lambda;
-    ``margin_lower`` is the best lower bound. The search stops once the bound
-    proves "holds" (margin_lower >= -tol), or once a margin below -tol proves
-    "fails" and the bound pins it to tol / 4; if the cut budget runs out
-    first, the verdict rests on the margin alone.
+    ``oracle(x, y)`` returns f there, a subgradient as d/dx + i d/dy, an upper
+    bound on min f (f itself, or better), the point reported with that bound
+    and the state that ``newton(point, subgradient, state)`` takes to return a
+    Newton step (dx, dy) or None. A deep-cut ellipsoid method keeps every
+    minimizer in its ellipsoid E, so f(x) + min over E of <h, y - x> bounds
+    min f from below at each query x with subgradient h. The query is the
+    centre of E, or the Newton point of the last query where that lies in E
+    and the last Newton step lowered f. U <= 0 is the least upper bound (point
+    None for f(0)) and L <= U the best lower bound. The search stops once
+    U - L <= tol / 4 and the bounds do not straddle ``floor``, or, with
+    ``exit_on_holds``, once L >= floor, or when the cut budget runs out.
     """
-    eps = validate_epsilon(eps)
-    op_t = bind_operator(a, t)
-    op_s = bind_operator(a, s)
-    tol = a.tol.verdict_margin_tol
-    if norm_is_zero(op_t) or norm_is_zero(op_s):
-        return _finish(
-            0.0, Method.DIRECT_MINIMIZATION, tol, OperatorWitness(lam=0.0), margin_lower=0.0
-        )
-
-    dim = 2 if _field_is_complex(op_t, op_s) else 1
-    penalty = 2.0 * eps * op_t.norm * op_s.norm
     # E = {e + P^{1/2} z : |z| <= 1} with e = (ex, ey) and P = [[pxx, pxy], [pxy, pyy]];
-    # the real field keeps ey = pxy = pyy = 0
-    radius_sq = (2.0 * (1.0 + eps) * op_t.norm / op_s.norm) ** 2
+    # dim = 1 keeps ey = pxy = pyy = 0
     ex = ey = pxy = 0.0
     pxx, pyy = radius_sq, radius_sq if dim == 2 else 0.0
     x = y = 0.0  # query point
-    newton_from = None  # g at the point the query was a Newton step from
-    best_lam: Scalar = 0.0
-    upper, lower = 0.0, -math.inf  # g(0) = 0 exactly
-    for _ in range(_DIRECT_MAX_CUTS):
-        lam: Scalar = complex(x, y) if dim == 2 else x
-        val, grad, eig = _objective(op_t, op_s, eps, lam)
-        if val < upper:
-            upper, best_lam = val, lam
+    newton_from = None  # f at the point the query was a Newton step from
+    best = None
+    upper, lower = 0.0, -math.inf  # f(0) = 0 exactly
+    for _ in range(_MAX_CUTS):
+        val, grad, bound, point, state = oracle(x, y)
+        if bound < upper:
+            upper, best = bound, point
         hx, hy = grad.real, grad.imag
         phx, phy = pxx * hx + pxy * hy, pxy * hx + pyy * hy
         hph = hx * phx + hy * phy
@@ -228,9 +219,10 @@ def op_orth_direct(
         width = math.sqrt(max(hph, 0.0))
         slope = hx * (ex - x) + hy * (ey - y)  # <h, e - x>
         lower = max(lower, val + slope - width)
-        if lower >= -tol or (upper < -tol and upper - lower <= tol / 4.0):
+        settled = upper - lower <= tol / 4.0 and (lower >= floor or upper < floor)
+        if settled or (exit_on_holds and lower >= floor):
             break
-        # deep cut <h, z - x> <= upper - g(x), which every minimizer z meets,
+        # deep cut <h, z - x> <= upper - f(x), which every minimizer z meets,
         # written about the centre e
         alpha = (val - upper + slope) / width
         if alpha >= 1.0:
@@ -249,9 +241,9 @@ def op_orth_direct(
                     scale * (pyy - shrink * phy * phy),
                 )
         step = None
-        if newton_from is None or val < newton_from:
-            step = _newton_step(op_s, penalty, lam, grad, eig)
-        del eig  # frees M and the eigenvectors before the next eigensolve
+        if newton is not None and (newton_from is None or val < newton_from):
+            step = newton(point, grad, state)
+        del state  # frees the oracle's eigensystem before the next eigensolve
         if step is not None:
             nx, ny = x + step[0], y + step[1]
             dx, dy = nx - ex, ny - ey
@@ -263,10 +255,48 @@ def op_orth_direct(
                 x, y, newton_from = nx, ny, val
                 continue
         x, y, newton_from = ex, ey, None
+    return upper, min(lower, upper), best
 
+
+def op_orth_direct(
+    a: PsdOperator, t: Operand, s: Operand, eps: float
+) -> OperatorOrthoVerdict:
+    """Decide T perp S by minimizing g(lambda) over the scalar field.
+
+    g is convex on the whole field (the top singular value of an affine family
+    plus a norm term), and outside |lambda| <= 2 (1 + eps) ||T||_A / ||S||_A
+    the triangle inequality forces g >= 0 = g(0). The ellipsoid minimizer
+    certifies min g on that disc (an interval for the real field), with Newton
+    steps where g is smooth (lambda != 0, a simple top eigenvalue of M* M) and
+    the Hessian is positive definite: at a "fails" minimizer g is smooth in the
+    generic case, and there they converge quadratically. The margin is the
+    least g seen, at the witness lambda, and ``margin_lower`` the best lower
+    bound. The search stops once margin_lower >= -tol proves "holds", or once
+    a margin below -tol proves "fails" and the bound pins it to tol / 4; if
+    the cut budget runs out first, the verdict rests on the margin alone.
+    """
+    eps = validate_epsilon(eps)
+    op_t = bind_operator(a, t)
+    op_s = bind_operator(a, s)
+    tol = a.tol.verdict_margin_tol
+    if norm_is_zero(op_t) or norm_is_zero(op_s):
+        return _finish(
+            0.0, Method.DIRECT_MINIMIZATION, tol, OperatorWitness(lam=0.0), margin_lower=0.0
+        )
+
+    dim = 2 if _field_is_complex(op_t, op_s) else 1
+    newton = partial(_newton_step, op_s, 2.0 * eps * op_t.norm * op_s.norm)
+
+    def oracle(x: float, y: float):
+        lam: Scalar = complex(x, y) if dim == 2 else x
+        val, grad, eig = _objective(op_t, op_s, eps, lam)
+        return val, grad, val, lam, eig
+
+    radius_sq = (2.0 * (1.0 + eps) * op_t.norm / op_s.norm) ** 2
+    upper, lower, best_lam = _ellipsoid_min(oracle, newton, dim, radius_sq, tol, -tol, True)
     return _finish(
-        upper, Method.DIRECT_MINIMIZATION, tol, OperatorWitness(lam=best_lam),
-        margin_lower=min(lower, upper),
+        upper, Method.DIRECT_MINIMIZATION, tol,
+        OperatorWitness(lam=0.0 if best_lam is None else best_lam), margin_lower=lower,
     )
 
 
@@ -289,6 +319,19 @@ def _attainment_form(op_t: ABoundedOperator, op_s: ABoundedOperator) -> tuple[np
     return coords, form
 
 
+def _least_modulus(form: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least |c* H c| over unit c for the Hermitian part H of ``form``, with
+    a unit c that attains it: 0, from a combination of the bottom and top
+    eigenvectors, where the spectrum of H straddles 0, else the nearer end."""
+    mu, vecs = np.linalg.eigh((form + form.conj().T) / 2.0)
+    lo, hi = float(mu[0]), float(mu[-1])
+    if not lo <= 0.0 <= hi:
+        return (abs(lo), vecs[:, 0]) if abs(lo) <= abs(hi) else (abs(hi), vecs[:, -1])
+    if hi == lo:
+        return 0.0, vecs[:, 0]
+    return 0.0, math.sqrt(hi / (hi - lo)) * vecs[:, 0] + math.sqrt(-lo / (hi - lo)) * vecs[:, -1]
+
+
 def op_orth_attainment_real(
     a: PsdOperator, t: Operand, s: Operand, eps: float
 ) -> OperatorOrthoVerdict:
@@ -305,23 +348,7 @@ def op_orth_attainment_real(
         raise ComplexFieldError("attainment criterion is real-field only; use the theta sweep")
     require_positive_norm(op_t)
     coords, form = _attainment_form(op_t, op_s)
-    form_sym = (form + form.T) / 2.0
-    mu, vecs = np.linalg.eigh(form_sym)
-    mu_min, mu_max = float(mu[0]), float(mu[-1])
-    if mu_min <= 0.0 <= mu_max:
-        minval = 0.0
-        spread = mu_max - mu_min
-        if spread == 0.0:
-            c_star = vecs[:, 0]
-        else:
-            c_star = (
-                math.sqrt(mu_max / spread) * vecs[:, 0]
-                + math.sqrt(-mu_min / spread) * vecs[:, -1]
-            )
-    elif abs(mu_min) <= abs(mu_max):
-        minval, c_star = abs(mu_min), vecs[:, 0]
-    else:
-        minval, c_star = abs(mu_max), vecs[:, -1]
+    minval, c_star = _least_modulus(form)
     margin = eps * op_t.norm * op_s.norm - minval
     witness = OperatorWitness(vector=a.w_inv_map @ (coords @ c_star))
     return _finish(
@@ -330,11 +357,22 @@ def op_orth_attainment_real(
 
 
 def op_orth_theta_sweep_complex(
-    a: PsdOperator, t: Operand, s: Operand, eps: float, grid: int = 128
+    a: PsdOperator, t: Operand, s: Operand, eps: float
 ) -> OperatorOrthoVerdict:
-    """Complex-field criterion: for every theta in [0, pi) the Hermitian part
-    of e^{-i theta} times the attainment form must meet the band [-E, E] from
-    both sides (lambda_max >= -E and lambda_min <= E)."""
+    """Complex-field attainment criterion: T perp S iff the numerical range
+    W(F) of the attainment form F comes within E = eps ||T||_A ||S||_A of 0.
+
+    The margin is E - dist(0, W(F)). For a one-dimensional attainment
+    subspace F is a scalar f and the margin is E - |f|. Otherwise the
+    ellipsoid minimizer certifies the least value over the unit disc of the
+    support function h(d) = lambda_max((conj(d) F + d F*) / 2), which is
+    -dist(0, W(F)); the penalty ||F||_F max(0, |d| - 1) keeps queries outside
+    the disc from going below it, and as h is positively homogeneous each
+    query d also proves min h <= h(d) / |d|. The bounds close to tol / 4.
+    The witness is a phase theta and a lifted attaining x = x_theta = y_theta
+    with E - |Re(e^{-i theta} <T x, S x>_A)| equal to the margin (theta = 0
+    and Re <T x, S x>_A = 0 where 0 lies in W(F)).
+    """
     eps = validate_epsilon(eps)
     op_t = bind_operator(a, t)
     op_s = bind_operator(a, s)
@@ -342,38 +380,33 @@ def op_orth_theta_sweep_complex(
         raise RealFieldError("theta sweep is complex-field only; use the attainment criterion")
     require_positive_norm(op_t)
     coords, form = _attainment_form(op_t, op_s)
-    form = form.astype(np.complex128)
     band = eps * op_t.norm * op_s.norm
     tol = a.tol.verdict_margin_tol
 
-    def hermitian_part(theta: np.ndarray) -> np.ndarray:
-        ph = np.exp(-1j * np.asarray(theta))[:, None, None]
-        return (ph * form[None] + ph.conj() * form.conj().T[None]) / 2.0
+    if form.shape[0] == 1:
+        f = complex(form[0, 0])
+        margin = lower = band - abs(f)
+        best = (f, np.ones(1))
+    else:
+        r = float(np.linalg.norm(form))
 
-    thetas = np.linspace(0.0, math.pi, grid, endpoint=False)
-    eigs = np.linalg.eigvalsh(hermitian_part(thetas))
-    slack = np.minimum(eigs[:, -1] + band, band - eigs[:, 0])
-    worst = int(np.argmin(slack))
+        def oracle(x: float, y: float):
+            d = complex(x, y)
+            w, vecs = np.linalg.eigh((d.conjugate() * form + d * form.conj().T) / 2.0)
+            v = vecs[:, -1]
+            z = complex(np.vdot(v, form @ v))  # h'(d) = (Re z, Im z)
+            val, mod = float(w[-1]), abs(d)
+            bound = val / mod if mod > 0.0 else 0.0
+            if mod > 1.0:
+                val, z = val + r * (mod - 1.0), z + r * d / mod
+            return val, z, bound, (d, v), None
 
-    def slack_at(theta: float) -> float:
-        w = np.linalg.eigvalsh(hermitian_part(np.array([theta])))[0]
-        return float(min(w[-1] + band, band - w[0]))
-
-    step = math.pi / grid
-    theta_ref, slack_ref = golden_min(
-        slack_at, thetas[worst] - step, thetas[worst] + step
-    )
-    if slack[worst] <= slack_ref:
-        theta_ref, slack_ref = float(thetas[worst]), float(slack[worst])
-
-    h = hermitian_part(np.array([theta_ref]))[0]
-    _, vecs = np.linalg.eigh(h)
-    witness = OperatorWitness(
-        theta=theta_ref,
-        x_theta=a.w_inv_map @ (coords @ vecs[:, -1]),
-        y_theta=a.w_inv_map @ (coords @ vecs[:, 0]),
-    )
-    return _finish(slack_ref, Method.THETA_SWEEP, tol, witness, (FINITE_DIM_NOTE,))
+        upper, lower, best = _ellipsoid_min(oracle, None, 2, 1.0, tol, -tol - band, False)
+        margin, lower = band + upper, band + lower
+    d, c = (0j, _least_modulus(form)[1]) if best is None else best
+    x = a.w_inv_map @ (coords @ c)
+    witness = OperatorWitness(theta=math.atan2(d.imag, d.real) % math.pi, x_theta=x, y_theta=x)
+    return _finish(margin, Method.THETA_SWEEP, tol, witness, (FINITE_DIM_NOTE,), margin_lower=lower)
 
 
 def attainment_subset(

@@ -424,8 +424,7 @@ def _suite_op_routes_complex(rng: np.random.Generator, trials: int) -> list[dict
 
 
 def _suite_op_routes_complex_multiplicity(rng: np.random.Generator, trials: int) -> list[dict]:
-    """Complex pairs whose T attains its norm on a subspace of dimension
-    m = 2..4, with S random, an A-isometry, or also of multiplicity m."""
+    # T attains its norm on m = 2..4 dimensions; S random, an A-isometry or of multiplicity m
     failures = []
     for i in range(trials):
         n = int(rng.integers(3, 7))

@@ -108,15 +108,15 @@ def is_eps_orthogonal(a: PsdOperator, x: np.ndarray, y: np.ndarray, eps: float) 
 
 
 def is_chmielinski_orthogonal_vec(
-    a: PsdOperator, x: np.ndarray, y: np.ndarray, eps: float, phase_grid: int = 64
+    a: PsdOperator, x: np.ndarray, y: np.ndarray, eps: float
 ) -> OrthoVerdict:
     """Approximate orthogonality by direct minimization over lambda.
 
     Decides inf_lambda f(lambda) >= 0 for
     f(lambda) = ||x + lambda y||_A^2 - ||x||_A^2 + 2 eps ||x||_A ||lambda y||_A.
     On each ray lambda = t e^{i phi}, t >= 0, f is a quadratic in t whose
-    minimum is taken in closed form; the optimal phase is also closed-form,
-    with a uniform phase grid evaluated as a safety net in the complex case.
+    minimum is taken in closed form, and so is the optimal phase: the ray
+    along -conj(<y, x>_A) (both signs in the real field).
     Must agree with :func:`is_eps_orthogonal` on every input.
     """
     eps = validate_epsilon(eps)
@@ -138,16 +138,10 @@ def is_chmielinski_orthogonal_vec(
         t_star = -lin / ny**2
         return -(lin**2) / ny**2, t_star * direction
 
-    candidates: list[tuple[float, Scalar]] = []
     if complex_field:
-        best_phase = complex(np.exp(1j * (math.pi - np.angle(ip_yx))))
-        candidates.append(ray_min(best_phase))
-        for k in range(phase_grid):
-            candidates.append(ray_min(complex(np.exp(2j * math.pi * k / phase_grid))))
+        margin, witness = ray_min(complex(np.exp(1j * (math.pi - np.angle(ip_yx)))))
     else:
-        candidates.append(ray_min(1.0))
-        candidates.append(ray_min(-1.0))
-    margin, witness = min(candidates, key=lambda c: c[0])
+        margin, witness = min(ray_min(1.0), ray_min(-1.0), key=lambda c: c[0])
     margin = float(margin)
     # The dip of f is exactly -max(0, c)^2 / ||y||_A^2 for the linear-unit
     # violation c = |<x,y>_A| - eps ||x||_A ||y||_A, so deciding the verdict by

@@ -350,24 +350,33 @@ def test_witness_roundtrip_attainment(tmp_path):
     assert margin == pytest.approx(verdict["margin"], abs=1e-9)
 
 
-def test_witness_roundtrip_theta(tmp_path):
+def _pairs(z):
+    """Complex matrix as the instance format's [re, im] pairs."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(z, dtype=complex)]
+
+
+# (A, T, S): T attains its A-norm on a line; T = I attains it on the whole
+# plane (m = 2), and S has trace 0, so 0 lies in the numerical range of the
+# attainment form
+THETA_INSTANCES = {
+    "m1": (np.diag([1.0, 2.0]), np.diag([2.0, 1.0]), np.array([[0.5j, 0.0], [0.3, 1.0]])),
+    "m2_zero_in_range": (np.diag([1.0, 2.0]), np.eye(2), np.array([[0.4 + 0.5j, 0.3], [0.2, -0.4 - 0.5j]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THETA_INSTANCES))
+def test_witness_roundtrip_theta(tmp_path, name):
+    a_mat, t, s = THETA_INSTANCES[name]
     inst = write_instance(
-        tmp_path / "i.json",
-        field="complex",
-        A=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
-        T=[[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-        S=[[[0.0, 0.5], [0.0, 0.0]], [[0.3, 0.0], [1.0, 0.0]]],
-        epsilon=0.25,
+        tmp_path / "i.json", field="complex", A=_pairs(a_mat), T=_pairs(t), S=_pairs(s), epsilon=0.25
     )
     out = tmp_path / "r.json"
     assert cli.main(["check", inst, "--route", "theta", "--json-out", str(out)]) == EXIT_OK
     verdict = _read(out)["verdicts"][0]
     from semiortho import inner_a, operator_norm_a, psd_decompose
 
-    raw = _read(out)
-    a = psd_decompose(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
-    t = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex)
-    s = np.array([[0.5j, 0.0], [0.3, 1.0]], dtype=complex)
+    a = psd_decompose(a_mat.astype(complex))
+    t, s = t.astype(complex), s.astype(complex)
     w = verdict["witness"]
     theta = w["theta"]
     x = np.array([complex(re, im) for re, im in w["x_theta"]])

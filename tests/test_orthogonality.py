@@ -15,6 +15,7 @@ from semiortho import (
     direct_objective,
     inner_a,
     norm_a,
+    norm_attainment_set,
     op_orth_attainment_real,
     op_orth_direct,
     op_orth_pointwise,
@@ -321,6 +322,115 @@ def test_theta_sweep_agrees_with_direct(rng):
         if direct.holds != sweep.holds:
             disagreements.append((k, direct.margin, sweep.margin))
     assert disagreements == []
+
+
+def test_theta_route_closed_form_for_simple_attainment(rng, eigh_calls, monkeypatch):
+    """m = 1: W(F) is the point f = <T x, S x>_A at the attaining x, and the
+    margin band - |f| matches a dense phase reference with no eigensolve
+    beyond the two binds."""
+    eigvalsh_calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda *args, **kw: eigvalsh_calls.append(1) or eigvalsh(*args, **kw)
+    )
+    thetas = np.linspace(0.0, np.pi, 20000, endpoint=False)
+    step = thetas[1]
+    checked = 0
+    while checked < 50:
+        n = int(rng.integers(2, 7))
+        a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_field=True)
+        t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+        att = norm_attainment_set(a, t)
+        if att.multiplicity != 1:
+            continue
+        checked += 1
+        eps = float(rng.uniform(0.0, 0.99))
+        scale = operator_norm_a(a, t) * operator_norm_a(a, s)
+        band = eps * scale
+        x = att.attain_basis[:, 0]
+        f = complex(inner_a(a, t @ x, s @ x))
+
+        def slack(theta):
+            val = np.real(np.exp(-1j * theta) * f)
+            return np.minimum(val + band, band - val)
+
+        # the dense grid, refined by the parabola through its least point
+        # and the two neighbours
+        k = int(np.argmin(slack(thetas)))
+        lo, mid, hi = slack(thetas[k] - step), slack(thetas[k]), slack(thetas[k] + step)
+        curve = lo - 2.0 * mid + hi
+        reference = mid - (hi - lo) ** 2 / (8.0 * curve) if curve > 0.0 else mid
+
+        eigh_calls.clear()
+        eigvalsh_calls.clear()
+        v = op_orth_theta_sweep_complex(a, t, s, eps)
+        assert len(eigh_calls) == 2 and eigvalsh_calls == []
+        assert v.margin == pytest.approx(band - abs(f), abs=1e-12 * scale)
+        assert v.margin == pytest.approx(reference, abs=1e-12 * scale)
+        assert v.margin_lower == v.margin
+
+
+def _form_instance(rng, form):
+    """Complex pair (A, T, S) whose attainment form is unitarily similar to
+    ``form``: A = I, T the identity on the first m coordinates and a strict
+    contraction after them, S carrying form* in its leading block."""
+    m = form.shape[0]
+    n = m + 2
+    a = psd_decompose(np.eye(n, dtype=complex))
+    t = np.diag(np.r_[np.ones(m), 0.5, 0.3]).astype(complex)
+    s = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    s[:m, :m] = form.conj().T
+    return a, t, s
+
+
+def _support_min(form):
+    """Least support function of W(form) over a dense grid of the unit
+    circle, an upper bound on -dist(0, W(form))."""
+    ph = np.exp(-1j * np.linspace(0.0, 2.0 * np.pi, 20000, endpoint=False))[:, None, None]
+    herm = (ph * form[None] + ph.conj() * form.conj().T[None]) / 2.0
+    return float(np.min(np.linalg.eigvalsh(herm)[:, -1]))
+
+
+def _form_families(rng, m):
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    spectrum = np.r_[0.0, rng.uniform(0.5, 2.0, m - 1)]
+    return {
+        # trace 0 puts 0 = tr(F) / m inside W(F), which has interior
+        "interior": (g - np.trace(g) / m * np.eye(m), True),
+        "generic": (g, False),
+        # PSD and singular, rotated: 0 is an end of W(F)
+        "psd_boundary": (phase * (u * spectrum) @ u.conj().T, False),
+        # normal, spectrum on a segment through 0: W(F) has no interior
+        "normal_segment": (phase * (u * np.r_[-1.0, spectrum[1:]]) @ u.conj().T, False),
+        "shifted": (g + (2.0 + np.linalg.norm(g, 2)) * phase * np.eye(m), False),
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_theta_route_certified_for_multiple_attainment(rng, eigh_calls, m):
+    """m >= 2: the margin is E - dist(0, W(F)) within tol / 4, certified from
+    below, and exactly E where 0 lies inside W(F)."""
+    for _ in range(3):
+        for name, (form, interior) in _form_families(rng, m).items():
+            a, t, s = _form_instance(rng, form)
+            tol = a.tol.verdict_margin_tol
+            for eps in (0.0, 0.3, 0.8):
+                band = eps * operator_norm_a(a, s)  # ||T||_A = 1
+                reference = band + min(0.0, _support_min(form))
+                eigh_calls.clear()
+                v = op_orth_theta_sweep_complex(a, t, s, eps)
+                assert len(eigh_calls) <= 200, name
+                assert v.margin_lower <= v.margin <= reference + tol / 4.0, name
+                assert v.margin_lower <= reference + 1e-12, name
+                if interior:
+                    assert v.margin == band
+                if name in ("psd_boundary", "normal_segment"):
+                    assert v.margin >= band - tol / 4.0, name
+                if name == "shifted":  # dist(0, W(F)) >= 2
+                    assert v.margin <= band - 1.5 and (eps > 0.0 or not v.holds), name
+                assert v.holds == op_orth_direct(a, t, s, eps).holds, name
 
 
 def test_route_equivalence_real_random(rng):
