@@ -22,6 +22,8 @@ assumption. Disagreement between routes is a defect, not an input property.
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import partial
@@ -97,11 +99,11 @@ def _field_is_complex(*objs: ABoundedOperator) -> bool:
 
 # Cut budget of the ellipsoid minimizer, which makes one eigensolve per cut.
 # On 400 2x2 to 5x5 stress pairs (repeated top singular values, A-isometries,
-# S = T, shared attainment), the direct route's complex decisions certified
-# within 101 cuts (mean 18) and real ones within 16 (mean 4). On 600 complex
-# 3x3 to 6x6 pairs whose T attains its norm on 2 to 4 dimensions, the complex
-# attainment route took at most 91 (mean 45). The rest is slack, and a call
-# stays under 200 eigensolves.
+# S = T, shared attainment; numpy seed 7), the direct route's complex decisions
+# certified within 100 cuts (mean 14) and real ones within 15 (mean 3). On 600
+# complex 3x3 to 6x6 pairs whose T attains its norm on 2 to 4 dimensions (seed
+# 2026), the complex attainment route took at most 96 (mean 29) and the direct
+# route at most 108. The rest is slack, and a call stays under 200 eigensolves.
 _MAX_CUTS = 150
 # Relative gap below which the top eigenvalue of M* M counts as multiple: g is
 # not smooth there, so the route takes no Newton step.
@@ -110,26 +112,28 @@ _SIMPLE_GAP = 1e-12
 
 def _objective(
     op_t: ABoundedOperator, op_s: ABoundedOperator, eps: float, lam: Scalar
-) -> tuple[float, complex, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """g(lambda), a subgradient of g written d/dRe + i d/dIm, and the
-    eigensystem (M, w, V) of M* M that a Newton step needs.
+) -> tuple[float, complex, tuple[np.ndarray, ...]]:
+    """g(lambda), a subgradient of g written d/dRe + i d/dIm, and what a
+    Newton step needs: the eigensystem (w, V) of M* M, M and the products
+    M v and S~ v at its top eigenvector v.
 
-    With v the top eigenvector of M* M, M = T~ + lambda S~, the smooth part
-    sigma_max(M)^2 >= ||M v||^2 has subgradient 2 <M v, S~ v> (Lewis & Overton,
-    Acta Numerica 1996). Of the disc that is the subdifferential of
-    2 eps ||T|| ||S|| |lambda| at 0, the element that shortens the subgradient
-    most is taken, so a zero subgradient proves lambda = 0 optimal.
+    The smooth part sigma_max(M)^2 >= ||M v||^2, M = T~ + lambda S~, has
+    subgradient 2 <M v, S~ v> (Lewis & Overton, Acta Numerica 1996). Of the
+    disc that is the subdifferential of 2 eps ||T|| ||S|| |lambda| at 0, the
+    element that shortens the subgradient most is taken, so a zero
+    subgradient proves lambda = 0 optimal.
     """
     penalty = 2.0 * eps * op_t.norm * op_s.norm
     m = op_t.tilde + lam * op_s.tilde
     w, vecs = np.linalg.eigh(m.conj().T @ m)
     v = vecs[:, -1]
-    grad = 2.0 * complex(np.vdot(op_s.tilde @ v, m @ v))
+    mv, sv = m @ v, op_s.tilde @ v
+    grad = 2.0 * complex(np.vdot(sv, mv))
     if lam != 0:
         grad += penalty * lam / abs(lam)
     elif grad != 0:
         grad *= max(0.0, 1.0 - penalty / abs(grad))
-    return float(w[-1]) - op_t.norm**2 + penalty * abs(lam), grad, (m, w, vecs)
+    return float(w[-1]) - op_t.norm**2 + penalty * abs(lam), grad, (m, w, vecs, mv, sv)
 
 
 def _newton_step(
@@ -137,37 +141,49 @@ def _newton_step(
     penalty: float,
     lam: Scalar,
     grad: complex,
-    eig: tuple[np.ndarray, np.ndarray, np.ndarray],
+    eig: tuple[np.ndarray, ...],
 ) -> Optional[tuple[float, float]]:
-    """Newton step -Hess^{-1} h of g at lambda as (dRe, dIm), or None where g
-    is not smooth (lambda = 0, a multiple top eigenvalue of M* M) or the
-    Hessian is not positive definite.
+    """Newton step of g at lambda as (dRe, dIm), or None where the top
+    eigenvalue of M* M is multiple (g is not smooth there) or the curvature
+    along the step is not positive.
 
-    The Hessian is the second-order perturbation of a simple eigenvalue
-    (Overton, SIAM J. Matrix Anal. Appl. 9, 1988): with D_k the derivative of
-    M* M along Re lambda, Im lambda and b_k = D_k v,
+    Away from 0 the step is -Hess^{-1} h. The Hessian is the second-order
+    perturbation of a simple eigenvalue (Overton, SIAM J. Matrix Anal. Appl.
+    9, 1988): with D_k the derivative of M* M along Re lambda, Im lambda and
+    b_k = D_k v,
     Hess_kl = 2 ||S~ v||^2 delta_kl + 2 Re sum_j conj(V_j* b_k) (V_j* b_l) / (w_1 - w_j),
     plus (penalty / |lambda|) (I - u u^T), u = lambda / |lambda|, the
     curvature of the |lambda| term, which vanishes on the real line.
+
+    At lambda = 0, the kink of |lambda|, it is the proximal Newton step (Lee,
+    Sun & Saunders, SIAM J. Optim. 24, 2014) with the |lambda| term kept
+    exact: the least point of the quadratic model of the smooth part plus
+    penalty |lambda| along -h, d = -h / (u^T H u) with u = h / |h|, H the
+    smooth part's Hessian and h the shortened subgradient; in the real field
+    that is the model's least point.
     """
-    m, w, vecs = eig
-    if lam == 0 or (w.size > 1 and w[-1] - w[-2] <= _SIMPLE_GAP * w[-1]):
+    m, w, vecs, mv, sv = eig
+    if w.size > 1 and w[-1] - w[-2] <= _SIMPLE_GAP * w[-1]:
         return None
-    v = vecs[:, -1]
-    sv = op_s.tilde @ v
-    p = op_s.tilde.conj().T @ (m @ v)
-    q = m.conj().T @ sv
-    rest = vecs[:, :-1]  # the other eigenvectors V_j
-    gaps = w[-1] - w[:-1]
-    # V_j* b_k taken as conj(b_k* V_j), which does not copy V
-    c1 = ((p + q).conj() @ rest).conj()
-    base = 2.0 * float(np.vdot(sv, sv).real)
-    hxx = base + 2.0 * float(np.sum(np.abs(c1) ** 2 / gaps))
+    # b_1 = p + q and b_2 = i (q - p) with p = S~* M v and q = M* S~ v. The
+    # rows of k are conj(V_j* p) and conj(V_j* q) over the other
+    # eigenvectors V_j, from one product that does not copy V, and
+    # gram[a, b] = sum_j conj(V_j* a) (V_j* b) / (w_1 - w_j) for a, b in {p, q}.
+    k = np.array((mv.conj() @ op_s.tilde, sv.conj() @ m)) @ vecs[:, :-1]
+    gram = (k / (w[-1] - w[:-1])) @ k.conj().T
+    diag = 2.0 * float(np.vdot(sv, sv).real) + 2.0 * float((gram[0, 0] + gram[1, 1]).real)
+    cross = complex(gram[0, 1])
+    hxx = diag + 4.0 * cross.real
     if not isinstance(lam, complex):
         return (-grad.real / hxx, 0.0) if hxx > 0.0 else None
-    c2 = ((1j * (q - p)).conj() @ rest).conj()
-    hyy = base + 2.0 * float(np.sum(np.abs(c2) ** 2 / gaps))
-    hxy = 2.0 * float(np.sum(c1.conj() * c2 / gaps).real)
+    hyy = diag - 4.0 * cross.real
+    hxy = -4.0 * cross.imag
+    if lam == 0:
+        if grad == 0:
+            return None
+        ux, uy = grad.real / abs(grad), grad.imag / abs(grad)
+        curv = hxx * ux * ux + 2.0 * hxy * ux * uy + hyy * uy * uy
+        return (-grad.real / curv, -grad.imag / curv) if curv > 0.0 else None
     ux, uy = lam.real / abs(lam), lam.imag / abs(lam)
     curv = penalty / abs(lam)
     hxx += curv * (1.0 - ux * ux)
@@ -188,16 +204,18 @@ def _ellipsoid_min(
     squared radius ``radius_sq`` (an interval for dim = 1), as (U, L, point).
 
     ``oracle(x, y)`` returns f there, a subgradient as d/dx + i d/dy, an upper
-    bound on min f (f itself, or better), the point reported with that bound
-    and the state that ``newton(point, subgradient, state)`` takes to return a
-    Newton step (dx, dy) or None. A deep-cut ellipsoid method keeps every
-    minimizer in its ellipsoid E, so f(x) + min over E of <h, y - x> bounds
-    min f from below at each query x with subgradient h. The query is the
-    centre of E, or the Newton point of the last query where that lies in E
-    and the last Newton step lowered f. U <= 0 is the least upper bound (point
-    None for f(0)) and L <= U the best lower bound. The search stops once
-    U - L <= tol / 4 and the bounds do not straddle ``floor``, or, with
-    ``exit_on_holds``, once L >= floor, or when the cut budget runs out.
+    bound on min f (f itself, or better), a lower bound on min f that the
+    oracle proves by itself (-inf where it proves none), the point reported
+    with the upper bound and the state that ``newton(point, subgradient,
+    state)`` takes to return a Newton step (dx, dy) or None. A deep-cut
+    ellipsoid method keeps every minimizer in its ellipsoid E, so
+    f(x) + min over E of <h, y - x> bounds min f from below at each query x
+    with subgradient h. The query is the centre of E, or the Newton point of
+    the last query where that lies in E and the last Newton step lowered f.
+    U <= 0 is the least upper bound (point None for f(0)) and L <= U the best
+    lower bound. The search stops once U - L <= tol / 4 and the bounds do not
+    straddle ``floor``, or, with ``exit_on_holds``, once L >= floor, or when
+    the cut budget runs out.
     """
     # E = {e + P^{1/2} z : |z| <= 1} with e = (ex, ey) and P = [[pxx, pxy], [pxy, pyy]];
     # dim = 1 keeps ey = pxy = pyy = 0
@@ -208,9 +226,10 @@ def _ellipsoid_min(
     best = None
     upper, lower = 0.0, -math.inf  # f(0) = 0 exactly
     for _ in range(_MAX_CUTS):
-        val, grad, bound, point, state = oracle(x, y)
+        val, grad, bound, proven, point, state = oracle(x, y)
         if bound < upper:
             upper, best = bound, point
+        lower = max(lower, proven)
         hx, hy = grad.real, grad.imag
         phx, phy = pxx * hx + pxy * hy, pxy * hx + pyy * hy
         hph = hx * phx + hy * phy
@@ -266,14 +285,17 @@ def op_orth_direct(
     g is convex on the whole field (the top singular value of an affine family
     plus a norm term), and outside |lambda| <= 2 (1 + eps) ||T||_A / ||S||_A
     the triangle inequality forces g >= 0 = g(0). The ellipsoid minimizer
-    certifies min g on that disc (an interval for the real field), with Newton
-    steps where g is smooth (lambda != 0, a simple top eigenvalue of M* M) and
-    the Hessian is positive definite: at a "fails" minimizer g is smooth in the
-    generic case, and there they converge quadratically. The margin is the
-    least g seen, at the witness lambda, and ``margin_lower`` the best lower
-    bound. The search stops once margin_lower >= -tol proves "holds", or once
-    a margin below -tol proves "fails" and the bound pins it to tol / 4; if
-    the cut budget runs out first, the verdict rests on the margin alone.
+    certifies min g on that disc (an interval for the real field). Its first
+    query is lambda = 0, the kink of the |lambda| term; from there it takes
+    the proximal Newton step, which keeps |lambda| exact, and elsewhere Newton
+    steps, wherever the top eigenvalue of M* M is simple and the curvature
+    along the step is positive. At a "fails" minimizer g is smooth in the
+    generic case, so a minimizer next to the kink is reached in a few steps
+    and they converge quadratically. The margin is the least g seen, at the
+    witness lambda, and ``margin_lower`` the best lower bound. The search
+    stops once margin_lower >= -tol proves "holds", or once a margin below
+    -tol proves "fails" and the bound pins it to tol / 4; if the cut budget
+    runs out first, the verdict rests on the margin alone.
     """
     eps = validate_epsilon(eps)
     op_t = bind_operator(a, t)
@@ -290,7 +312,7 @@ def op_orth_direct(
     def oracle(x: float, y: float):
         lam: Scalar = complex(x, y) if dim == 2 else x
         val, grad, eig = _objective(op_t, op_s, eps, lam)
-        return val, grad, val, lam, eig
+        return val, grad, val, -math.inf, lam, eig
 
     radius_sq = (2.0 * (1.0 + eps) * op_t.norm / op_s.norm) ** 2
     upper, lower, best_lam = _ellipsoid_min(oracle, newton, dim, radius_sq, tol, -tol, True)
@@ -356,6 +378,15 @@ def op_orth_attainment_real(
     )
 
 
+def _surrounds_origin(phases: list[float]) -> bool:
+    """Whether 0 lies strictly inside the convex hull of points with these
+    sorted arguments: no gap between neighbouring arguments reaches pi."""
+    if len(phases) < 3:
+        return False
+    gaps = [b - a for a, b in zip(phases, phases[1:])]
+    return max(max(gaps), phases[0] + 2.0 * math.pi - phases[-1]) < math.pi
+
+
 def op_orth_theta_sweep_complex(
     a: PsdOperator, t: Operand, s: Operand, eps: float
 ) -> OperatorOrthoVerdict:
@@ -368,7 +399,10 @@ def op_orth_theta_sweep_complex(
     support function h(d) = lambda_max((conj(d) F + d F*) / 2), which is
     -dist(0, W(F)); the penalty ||F||_F max(0, |d| - 1) keeps queries outside
     the disc from going below it, and as h is positively homogeneous each
-    query d also proves min h <= h(d) / |d|. The bounds close to tol / 4.
+    query d also proves min h <= h(d) / |d|. The bounds close to tol / 4, or
+    the search stops at once when 0 lies strictly inside the convex hull of
+    the points v* F v of W(F) that the queries meet: that proves
+    dist(0, W(F)) = 0, and margin = margin_lower = E.
     The witness is a phase theta and a lifted attaining x = x_theta = y_theta
     with E - |Re(e^{-i theta} <T x, S x>_A)| equal to the margin (theta = 0
     and Re <T x, S x>_A = 0 where 0 lies in W(F)).
@@ -389,17 +423,22 @@ def op_orth_theta_sweep_complex(
         best = (f, np.ones(1))
     else:
         r = float(np.linalg.norm(form))
+        phases: list[float] = []  # sorted arg z of the points z of W(F) seen
 
         def oracle(x: float, y: float):
             d = complex(x, y)
             w, vecs = np.linalg.eigh((d.conjugate() * form + d * form.conj().T) / 2.0)
             v = vecs[:, -1]
-            z = complex(np.vdot(v, form @ v))  # h'(d) = (Re z, Im z)
+            z = complex(np.vdot(v, form @ v))  # h'(d) = (Re z, Im z), z in W(F)
+            if z != 0:
+                bisect.insort(phases, cmath.phase(z))
+            # 0 inside the hull of the z seen lies in W(F), so h >= 0 = h(0)
+            proven = 0.0 if _surrounds_origin(phases) else -math.inf
             val, mod = float(w[-1]), abs(d)
             bound = val / mod if mod > 0.0 else 0.0
             if mod > 1.0:
                 val, z = val + r * (mod - 1.0), z + r * d / mod
-            return val, z, bound, (d, v), None
+            return val, z, bound, proven, (d, v), None
 
         upper, lower, best = _ellipsoid_min(oracle, None, 2, 1.0, tol, -tol - band, False)
         margin, lower = band + upper, band + lower

@@ -205,6 +205,51 @@ def test_direct_newton_steps_on_failing_pairs(rng, eigh_calls):
         assert np.mean(counts) <= 25
 
 
+def test_direct_proximal_start_near_boundary_complex(rng, eigh_calls):
+    """Complex n = 4 pairs with epsilon 1e-6 to 1e-3 of ||T||_A ||S||_A below
+    the boundary put the minimizer next to the kink at lambda = 0. The
+    proximal Newton step from 0 reaches it in a few eigensolves (about 60
+    per call with ellipsoid cuts until the first Newton step)."""
+    counts = []
+    while len(counts) < 50:
+        a = random_psd(rng, 4, complex_field=True)
+        t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+        scale = operator_norm_a(a, t) * operator_norm_a(a, s)
+        boundary = -op_orth_theta_sweep_complex(a, t, s, 0.0).margin / scale
+        eps = boundary - 10.0 ** rng.uniform(-6.0, -3.0)
+        if not 0.0 <= eps < 1.0:
+            continue
+        eigh_calls.clear()
+        v = op_orth_direct(a, t, s, eps)
+        counts.append(len(eigh_calls))
+        assert v.margin_lower <= v.margin
+        if v.holds:
+            assert v.margin_lower >= -a.tol.verdict_margin_tol
+    assert np.mean(counts) <= 15
+
+
+def test_direct_proximal_start_real_failing(rng, eigh_calls):
+    """Real pairs that fail by at least 0.01 of ||T||_A ||S||_A: the first
+    step from lambda = 0 is the proximal Newton step, not an interval cut
+    (about 8.8 eigensolves per call with the cut)."""
+    for n in (16, 64):
+        counts = []
+        while len(counts) < 20:
+            a = random_psd(rng, n)
+            t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+            scale = operator_norm_a(a, t) * operator_norm_a(a, s)
+            # the attainment margin is eps * scale minus a term free of eps
+            boundary = -op_orth_attainment_real(a, t, s, 0.0).margin / scale
+            if boundary < 0.02:
+                continue
+            eps = float(rng.uniform(0.0, boundary - 0.01))
+            eigh_calls.clear()
+            v = op_orth_direct(a, t, s, eps)
+            counts.append(len(eigh_calls))
+            assert not v.holds and v.margin - v.margin_lower <= a.tol.verdict_margin_tol / 4.0
+        assert np.mean(counts) <= 7.5
+
+
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_direct_multiple_top_eigenvalue_falls_back(rng, eigh_calls, complex_field):
     """With S = T of top multiplicity 2, the top eigenvalue of M* M is
@@ -431,6 +476,24 @@ def test_theta_route_certified_for_multiple_attainment(rng, eigh_calls, m):
                 if name == "shifted":  # dist(0, W(F)) >= 2
                     assert v.margin <= band - 1.5 and (eps > 0.0 or not v.holds), name
                 assert v.holds == op_orth_direct(a, t, s, eps).holds, name
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_theta_route_hull_certificate(rng, eigh_calls, m):
+    """Trace-free F puts 0 inside W(F): once 0 lies inside the hull of the
+    points v* F v of W(F) that the queries meet, the route proves
+    dist(0, W(F)) = 0 and stops with margin = margin_lower = E (about 45
+    eigensolves per call when the ellipsoid has to shrink onto d = 0)."""
+    for _ in range(5):
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        a, t, s = _form_instance(rng, g - np.trace(g) / m * np.eye(m))
+        for eps in (0.0, 0.3, 0.8):
+            band = eps * operator_norm_a(a, s)  # ||T||_A = 1
+            eigh_calls.clear()
+            v = op_orth_theta_sweep_complex(a, t, s, eps)
+            assert len(eigh_calls) <= 12
+            assert v.margin == v.margin_lower == band
+            assert v.holds == op_orth_direct(a, t, s, eps).holds
 
 
 def test_route_equivalence_real_random(rng):
