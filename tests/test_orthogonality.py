@@ -231,7 +231,7 @@ def test_direct_proximal_start_near_boundary_complex(rng, eigh_calls):
 def test_direct_proximal_start_real_failing(rng, eigh_calls):
     """Real pairs that fail by at least 0.01 of ||T||_A ||S||_A: the first
     step from lambda = 0 is the proximal Newton step, not an interval cut
-    (about 8.8 eigensolves per call with the cut)."""
+    (about 9 eigensolves per call with the cut)."""
     for n in (16, 64):
         counts = []
         while len(counts) < 20:
