@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatchError,
     EpsilonRangeError,
     IsometryError,
+    NonFiniteError,
     NotABoundedError,
     NotAUnitError,
     NotHermitianError,

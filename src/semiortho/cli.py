@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from typing import Any, Optional, Sequence
@@ -65,16 +66,25 @@ class InstanceError(Exception):
 
 def _parse_entry(value: Any, complex_field: bool) -> complex | float:
     if isinstance(value, (int, float)):
-        return complex(value) if complex_field else float(value)
-    if (
+        parts = (value, 0)
+    elif (
         complex_field
         and isinstance(value, (list, tuple))
         and len(value) == 2
         and all(isinstance(p, (int, float)) for p in value)
     ):
-        return complex(value[0], value[1])
-    raise InstanceError(f"bad scalar entry {value!r} for field "
-                        f"{'complex' if complex_field else 'real'}")
+        parts = value
+    else:
+        raise InstanceError(f"bad scalar entry {value!r} for field "
+                            f"{'complex' if complex_field else 'real'}")
+    try:
+        re, im = float(parts[0]), float(parts[1])
+    except OverflowError:  # an integer literal beyond the float range
+        re = im = math.inf
+    # json reads NaN and Infinity tokens, and 1e400 as inf
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise InstanceError(f"non-finite entry {value!r}")
+    return complex(re, im) if complex_field else re
 
 
 def _parse_array(data: Any, complex_field: bool, ndim: int, name: str) -> np.ndarray:

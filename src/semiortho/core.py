@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError, NotPositiveError
+from .errors import DimensionMismatchError, NonFiniteError, NotHermitianError, NotPositiveError
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"tolerance {name} must be nonnegative")
 
 
@@ -58,6 +58,8 @@ def _hermitian_eig(matrix: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     that part's eigenvalues, descending, and matching eigenvectors."""
     m = _as_square_matrix(matrix)
     scale = max(float(np.max(np.abs(m))), 1.0) if m.size else 1.0
+    if not np.isfinite(scale):
+        raise NonFiniteError("matrix has a non-finite entry")
     asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if asym > tol * scale:
         raise NotHermitianError(
@@ -103,6 +105,11 @@ class PsdOperator:
     w_inv_map : ndarray
         W- = U+ diag(1/sqrt(lam+)); embeds coordinates back into R(A)
         with ||W- u||_A = ||u||_2.
+
+    Each instance also keeps a small private memo of the operators bound to
+    it (see :func:`semiortho.operators.bind_operator`), so an operator bound
+    again to the same decomposition costs no further eigensolve. The memo
+    takes no part in comparisons and dies with the instance.
     """
 
     matrix: np.ndarray
@@ -110,6 +117,7 @@ class PsdOperator:
     eigenvectors: np.ndarray
     rank: int
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
+    _binds: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -166,6 +174,8 @@ class PsdOperator:
             raise DimensionMismatchError(
                 f"vector shape {x.shape} does not match ambient dimension {self.dim}"
             )
+        if not np.isfinite(x).all():
+            raise NonFiniteError("vector has a non-finite entry")
         return x
 
     def check_matrix(self, t: np.ndarray) -> np.ndarray:

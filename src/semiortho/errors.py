@@ -57,3 +57,7 @@ class AttainmentSubsetError(SemiorthoError):
 
 class WitnessConstructionError(SemiorthoError):
     """A witness construction hit a numerical pathology (should not occur)."""
+
+
+class NonFiniteError(SemiorthoError):
+    """Input has an infinite or NaN entry."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PsdOperator, null_basis
-from .errors import NotABoundedError, ZeroANormError
+from .errors import NonFiniteError, NotABoundedError, ZeroANormError
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,13 @@ Operand = np.ndarray | ABoundedOperator
 def check_a_bounded(a: PsdOperator, t: np.ndarray) -> BoundedCheck:
     """Test ||A T v|| <= rank_tol * lam_max * ||T||_F * ||v|| on a basis of
     N(A) and report the worst relative residual, which is invariant under
-    rescaling T or A."""
-    t = a.check_matrix(t)
+    rescaling T or A. Non-finite entries raise :class:`NonFiniteError`."""
+    return _bounded_check(a, a.check_matrix(t))
+
+
+def _bounded_check(a: PsdOperator, t: np.ndarray) -> BoundedCheck:
+    if not np.isfinite(t).all():
+        raise NonFiniteError("operator has a non-finite entry")
     nb = null_basis(a)
     if nb.shape[1] == 0 or a.lam_max == 0.0:
         return BoundedCheck(ok=True, residual=0.0)
@@ -79,8 +84,12 @@ def tilde_reduce(a: PsdOperator, t: np.ndarray) -> np.ndarray:
     The reduction is linear in T and preserves the operator A-norm:
     sigma_max of the result equals ||T||_A.
     """
-    t = a.check_matrix(t)
-    chk = check_a_bounded(a, t)
+    return _reduce(a, a.check_matrix(t))
+
+
+def _reduce(a: PsdOperator, t: np.ndarray) -> np.ndarray:
+    """``tilde_reduce`` of a matrix that ``a.check_matrix`` has validated."""
+    chk = _bounded_check(a, t)
     if not chk.ok:
         raise NotABoundedError(
             f"operator does not map N(A) into N(A): residual {chk.residual:.3e}"
@@ -93,27 +102,47 @@ def lift_tilde(a: PsdOperator, tilde: np.ndarray) -> np.ndarray:
     return a.w_inv_map @ tilde @ a.w_map.conj().T
 
 
+# Reductions remembered per decomposition: enough for T, S and the two
+# witnesses of a symmetry report.
+_BIND_MEMO_SIZE = 4
+
+
 def bind_operator(a: PsdOperator, t: Operand) -> ABoundedOperator:
     """Validate A-boundedness and cache the reduction of T with its singular
     system, from one eigensolve of the Gram matrix of the reduction.
 
     An operator already bound to ``a`` is returned as it is, so deciders can
-    bind once and pass the result on.
+    bind once and pass the result on. A matrix equal, in dtype and every
+    entry, to one of the last few bound to ``a`` reuses that reduction and
+    singular system: passing the same matrix to several deciders costs one
+    eigensolve. Non-finite entries raise :class:`NonFiniteError`.
     """
     if isinstance(t, ABoundedOperator):
         if t.psd is a:
             return t
         t = t.matrix
     t = a.check_matrix(t)
-    tilde = tilde_reduce(a, t)
+    # Entries hold a copy of the matrix, so that a caller's later in-place
+    # edit cannot match, and arrays only: a reference back to ``a`` would make
+    # a cycle that only the cyclic garbage collector frees.
+    for key, fields in a._binds:
+        if key.dtype == t.dtype and np.array_equal(key, t):
+            return ABoundedOperator(psd=a, matrix=t, **fields)
+    tilde = _reduce(a, t)
     w, v = np.linalg.eigh(tilde.conj().T @ tilde)
     order = np.argsort(w)[::-1]
     sigma = np.sqrt(np.clip(w[order], 0.0, None))
     norm = float(sigma[0]) if sigma.size else 0.0
     m = int(np.count_nonzero(sigma >= norm * (1.0 - a.tol.cluster_tol)))
-    return ABoundedOperator(
-        psd=a, matrix=t, tilde=tilde, norm=norm, sigma=sigma, top_coords=v[:, order[:m]]
-    )
+    top_coords = v[:, order[:m]]
+    # every later hit shares these arrays, so a write must fail loudly
+    for arr in (tilde, sigma, top_coords):
+        arr.flags.writeable = False
+    fields = {"tilde": tilde, "norm": norm, "sigma": sigma, "top_coords": top_coords}
+    # two statements that never raise, so threads sharing ``a`` need no lock
+    a._binds.append((t.copy(), fields))
+    del a._binds[:-_BIND_MEMO_SIZE]
+    return ABoundedOperator(psd=a, matrix=t, **fields)
 
 
 def operator_norm_a(a: PsdOperator, t: np.ndarray) -> float:

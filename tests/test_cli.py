@@ -175,6 +175,25 @@ def test_parse_errors(tmp_path):
     assert cli.main(["check", write_instance(tmp_path / "v.json", **REF), "--mode", "vec"]) == EXIT_PARSE
 
 
+def test_non_finite_instances_rejected(tmp_path, capsys):
+    """json reads NaN, Infinity and 1e400; none of them may reach a decider."""
+    cases = {
+        "a_inf": ("check", dict(REF, A=[[1.0, 0.0], [0.0, float("inf")]])),
+        "t_nan": ("check", dict(REF, T=[[float("nan"), 0.0], [0.0, 1.0]])),
+        "t_overflow": ("norm", dict(REF, T=[[10**400, 0], [0, 1]])),
+        "x_inf": ("check", dict(REF, x=[1.0, float("-inf")], y=[0.0, 1.0])),
+        "complex_nan": ("norm", dict(REF, field="complex", A=[[[1.0, 0.0], [0.0, 0.0]],
+                                                              [[0.0, 0.0], [1.0, float("nan")]]],
+                                     T=[[1, 0], [0, 1]], S=[[0, 0], [0, 1]])),
+        "tol_nan": ("norm", dict(REF, tolerances={"rank_tol": float("nan")})),
+    }
+    for name, (command, fields) in cases.items():
+        inst = write_instance(tmp_path / f"{name}.json", **fields)
+        mode = ["--mode", "vec"] if "x" in fields else []
+        assert cli.main([command, inst, *mode]) == EXIT_PARSE, name
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_precondition_errors(tmp_path):
     not_psd = write_instance(
         tmp_path / "n.json", field="real", A=[[1.0, 0.0], [0.0, -0.5]], T=[[1.0, 0.0], [0.0, 1.0]]

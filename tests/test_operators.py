@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from semiortho import (
+    NonFiniteError,
     NotABoundedError,
+    Tolerances,
     bind_operator,
     check_a_bounded,
     is_a_isometry,
@@ -265,5 +271,120 @@ def test_attainment_and_isometry_one_eigensolve_each(rng, eigh_calls):
             norm_attainment_set(a, t)
             assert len(eigh_calls) == 1
             eigh_calls.clear()
-            is_a_isometry(a, t)
-            assert len(eigh_calls) == 1
+            is_a_isometry(a, t)  # the same matrix again: no eigensolve
+            assert len(eigh_calls) == 0
+
+
+# ----------------------------- bind memo ---------------------------------------
+
+
+def test_repeated_matrix_bind_costs_no_eigensolve(rng, eigh_calls):
+    a = random_psd(rng, 6, rank=4)
+    t = random_a_bounded(rng, a)
+    first = bind_operator(a, t)
+    eigh_calls.clear()
+    again = bind_operator(a, t.copy())
+    assert eigh_calls == []
+    assert again is not first and again.psd is a
+    assert again.norm == first.norm
+    assert np.array_equal(again.sigma, first.sigma)
+    assert np.array_equal(again.top_coords, first.top_coords)
+    # the shared arrays cannot be edited behind the memo's back
+    with pytest.raises(ValueError):
+        again.tilde[0, 0] = 1.0
+
+
+def test_bind_after_in_place_edit_reduces_again(rng, eigh_calls):
+    a = random_psd(rng, 5, rank=3)
+    t = random_a_bounded(rng, a)
+    norm = bind_operator(a, t).norm
+    t *= 2.0
+    eigh_calls.clear()
+    assert bind_operator(a, t).norm == pytest.approx(2.0 * norm, rel=1e-12)
+    assert len(eigh_calls) == 1
+
+
+def test_bind_memo_keys_on_dtype(rng, eigh_calls):
+    a = random_psd(rng, 5, rank=3)
+    t = random_a_bounded(rng, a)
+    bind_operator(a, t)
+    eigh_calls.clear()
+    op = bind_operator(a, t.astype(np.complex128))
+    assert len(eigh_calls) == 1 and op.is_complex and np.iscomplexobj(op.tilde)
+    assert not bind_operator(a, t).is_complex
+    assert len(eigh_calls) == 1
+
+
+def test_bind_memo_keeps_no_cycle(rng):
+    gc.disable()
+    try:
+        a = random_psd(rng, 6, rank=4)
+        t = random_a_bounded(rng, a)
+        norm_attainment_set(a, t)
+        is_a_isometry(a, t)
+        bind_operator(a, random_a_bounded(rng, a))
+        ref = weakref.ref(a)
+        del a
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_bind_memo_is_bounded(rng, eigh_calls):
+    a = random_psd(rng, 4, rank=3)
+    ts = [random_a_bounded(rng, a) for _ in range(50)]
+    for t in ts:
+        bind_operator(a, t)
+    assert len(a._binds) <= 4
+    eigh_calls.clear()
+    bind_operator(a, ts[0])  # long evicted: bound afresh
+    assert len(eigh_calls) == 1
+
+
+def test_bind_memo_shared_by_threads(rng):
+    """Threads binding to one decomposition always get the right norm."""
+    a = random_psd(rng, 5, rank=4)
+    ts = [random_a_bounded(rng, a) for _ in range(6)]
+    norms = [operator_norm_a(psd_decompose(a.matrix), t) for t in ts]
+    wrong, errors = [], []
+
+    def work(k):
+        try:
+            for i in range(300):
+                j = (k + i) % len(ts)
+                if bind_operator(a, ts[j]).norm != norms[j]:
+                    wrong.append(j)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and wrong == []
+    assert len(a._binds) <= 4
+
+
+def test_non_finite_input_rejected(rng):
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NonFiniteError):
+            psd_decompose(np.diag([1.0, bad, 2.0]))
+        a = random_psd(rng, 3, rank=2)
+        t = random_a_bounded(rng, a)
+        t[0, 1] = bad
+        for call in (bind_operator, tilde_reduce, check_a_bounded):
+            with pytest.raises(NonFiniteError):
+                call(a, t)
+        with pytest.raises(NonFiniteError):  # no N(A) to expose it
+            tilde_reduce(psd_decompose(np.eye(3)), t)
+        with pytest.raises(NonFiniteError):
+            norm_a(a, np.array([1.0, bad, 0.0]))
+    with pytest.raises(ValueError):
+        Tolerances(rank_tol=np.nan)

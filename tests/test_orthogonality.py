@@ -185,6 +185,19 @@ def test_direct_eigensolves_per_call_capped(rng, eigh_calls):
             assert 0 < len(eigh_calls) <= 200
 
 
+def test_attainment_route_reuses_direct_binds(rng, eigh_calls):
+    """A pair passed as matrices to two routes is bound once: after the
+    direct route the attainment route's only eigensolve is that of its m x m
+    attainment form."""
+    for n in (4, 16):
+        a = random_psd(rng, n, rank=n - 1)
+        t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+        op_orth_direct(a, t, s, 0.3)
+        eigh_calls.clear()
+        op_orth_attainment_real(a, t, s, 0.3)
+        assert len(eigh_calls) == 1
+
+
 def test_direct_newton_steps_on_failing_pairs(rng, eigh_calls):
     """Complex pairs that fail by at least 0.01 of ||T||_A ||S||_A: the
     minimizer is smooth there, and Newton steps certify "fails" in a few
@@ -371,8 +384,8 @@ def test_theta_sweep_agrees_with_direct(rng):
 
 def test_theta_route_closed_form_for_simple_attainment(rng, eigh_calls, monkeypatch):
     """m = 1: W(F) is the point f = <T x, S x>_A at the attaining x, and the
-    margin band - |f| matches a dense phase reference with no eigensolve
-    beyond the two binds."""
+    margin band - |f| matches a dense phase reference with no eigensolve:
+    the two binds were made by the test's own norm calls."""
     eigvalsh_calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(
@@ -409,7 +422,7 @@ def test_theta_route_closed_form_for_simple_attainment(rng, eigh_calls, monkeypa
         eigh_calls.clear()
         eigvalsh_calls.clear()
         v = op_orth_theta_sweep_complex(a, t, s, eps)
-        assert len(eigh_calls) == 2 and eigvalsh_calls == []
+        assert len(eigh_calls) == 0 and eigvalsh_calls == []  # T and S bound above
         assert v.margin == pytest.approx(band - abs(f), abs=1e-12 * scale)
         assert v.margin == pytest.approx(reference, abs=1e-12 * scale)
         assert v.margin_lower == v.margin

@@ -20,6 +20,7 @@ from semiortho import (
     is_a_isometry,
     left_parameters,
     left_witness,
+    norm_attainment_set,
     null_basis,
     op_orth_direct,
     operator_norm_a,
@@ -327,3 +328,16 @@ def test_classifiers_bind_once(rng, eigh_calls):
             eigh_calls.clear()
             assert classify_left(a, t, 0.3).witness is not None
             assert len(eigh_calls) <= 2
+
+
+def test_symmetry_calls_share_one_bind(rng, eigh_calls):
+    """The four calls of a symmetry report on one matrix bind it once: one
+    eigensolve for T and one for each witness."""
+    a = random_psd(rng, 16, rank=12)
+    t = random_a_bounded(rng, a)
+    eigh_calls.clear()
+    classify_right(a, t, 0.3)
+    classify_left(a, t, 0.3)
+    norm_attainment_set(a, t)
+    is_a_isometry(a, t)
+    assert len(eigh_calls) == 3
