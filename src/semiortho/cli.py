@@ -64,14 +64,19 @@ class InstanceError(Exception):
 # ----------------------------- parsing --------------------------------------
 
 
+def _is_number(value: Any) -> bool:
+    # json reads true and false as bool, which is a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_entry(value: Any, complex_field: bool) -> complex | float:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         parts = (value, 0)
     elif (
         complex_field
         and isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(p, (int, float)) for p in value)
+        and all(map(_is_number, value))
     ):
         parts = value
     else:
@@ -135,7 +140,7 @@ def load_instance(path: str) -> dict:
             raise InstanceError(f"{key} must have length {n}, got {out[key].shape}")
     eps = raw.get("epsilon")
     if eps is not None:
-        if not isinstance(eps, (int, float)) or not 0.0 <= float(eps) < 1.0:
+        if not _is_number(eps) or not 0.0 <= eps < 1.0:
             raise InstanceError(f"epsilon must be a number in [0, 1), got {eps!r}")
         eps = float(eps)
     out["epsilon"] = eps
@@ -146,9 +151,11 @@ def load_instance(path: str) -> dict:
     unknown = set(overrides) - known
     if unknown:
         raise InstanceError(f"unknown tolerance fields: {sorted(unknown)}")
+    if not all(map(_is_number, overrides.values())):
+        raise InstanceError(f"tolerances must be numbers, got {overrides!r}")
     try:
         out["tolerances"] = Tolerances(**{k: float(v) for k, v in overrides.items()})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"bad tolerances: {exc}") from exc
     return out
 

@@ -37,8 +37,8 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"tolerance {name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < float("inf"):
+                raise ValueError(f"tolerance {name} must be finite and nonnegative")
 
 
 DEFAULT_TOL = Tolerances()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PsdOperator, null_basis
-from .errors import NonFiniteError, NotABoundedError, ZeroANormError
+from .errors import NonFiniteError, NotABoundedError, WitnessConstructionError, ZeroANormError
 
 
 @dataclass(frozen=True)
@@ -128,21 +128,45 @@ def bind_operator(a: PsdOperator, t: Operand) -> ABoundedOperator:
     for key, fields in a._binds:
         if key.dtype == t.dtype and np.array_equal(key, t):
             return ABoundedOperator(psd=a, matrix=t, **fields)
-    tilde = _reduce(a, t)
-    w, v = np.linalg.eigh(tilde.conj().T @ tilde)
+    return _remember(a, t, _singular_system(a, _reduce(a, t)))
+
+
+def _singular_system(a: PsdOperator, left: np.ndarray, right: np.ndarray | None = None) -> dict:
+    """Cached fields of the reduction left @ right^H, ``right`` (r x k) with
+    orthonormal columns or the identity when None: the squared singular values
+    are the eigenvalues of left^H left, padded with zeros to length r."""
+    w, v = np.linalg.eigh(left.conj().T @ left)
     order = np.argsort(w)[::-1]
-    sigma = np.sqrt(np.clip(w[order], 0.0, None))
+    sigma = np.zeros(left.shape[0])
+    sigma[: w.size] = np.sqrt(np.clip(w[order], 0.0, None))
     norm = float(sigma[0]) if sigma.size else 0.0
     m = int(np.count_nonzero(sigma >= norm * (1.0 - a.tol.cluster_tol)))
-    top_coords = v[:, order[:m]]
+    top = v[:, order[:m]]
+    tilde, top = (left, top) if right is None else (left @ right.conj().T, right @ top)
+    return {"tilde": tilde, "norm": norm, "sigma": sigma, "top_coords": top}
+
+
+def _remember(a: PsdOperator, t: np.ndarray, fields: dict) -> ABoundedOperator:
+    """Record the bind of the validated matrix ``t`` in the memo of ``a``."""
     # every later hit shares these arrays, so a write must fail loudly
-    for arr in (tilde, sigma, top_coords):
-        arr.flags.writeable = False
-    fields = {"tilde": tilde, "norm": norm, "sigma": sigma, "top_coords": top_coords}
+    for key in ("tilde", "sigma", "top_coords"):
+        fields[key].flags.writeable = False
     # two statements that never raise, so threads sharing ``a`` need no lock
     a._binds.append((t.copy(), fields))
     del a._binds[:-_BIND_MEMO_SIZE]
     return ABoundedOperator(psd=a, matrix=t, **fields)
+
+
+def _bind_factors(a: PsdOperator, left: np.ndarray, right: np.ndarray) -> ABoundedOperator:
+    """Bind the operator whose reduction is left @ right^H, for nonzero r x k
+    factors, ``right`` with orthonormal columns (within 1e-12 per entry): its
+    lift (W- left)(W right)^H costs O(n r k) and is zero on N(A), and its
+    singular system takes a k x k eigensolve."""
+    defect = float(np.max(np.abs(right.conj().T @ right - np.eye(right.shape[1]))))
+    if defect > 1e-12:
+        raise WitnessConstructionError(f"right factor not orthonormal (defect {defect:.2e})")
+    matrix = (a.w_inv_map @ left) @ (a.w_map @ right).conj().T
+    return _remember(a, matrix, _singular_system(a, left, right))
 
 
 def operator_norm_a(a: PsdOperator, t: np.ndarray) -> float:
@@ -172,21 +196,18 @@ class NormAttainment:
     multiplicity: int
 
 
-def attainment_coords(op: ABoundedOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Top-cluster right-singular coordinates of the reduction.
-
-    Returns (singular values, r x m coordinate basis). For the zero operator
-    every A-unit vector attains, so the basis spans all of the coordinates.
-    """
+def attainment_coords(op: ABoundedOperator) -> np.ndarray:
+    """Top-cluster right-singular coordinates of the reduction (r x m); for
+    the zero operator, whose every A-unit vector attains, all of them."""
     if op.norm == 0.0 or norm_is_zero(op):
-        return op.sigma, np.eye(op.tilde.shape[0], dtype=op.tilde.dtype)
-    return op.sigma, op.top_coords
+        return np.eye(op.tilde.shape[0], dtype=op.tilde.dtype)
+    return op.top_coords
 
 
 def norm_attainment_set(a: PsdOperator, t: Operand) -> NormAttainment:
     """Norm, attainment subspace basis, and N(A) basis for an A-bounded T."""
     op = bind_operator(a, t)
-    _, coords = attainment_coords(op)
+    coords = attainment_coords(op)
     return NormAttainment(
         norm=op.norm,
         attain_basis=a.w_inv_map @ coords,

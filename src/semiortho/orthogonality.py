@@ -336,7 +336,7 @@ def direct_objective(a: PsdOperator, t: Operand, s: Operand, eps: float, lam: Sc
 def _attainment_form(op_t: ABoundedOperator, op_s: ABoundedOperator) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates C of M_A^T cap R(A) and the m x m form M with
     c* M c = <T v, S v>_A for v = W- C c."""
-    _, coords = attainment_coords(op_t)
+    coords = attainment_coords(op_t)
     form = coords.conj().T @ (op_s.tilde.conj().T @ op_t.tilde) @ coords
     return coords, form
 
@@ -459,8 +459,8 @@ def attainment_subset(
     """
     op_t = bind_operator(a, t)
     op_s = bind_operator(a, s)
-    _, coords_t = attainment_coords(op_t)
-    _, coords_s = attainment_coords(op_s)
+    coords_t = attainment_coords(op_t)
+    coords_s = attainment_coords(op_s)
     residual = coords_t - coords_s @ (coords_s.conj().T @ coords_t)
     sine = float(np.linalg.norm(residual, 2)) if residual.size else 0.0
     return sine <= tol

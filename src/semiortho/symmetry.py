@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -28,10 +28,10 @@ from .numerics import orthonormal_complement
 from .operators import (
     ABoundedOperator,
     Operand,
+    _bind_factors,
     attainment_coords,
     bind_operator,
     is_a_isometry,
-    lift_tilde,
     norm_is_zero,
 )
 from .vectors import validate_epsilon
@@ -77,8 +77,10 @@ class LeftParams:
 class WitnessConstruction:
     """Intermediates and result of a symmetry counterexample.
 
-    Basis data lives in range coordinates (length-r vectors); ``operator`` is
-    the ambient n x n lift, zero on N(A); ``tilde`` its coordinate matrix.
+    Basis data lives in range coordinates (length-r vectors); ``tilde`` is the
+    coordinate matrix, of rank m + 1 (right) or at most 2 (left), and
+    ``operator`` its ambient n x n lift, zero on N(A): both come from the bind
+    of the factors, so binding ``operator`` to the same A is a memo hit.
     """
 
     tag: ConstructionTag
@@ -152,7 +154,8 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
     vectors, which stay orthonormal when the cluster's singular values differ
     within cluster_tol; pick an A-orthonormal w_0 orthogonal to them; flip its
     sign so the norm cannot dip along +T x_{m+1}; send x_i to -y_i for
-    i <= m, x_{m+1} to w_0, the rest to zero.
+    i <= m, x_{m+1} to w_0, the rest to zero: bind the factors
+    L = [-y_1..-y_m, w_0], R = [x_1..x_{m+1}] with an (m+1) x (m+1) eigensolve.
     """
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
@@ -165,7 +168,7 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
     if r < 2:
         raise RankTooSmallError("a non-isometry needs dim R(A) >= 2")
 
-    _, coords = attainment_coords(op)
+    coords = attainment_coords(op)
     m = coords.shape[1]
     if m >= r:
         raise IsometryError("attainment subspace fills R(A); operator is an A-isometry")
@@ -183,7 +186,8 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
     if flipped:
         w0 = -w0
 
-    tilde_u = -images @ coords.T + np.outer(w0, extension[:, 0])
+    right = np.column_stack([coords, extension[:, 0]])
+    bound = _bind_factors(a, np.column_stack([-images, w0]), right)
     return WitnessConstruction(
         tag=ConstructionTag.RIGHT_PROOF,
         attain_basis=coords,
@@ -191,8 +195,8 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
         w=w0,
         sign_flipped=flipped,
         params=None,
-        operator=lift_tilde(a, tilde_u),
-        tilde=tilde_u,
+        operator=bound.matrix,
+        tilde=bound.tilde,
     )
 
 
@@ -209,6 +213,9 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
     * m = 1 with some orthocomplement basis vector x_k not killed: the same
       with x_1 replaced by x_k and w the normalized image of x_k, which is
       orthogonal to Tx automatically (x is a top singular vector).
+
+    S is bound from its factors: L = [T z_2], R = [z_2] in the first branch,
+    L = [a Tx + b w, alpha (b Tx - a w)], R = [z_1, z_2] in the others.
     """
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
@@ -220,12 +227,12 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
         raise RankTooSmallError("left witness construction needs dim R(A) >= 2")
 
     tilde_n = op.tilde / op.norm
-    _, coords = attainment_coords(op)
+    coords = attainment_coords(op)
     m = coords.shape[1]
 
     if m >= 2:
-        z2 = coords[:, 1]
-        tilde_s = np.outer(tilde_n @ z2, z2)
+        z2 = coords[:, 1:2]
+        bound = _bind_factors(a, tilde_n @ z2, z2)
         return WitnessConstruction(
             tag=ConstructionTag.LEFT_MULTI_PAIR,
             attain_basis=coords[:, :2],
@@ -233,8 +240,8 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
             w=None,
             sign_flipped=False,
             params=None,
-            operator=lift_tilde(a, tilde_s),
-            tilde=tilde_s,
+            operator=bound.matrix,
+            tilde=bound.tilde,
         )
 
     x = coords[:, 0]
@@ -263,21 +270,7 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
 
     params = left_parameters(eps)
     e1, s1 = params.eps1, math.sqrt(1.0 - params.eps1**2)
-    z1 = e1 * x + s1 * partner
-    z2 = -s1 * x + e1 * partner
-    tilde_s = np.outer(params.a * image_x + params.b * w, z1) + params.alpha * np.outer(
-        params.b * image_x - params.a * w, z2
-    )
-    params = LeftParams(
-        eps1=params.eps1,
-        t=params.t,
-        a=params.a,
-        b=params.b,
-        alpha_lo=params.alpha_lo,
-        alpha_hi=params.alpha_hi,
-        alpha=params.alpha,
-        beta=beta,
-    )
+    params = replace(params, beta=beta)
 
     value_ts = abs(e1 * params.a - s1 * params.alpha * params.b)
     if value_ts > eps + 1e-9:
@@ -290,6 +283,9 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
             f"reverse guarantee violated: <Sz1,Tz1> = {value_st} <= eps = {eps}"
         )
 
+    right = np.column_stack([x, partner]) @ np.array([[e1, -s1], [s1, e1]])  # (z_1, z_2)
+    mix = np.array([[params.a, params.alpha * params.b], [params.b, -params.alpha * params.a]])
+    bound = _bind_factors(a, np.column_stack([image_x, w]) @ mix, right)
     return WitnessConstruction(
         tag=tag,
         attain_basis=x[:, None],
@@ -297,8 +293,8 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
         w=w,
         sign_flipped=False,
         params=params,
-        operator=lift_tilde(a, tilde_s),
-        tilde=tilde_s,
+        operator=bound.matrix,
+        tilde=bound.tilde,
     )
 
 

@@ -13,12 +13,13 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def eigh_calls(monkeypatch) -> list:
-    """Count np.linalg.eigh calls: the list grows by one per call."""
+    """Record np.linalg.eigh calls: the list grows by the shape of the
+    argument per call, so ``len`` counts the eigensolves."""
     calls = []
     eigh = np.linalg.eigh
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(np.shape(args[0] if args else kwargs["a"]))
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)

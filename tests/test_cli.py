@@ -186,12 +186,37 @@ def test_non_finite_instances_rejected(tmp_path, capsys):
                                                               [[0.0, 0.0], [1.0, float("nan")]]],
                                      T=[[1, 0], [0, 1]], S=[[0, 0], [0, 1]])),
         "tol_nan": ("norm", dict(REF, tolerances={"rank_tol": float("nan")})),
+        "tol_inf": ("norm", dict(REF, tolerances={"rank_tol": 1e400})),
     }
     for name, (command, fields) in cases.items():
         inst = write_instance(tmp_path / f"{name}.json", **fields)
         mode = ["--mode", "vec"] if "x" in fields else []
         assert cli.main([command, inst, *mode]) == EXIT_PARSE, name
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"T": [[True, 0.0], [0.0, 1.0]]},
+        {"T": [["2", 0.0], [0.0, 1.0]]},
+        {"field": "complex", "A": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, False]]]},
+        {"epsilon": False},
+        {"epsilon": "0.3"},
+        {"epsilon": 10**400},
+        {"tolerances": {"rank_tol": "1e-3", "cluster_tol": True}},
+        {"tolerances": {"cluster_tol": True}},
+        {"tolerances": {"isometry_tol": None}},
+        {"tolerances": {"orth_tol": 10**400}},
+    ],
+    ids=["entry_bool", "entry_string", "complex_part_bool", "eps_bool", "eps_string",
+         "eps_overflow", "tol_string", "tol_bool", "tol_null", "tol_overflow"],
+)
+def test_non_numeric_instances_rejected(tmp_path, fields):
+    """json true/false load as bool, an int subclass; they and strings are
+    not numbers anywhere in an instance."""
+    inst = write_instance(tmp_path / "i.json", **dict(REF, **fields))
+    assert cli.main(["norm", inst]) == EXIT_PARSE
 
 
 def test_precondition_errors(tmp_path):

@@ -135,5 +135,6 @@ def test_clipping_is_conservative_and_monotone():
 
 
 def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(rank_tol=-1.0)
+    for bad in (-1.0, float("inf")):
+        with pytest.raises(ValueError):
+            Tolerances(rank_tol=bad)

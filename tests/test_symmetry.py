@@ -13,6 +13,7 @@ from semiortho import (
     IsometryError,
     RankTooSmallError,
     SymmetryKind,
+    WitnessConstructionError,
     ZeroANormError,
     bind_operator,
     classify_left,
@@ -27,6 +28,7 @@ from semiortho import (
     psd_decompose,
     right_witness,
 )
+from semiortho.operators import _bind_factors, lift_tilde
 from semiortho.sampling import (
     lift_operator,
     operator_with_multiplicity,
@@ -324,20 +326,65 @@ def test_classifiers_bind_once(rng, eigh_calls):
                   rank_one_operator(rng, a)):
             eigh_calls.clear()
             assert classify_right(a, t, 0.3).witness is not None
-            assert len(eigh_calls) <= 2  # T and the witness
+            assert len(eigh_calls) <= 2  # T's bind and the witness's (m+1) x (m+1) solve
             eigh_calls.clear()
             assert classify_left(a, t, 0.3).witness is not None
-            assert len(eigh_calls) <= 2
+            assert len(eigh_calls) <= 2  # T's bind is a memo hit; the witness's solve
 
 
 def test_symmetry_calls_share_one_bind(rng, eigh_calls):
     """The four calls of a symmetry report on one matrix bind it once: one
-    eigensolve for T and one for each witness."""
+    r x r eigensolve for T, and one of size at most m + 1 for each witness,
+    which is bound from its factors."""
     a = random_psd(rng, 16, rank=12)
-    t = random_a_bounded(rng, a)
-    eigh_calls.clear()
-    classify_right(a, t, 0.3)
-    classify_left(a, t, 0.3)
-    norm_attainment_set(a, t)
-    is_a_isometry(a, t)
-    assert len(eigh_calls) == 3
+    for t in (random_a_bounded(rng, a), rank_one_operator(rng, a),
+              operator_with_multiplicity(rng, a, 3)):
+        eigh_calls.clear()
+        classify_right(a, t, 0.3)
+        classify_left(a, t, 0.3)
+        m = norm_attainment_set(a, t).multiplicity
+        is_a_isometry(a, t)
+        assert len(eigh_calls) == 3
+        assert eigh_calls.count((12, 12)) == 1
+        assert all(max(shape) <= m + 1 for shape in eigh_calls if shape != (12, 12))
+
+
+def _principal_sine(q1: np.ndarray, q2: np.ndarray) -> float:
+    """Largest principal-angle sine between the spans of two orthonormal bases."""
+    return float(np.linalg.norm(q2 - q1 @ (q1.conj().T @ q2), 2))
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("deficient", [False, True])
+def test_factored_witness_matches_fresh_bind(rng, n, deficient):
+    """A witness bound from its factors equals a full bind of its matrix on a
+    fresh decomposition, which has no memo to hit."""
+    a = random_psd(rng, n, rank=n - max(1, n // 4) if deficient else n)
+    tags = set()
+    for t in (random_a_bounded(rng, a), operator_with_multiplicity(rng, a, 2),
+              rank_one_operator(rng, a)):
+        for report in (classify_right(a, t, 0.3), classify_left(a, t, 0.3)):
+            tags.add(report.construction.tag)
+            wit = report.witness
+            assert wit.matrix is report.construction.operator
+            fresh = bind_operator(psd_decompose(a.matrix), wit.matrix)
+            assert fresh.psd is not a
+            assert abs(wit.norm - fresh.norm) <= 1e-12 * fresh.norm
+            assert np.max(np.abs(wit.sigma**2 - fresh.sigma**2)) <= 1e-12 * fresh.norm**2
+            assert wit.top_coords.shape == fresh.top_coords.shape
+            assert _principal_sine(fresh.top_coords, wit.top_coords) <= 1e-8
+            scale = np.linalg.norm(wit.matrix)
+            assert np.linalg.norm(wit.matrix - lift_tilde(a, wit.tilde)) <= 1e-12 * scale
+            assert np.linalg.norm(wit.tilde - fresh.tilde) <= 1e-12 * np.linalg.norm(wit.tilde)
+            assert np.linalg.norm(wit.matrix @ null_basis(a)) <= 1e-12 * scale
+    assert tags == set(ConstructionTag)
+
+
+def test_factored_bind_requires_orthonormal_right_factor(rng):
+    a = random_psd(rng, 6, rank=5)
+    left = rng.standard_normal((5, 2))
+    right = np.linalg.qr(rng.standard_normal((5, 2)))[0]
+    assert _bind_factors(a, left, right).tilde.shape == (5, 5)
+    for bad in (right * (1.0 + 1e-9), right + 1e-9 * right[:, ::-1], 2.0 * right):
+        with pytest.raises(WitnessConstructionError):
+            _bind_factors(a, left, bad)
