@@ -47,8 +47,6 @@ from .operators import (
     tilde_reduce,
 )
 from .orthogonality import (
-    OperatorOrthoVerdict,
-    OperatorWitness,
     attainment_subset,
     direct_objective,
     op_orth_attainment_real,
@@ -74,6 +72,7 @@ from .vectors import (
     ConeTag,
     Method,
     OrthoVerdict,
+    Witness,
     cone_membership,
     directional_derivative,
     inner_a,

@@ -7,8 +7,9 @@ Commands::
     semiortho classify INSTANCE --side right|left
     semiortho selftest [--seed N] [--trials K]
 
-Exit codes: 0 ok, 1 property failure, 2 parse error, 3 math precondition
-violated, 4 route disagreement (the routes are provably equivalent, so this is an internal-defect alarm).
+Exit codes: 0 ok, 1 property failure, 2 parse error (or an unwritable
+``--json-out``), 3 math precondition violated, 4 route disagreement (the
+routes are provably equivalent, so this is an internal-defect alarm).
 
 Instance files are JSON objects with a ``schema`` field (currently 1),
 ``field`` ("real" or "complex"), matrices ``A``/``T``/``S`` as row-major
@@ -34,7 +35,6 @@ from .core import PsdOperator, Tolerances, psd_decompose
 from .errors import SemiorthoError
 from .operators import bind_operator, is_a_isometry, norm_attainment_set, norm_is_zero
 from .orthogonality import (
-    OperatorOrthoVerdict,
     op_orth_attainment_real,
     op_orth_direct,
     op_orth_theta_sweep_complex,
@@ -117,7 +117,8 @@ def load_instance(path: str) -> dict:
     if not isinstance(raw, dict):
         raise InstanceError("instance file must contain a JSON object")
     schema = raw.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
+    # true and 1.0 compare equal to 1; only the integer names a schema
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise InstanceError(f"unsupported schema {schema}")
     field = raw.get("field", "real")
     if field not in ("real", "complex"):
@@ -187,29 +188,18 @@ def _digest(raw: dict) -> str:
     return hashlib.sha256(canonical_json(raw).encode("utf-8")).hexdigest()
 
 
-def _vec_verdict_dict(route: str, v: OrthoVerdict) -> dict:
-    return {
-        "route": route,
-        "holds": v.holds,
-        "margin": v.margin,
-        "method": v.method.value,
-        "boundary": v.boundary,
-        "witness": None if v.witness is None else {"lam": _encode(complex(v.witness))},
-    }
-
-
-def _op_verdict_dict(route: str, v: OperatorOrthoVerdict) -> dict:
+def _verdict_dict(route: str, v: OrthoVerdict) -> dict:
     witness: Optional[dict] = None
     if v.witness is not None:
         witness = {}
         if v.witness.lam is not None:
             witness["lam"] = _encode(complex(v.witness.lam))
-        if v.witness.vector is not None:
-            witness["vector"] = _encode(v.witness.vector)
         if v.witness.theta is not None:
+            # schema 1 writes the theta route's attaining vector twice
             witness["theta"] = v.witness.theta
-            witness["x_theta"] = _encode(v.witness.x_theta)
-            witness["y_theta"] = _encode(v.witness.y_theta)
+            witness["x_theta"] = witness["y_theta"] = _encode(v.witness.vector)
+        elif v.witness.vector is not None:
+            witness["vector"] = _encode(v.witness.vector)
     entry = {
         "route": route,
         "holds": v.holds,
@@ -292,7 +282,7 @@ def _vec_routes(a, x, y, eps, route: str) -> list[tuple[str, OrthoVerdict]]:
     return runs
 
 
-def _op_routes(a, t, s, eps, route: str, complex_field: bool) -> list[tuple[str, OperatorOrthoVerdict]]:
+def _op_routes(a, t, s, eps, route: str, complex_field: bool) -> list[tuple[str, OrthoVerdict]]:
     runs = []
     t, s = bind_operator(a, t), bind_operator(a, s)
     zero_t = norm_is_zero(t)
@@ -321,13 +311,12 @@ def cmd_check(ns: argparse.Namespace) -> tuple[int, dict]:
             raise InstanceError(f"route {ns.route!r} applies to --mode op only")
         x, y = _need(instance, "x"), _need(instance, "y")
         runs = _vec_routes(a, x, y, eps, ns.route)
-        report["verdicts"] = [_vec_verdict_dict(r, v) for r, v in runs]
     else:
         if ns.route == "inner":
             raise InstanceError("route 'inner' applies to --mode vec only")
         t, s = _need(instance, "T"), _need(instance, "S")
         runs = _op_routes(a, t, s, eps, ns.route, complex_field)
-        report["verdicts"] = [_op_verdict_dict(r, v) for r, v in runs]
+    report["verdicts"] = [_verdict_dict(r, v) for r, v in runs]
 
     verdicts = [v.holds for _, v in runs]
     agree = all(v == verdicts[0] for v in verdicts)
@@ -410,6 +399,13 @@ def cmd_selftest(ns: argparse.Namespace) -> tuple[int, dict]:
 # ----------------------------- entry point ----------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiortho",
@@ -435,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run the property suites")
     p_self.add_argument("--seed", type=int, default=42)
-    p_self.add_argument("--trials", type=int, default=100)
+    p_self.add_argument("--trials", type=_positive_int, default=100)
 
     for p in (p_norm, p_check, p_cls, p_self):
         p.add_argument("--json-out", default=None, help="write the JSON report here")
@@ -469,9 +465,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     report["timing_s"] = time.perf_counter() - start
     if ns.json_out:
-        with open(ns.json_out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(report))
-            fh.write("\n")
+        try:
+            with open(ns.json_out, "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(report))
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     return code
 
 

@@ -124,10 +124,6 @@ class PsdOperator:
         return self.matrix.shape[0]
 
     @property
-    def range_dim(self) -> int:
-        return self.rank
-
-    @property
     def null_dim(self) -> int:
         return self.dim - self.rank
 
@@ -159,10 +155,6 @@ class PsdOperator:
     @property
     def w_inv_map(self) -> np.ndarray:
         return self.u_plus / np.sqrt(self.lam_plus)[None, :]
-
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Range coordinates W* x of a vector (its N(A) part is discarded)."""
-        return self.w_map.conj().T @ x
 
     def from_coords(self, u: np.ndarray) -> np.ndarray:
         """Ambient vector in R(A) with the given range coordinates."""

@@ -18,6 +18,12 @@ In finite dimensions every norm supremum is attained and the unit ball of the
 range geometry is compact, so sequence-based forms of these criteria collapse
 to the attained forms implemented here; the verdicts record that standing
 assumption. Disagreement between routes is a defect, not an input property.
+
+Every route returns the vector deciders' :class:`~semiortho.vectors.OrthoVerdict`,
+built by the same rule, with a :class:`~semiortho.vectors.Witness` that
+reproduces its margin: lambda* on the direct route, the lifted attaining
+vector on the attainment routes, and with it the worst phase theta on the
+complex one.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -41,56 +47,9 @@ from .operators import (
     norm_is_zero,
     require_positive_norm,
 )
-from .vectors import Method, Scalar, validate_epsilon
+from .vectors import Method, OrthoVerdict, Scalar, Witness, _verdict, validate_epsilon
 
 FINITE_DIM_NOTE = "finite-dimensional attainment; B_H(A) cap R(A) bounded holds automatically"
-
-
-@dataclass(frozen=True)
-class OperatorWitness:
-    """Whichever object certifies the margin: a scalar, a vector, or a
-    worst-phase triple."""
-
-    lam: Optional[Scalar] = None
-    vector: Optional[np.ndarray] = None
-    theta: Optional[float] = None
-    x_theta: Optional[np.ndarray] = None
-    y_theta: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class OperatorOrthoVerdict:
-    """Verdict of one route. ``margin_lower`` is a certified lower bound on
-    the margin where the route proves one (the direct route and the complex
-    attainment route), else None."""
-
-    holds: bool
-    margin: float
-    method: Method
-    witness: Optional[OperatorWitness] = None
-    boundary: bool = False
-    assumptions: tuple[str, ...] = ()
-    margin_lower: Optional[float] = None
-
-
-def _finish(
-    margin: float,
-    method: Method,
-    tol: float,
-    witness: Optional[OperatorWitness],
-    assumptions: tuple[str, ...] = (),
-    margin_lower: Optional[float] = None,
-) -> OperatorOrthoVerdict:
-    margin = float(margin)
-    return OperatorOrthoVerdict(
-        holds=margin >= -tol,
-        margin=margin,
-        method=method,
-        witness=witness,
-        boundary=abs(margin) <= tol,
-        assumptions=assumptions,
-        margin_lower=None if margin_lower is None else float(margin_lower),
-    )
 
 
 def _field_is_complex(*objs: ABoundedOperator) -> bool:
@@ -279,7 +238,7 @@ def _ellipsoid_min(
 
 def op_orth_direct(
     a: PsdOperator, t: Operand, s: Operand, eps: float
-) -> OperatorOrthoVerdict:
+) -> OrthoVerdict:
     """Decide T perp S by minimizing g(lambda) over the scalar field.
 
     g is convex on the whole field (the top singular value of an affine family
@@ -302,9 +261,7 @@ def op_orth_direct(
     op_s = bind_operator(a, s)
     tol = a.tol.verdict_margin_tol
     if norm_is_zero(op_t) or norm_is_zero(op_s):
-        return _finish(
-            0.0, Method.DIRECT_MINIMIZATION, tol, OperatorWitness(lam=0.0), margin_lower=0.0
-        )
+        return _verdict(0.0, Method.DIRECT_MINIMIZATION, tol, Witness(lam=0.0), margin_lower=0.0)
 
     dim = 2 if _field_is_complex(op_t, op_s) else 1
     newton = partial(_newton_step, op_s, 2.0 * eps * op_t.norm * op_s.norm)
@@ -316,9 +273,9 @@ def op_orth_direct(
 
     radius_sq = (2.0 * (1.0 + eps) * op_t.norm / op_s.norm) ** 2
     upper, lower, best_lam = _ellipsoid_min(oracle, newton, dim, radius_sq, tol, -tol, True)
-    return _finish(
+    return _verdict(
         upper, Method.DIRECT_MINIMIZATION, tol,
-        OperatorWitness(lam=0.0 if best_lam is None else best_lam), margin_lower=lower,
+        Witness(lam=0.0 if best_lam is None else best_lam), margin_lower=lower,
     )
 
 
@@ -356,7 +313,7 @@ def _least_modulus(form: np.ndarray) -> tuple[float, np.ndarray]:
 
 def op_orth_attainment_real(
     a: PsdOperator, t: Operand, s: Operand, eps: float
-) -> OperatorOrthoVerdict:
+) -> OrthoVerdict:
     """Real-field single-vector criterion on the attainment subspace.
 
     The range of <Tx, Sx>_A over the attainment sphere is the eigenvalue
@@ -372,8 +329,8 @@ def op_orth_attainment_real(
     coords, form = _attainment_form(op_t, op_s)
     minval, c_star = _least_modulus(form)
     margin = eps * op_t.norm * op_s.norm - minval
-    witness = OperatorWitness(vector=a.w_inv_map @ (coords @ c_star))
-    return _finish(
+    witness = Witness(vector=a.w_inv_map @ (coords @ c_star))
+    return _verdict(
         margin, Method.ATTAINMENT, a.tol.verdict_margin_tol, witness, (FINITE_DIM_NOTE,)
     )
 
@@ -389,7 +346,7 @@ def _surrounds_origin(phases: list[float]) -> bool:
 
 def op_orth_theta_sweep_complex(
     a: PsdOperator, t: Operand, s: Operand, eps: float
-) -> OperatorOrthoVerdict:
+) -> OrthoVerdict:
     """Complex-field attainment criterion: T perp S iff the numerical range
     W(F) of the attainment form F comes within E = eps ||T||_A ||S||_A of 0.
 
@@ -403,8 +360,8 @@ def op_orth_theta_sweep_complex(
     the search stops at once when 0 lies strictly inside the convex hull of
     the points v* F v of W(F) that the queries meet: that proves
     dist(0, W(F)) = 0, and margin = margin_lower = E.
-    The witness is a phase theta and a lifted attaining x = x_theta = y_theta
-    with E - |Re(e^{-i theta} <T x, S x>_A)| equal to the margin (theta = 0
+    The witness is a phase theta and a lifted attaining vector x with
+    E - |Re(e^{-i theta} <T x, S x>_A)| equal to the margin (theta = 0
     and Re <T x, S x>_A = 0 where 0 lies in W(F)).
     """
     eps = validate_epsilon(eps)
@@ -444,8 +401,8 @@ def op_orth_theta_sweep_complex(
         margin, lower = band + upper, band + lower
     d, c = (0j, _least_modulus(form)[1]) if best is None else best
     x = a.w_inv_map @ (coords @ c)
-    witness = OperatorWitness(theta=math.atan2(d.imag, d.real) % math.pi, x_theta=x, y_theta=x)
-    return _finish(margin, Method.THETA_SWEEP, tol, witness, (FINITE_DIM_NOTE,), margin_lower=lower)
+    witness = Witness(vector=x, theta=math.atan2(d.imag, d.real) % math.pi)
+    return _verdict(margin, Method.THETA_SWEEP, tol, witness, (FINITE_DIM_NOTE,), margin_lower=lower)
 
 
 def attainment_subset(
@@ -468,7 +425,7 @@ def attainment_subset(
 
 def op_orth_pointwise(
     a: PsdOperator, t: Operand, s: Operand, eps: float
-) -> OperatorOrthoVerdict:
+) -> OrthoVerdict:
     """Vector-level criterion Tx perp Sx minimized over M_A^T, valid when
     M_A^T is a subset of M_A^S (there ||Tx||_A ||Sx||_A = ||T||_A ||S||_A, so
     the spectral closed form of the attainment route applies verbatim)."""

@@ -14,7 +14,8 @@ import numpy as np
 
 from .core import PsdOperator, psd_decompose
 from .operators import NormAttainment, norm_attainment_set
-from .orthogonality import OperatorOrthoVerdict, op_orth_attainment_real, op_orth_direct
+from .orthogonality import op_orth_attainment_real, op_orth_direct
+from .vectors import OrthoVerdict
 
 
 @dataclass(frozen=True)
@@ -27,10 +28,10 @@ class ReferenceInstance:
     norm_s: float
     attain_t: NormAttainment
     attain_s: NormAttainment
-    t_perp_s_direct: OperatorOrthoVerdict
-    s_perp_t_direct: OperatorOrthoVerdict
-    t_perp_s_attainment: OperatorOrthoVerdict
-    s_perp_t_attainment: OperatorOrthoVerdict
+    t_perp_s_direct: OrthoVerdict
+    s_perp_t_direct: OrthoVerdict
+    t_perp_s_attainment: OrthoVerdict
+    s_perp_t_attainment: OrthoVerdict
 
 
 def example_3_1() -> ReferenceInstance:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -656,7 +656,6 @@ SUITES: dict[str, tuple[SuiteFn, Optional[int]]] = {
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
-    requested: int
     trials: int
     passed: bool
     failures: list[dict]
@@ -666,7 +665,6 @@ class SuiteResult:
 @dataclass(frozen=True)
 class SelftestOutcome:
     seed: int
-    requested_trials: int
     results: list[SuiteResult] = field(default_factory=list)
 
     @property
@@ -683,24 +681,15 @@ class SelftestOutcome:
         return "\n".join(lines)
 
 
-def run_selftest(
-    seed: int,
-    trials: int,
-    suite_names: Optional[Sequence[str]] = None,
-    registry: Optional[Mapping[str, tuple[SuiteFn, Optional[int]]]] = None,
-) -> SelftestOutcome:
-    """Run the property suites at a seed and trial budget.
+def run_selftest(seed: int, trials: int) -> SelftestOutcome:
+    """Run every property suite at a seed and trial budget.
 
     Results are deterministic for a fixed (seed, trials) pair: each suite
     gets its own child generator keyed by the suite's registry position.
     """
-    registry = dict(registry if registry is not None else SUITES)
-    names = list(registry) if suite_names is None else list(suite_names)
     results = []
-    for name in names:
-        fn, cap = registry[name]
+    for index, (name, (fn, cap)) in enumerate(SUITES.items()):
         effective = trials if cap is None else min(trials, cap)
-        index = list(registry).index(name)
         rng = np.random.default_rng([seed, index])
         start = time.perf_counter()
         failures = fn(rng, effective)
@@ -708,11 +697,10 @@ def run_selftest(
         results.append(
             SuiteResult(
                 name=name,
-                requested=trials,
                 trials=effective,
                 passed=not failures,
                 failures=failures,
                 seconds=elapsed,
             )
         )
-    return SelftestOutcome(seed=seed, requested_trials=trials, results=results)
+    return SelftestOutcome(seed=seed, results=results)

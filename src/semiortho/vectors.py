@@ -3,7 +3,10 @@
 The semi-inner product is <x, y>_A = <Ax, y>, conjugate-linear in the second
 argument, and ||x||_A = sqrt(<Ax, x>). Exact and approximate orthogonality
 predicates return an :class:`OrthoVerdict` carrying a signed margin, so
-near-boundary decisions stay visible to callers.
+near-boundary decisions stay visible to callers. The operator deciders in
+:mod:`semiortho.orthogonality` return the same type, built by the same rule,
+since they reduce operator orthogonality to vector orthogonality on the
+attainment set.
 """
 
 from __future__ import annotations
@@ -32,19 +35,35 @@ class Method(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class OrthoVerdict:
-    """Boolean verdict with its numeric slack.
+class Witness:
+    """What reproduces a verdict's margin: the minimizing scalar ``lam`` of a
+    direct route, or the lifted attaining ``vector`` of an attainment route,
+    with the worst phase ``theta`` on the complex one."""
 
-    ``holds`` is True exactly when ``margin >= -verdict_margin_tol``;
+    lam: Optional[Scalar] = None
+    vector: Optional[np.ndarray] = None
+    theta: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class OrthoVerdict:
+    """Boolean verdict of one route with its numeric slack.
+
+    ``holds`` is True exactly when ``margin >= -verdict_margin_tol``, except
+    on the vector direct route, which decides on its linear-unit violation;
     ``boundary`` flags verdicts within the tolerance band of the boundary.
-    ``witness`` is a minimizing scalar lambda* (Chmielinski route) or None.
+    ``assumptions`` names the standing assumptions a route relies on, and
+    ``margin_lower`` is a certified lower bound on the margin where the route
+    proves one (the operator direct and complex attainment routes), else None.
     """
 
     holds: bool
     margin: float
     method: Method
-    witness: Optional[Scalar] = None
+    witness: Optional[Witness] = None
     boundary: bool = False
+    assumptions: tuple[str, ...] = ()
+    margin_lower: Optional[float] = None
 
 
 def validate_epsilon(eps: float) -> float:
@@ -78,14 +97,25 @@ def is_a_null(a: PsdOperator, x: np.ndarray) -> bool:
     return norm_a(a, x) ** 2 <= a.tol.rank_tol * a.lam_max * euclid_sq
 
 
-def _verdict(margin: float, method: Method, tol: float, witness: Optional[Scalar] = None) -> OrthoVerdict:
+def _verdict(
+    margin: float,
+    method: Method,
+    tol: float,
+    witness: Optional[Witness] = None,
+    assumptions: tuple[str, ...] = (),
+    margin_lower: Optional[float] = None,
+    decided_on: Optional[float] = None,
+) -> OrthoVerdict:
+    """The verdict that ``decided_on`` (the margin unless given) >= -tol."""
     margin = float(margin)
     return OrthoVerdict(
-        holds=margin >= -tol,
+        holds=(margin if decided_on is None else decided_on) >= -tol,
         margin=margin,
         method=method,
         witness=witness,
         boundary=abs(margin) <= tol,
+        assumptions=assumptions,
+        margin_lower=None if margin_lower is None else float(margin_lower),
     )
 
 
@@ -122,7 +152,7 @@ def is_chmielinski_orthogonal_vec(
     eps = validate_epsilon(eps)
     tol = a.tol.verdict_margin_tol
     if is_a_null(a, x) or is_a_null(a, y):
-        return _verdict(0.0, Method.DIRECT_MINIMIZATION, tol, witness=0.0)
+        return _verdict(0.0, Method.DIRECT_MINIMIZATION, tol, Witness(lam=0.0))
 
     nx = norm_a(a, x)
     ny = norm_a(a, y)
@@ -139,21 +169,16 @@ def is_chmielinski_orthogonal_vec(
         return -(lin**2) / ny**2, t_star * direction
 
     if complex_field:
-        margin, witness = ray_min(complex(np.exp(1j * (math.pi - np.angle(ip_yx)))))
+        margin, lam = ray_min(complex(np.exp(1j * (math.pi - np.angle(ip_yx)))))
     else:
-        margin, witness = min(ray_min(1.0), ray_min(-1.0), key=lambda c: c[0])
-    margin = float(margin)
+        margin, lam = min(ray_min(1.0), ray_min(-1.0), key=lambda c: c[0])
     # The dip of f is exactly -max(0, c)^2 / ||y||_A^2 for the linear-unit
     # violation c = |<x,y>_A| - eps ||x||_A ||y||_A, so deciding the verdict by
     # c keeps this route's decision boundary identical to the inner-product
     # route's instead of squaring the tolerance band.
     violation = abs(ip_yx) - eps * nx * ny
-    return OrthoVerdict(
-        holds=violation <= tol,
-        margin=margin,
-        method=Method.DIRECT_MINIMIZATION,
-        witness=witness,
-        boundary=abs(margin) <= tol,
+    return _verdict(
+        margin, Method.DIRECT_MINIMIZATION, tol, Witness(lam=lam), decided_on=-violation
     )
 
 

@@ -142,16 +142,32 @@ def test_check_route_disagreement_is_alarm(tmp_path, monkeypatch):
     inst = write_instance(tmp_path / "i.json", **REF)
 
     def broken(a, t, s, eps):
-        from semiortho.orthogonality import OperatorOrthoVerdict
-        from semiortho.vectors import Method
+        from semiortho.vectors import Method, OrthoVerdict
 
-        return OperatorOrthoVerdict(holds=False, margin=-1.0, method=Method.ATTAINMENT)
+        return OrthoVerdict(holds=False, margin=-1.0, method=Method.ATTAINMENT)
 
     monkeypatch.setattr(cli, "op_orth_attainment_real", broken)
     assert cli.main(["check", inst, "--route", "auto"]) == EXIT_DISAGREE
 
 
+def test_check_vec_and_op_entries_share_keys(tmp_path):
+    inst = write_instance(tmp_path / "i.json", **REF, x=[1.0, 1.0], y=[0.5, -1.0])
+    keys = set()
+    for mode in ("vec", "op"):
+        out = tmp_path / f"{mode}.json"
+        assert cli.main(["check", inst, "--mode", mode, "--json-out", str(out)]) == EXIT_OK
+        keys |= {frozenset(v) - {"margin_lower"} for v in _read(out)["verdicts"]}
+    assert len(keys) == 1
+
+
 # ----------------------------- error exit codes --------------------------------
+
+
+def test_unwritable_report_is_a_flag_error(tmp_path, capsys):
+    inst = write_instance(tmp_path / "i.json", **REF)
+    out = tmp_path / "missing" / "r.json"
+    assert cli.main(["check", inst, "--json-out", str(out)]) == EXIT_PARSE
+    assert "error: cannot write report" in capsys.readouterr().err
 
 
 def test_parse_errors(tmp_path):
@@ -208,9 +224,12 @@ def test_non_finite_instances_rejected(tmp_path, capsys):
         {"tolerances": {"cluster_tol": True}},
         {"tolerances": {"isometry_tol": None}},
         {"tolerances": {"orth_tol": 10**400}},
+        {"schema": True},
+        {"schema": 1.0},
     ],
     ids=["entry_bool", "entry_string", "complex_part_bool", "eps_bool", "eps_string",
-         "eps_overflow", "tol_string", "tol_bool", "tol_null", "tol_overflow"],
+         "eps_overflow", "tol_string", "tol_bool", "tol_null", "tol_overflow",
+         "schema_bool", "schema_float"],
 )
 def test_non_numeric_instances_rejected(tmp_path, fields):
     """json true/false load as bool, an int subclass; they and strings are
@@ -296,6 +315,12 @@ def test_selftest_cli_passes(tmp_path, capsys):
     report = _read(out)
     assert report["passed"] is True
     assert "SELFTEST PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_selftest_rejects_nonpositive_trials(trials, capsys):
+    assert cli.main(["selftest", "--trials", trials]) == EXIT_PARSE
+    assert "SELFTEST" not in capsys.readouterr().out
 
 
 def test_selftest_fault_injection(tmp_path, monkeypatch, capsys):

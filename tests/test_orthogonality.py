@@ -8,12 +8,16 @@ import pytest
 from semiortho import (
     AttainmentSubsetError,
     ComplexFieldError,
+    OrthoVerdict,
     RealFieldError,
     ZeroANormError,
     attainment_subset,
     bind_operator,
     direct_objective,
     inner_a,
+    is_a_orthogonal,
+    is_chmielinski_orthogonal_vec,
+    is_eps_orthogonal,
     norm_a,
     norm_attainment_set,
     op_orth_attainment_real,
@@ -21,6 +25,7 @@ from semiortho import (
     op_orth_pointwise,
     op_orth_theta_sweep_complex,
     operator_norm_a,
+    orthogonal_decomposition,
     psd_decompose,
 )
 from semiortho.sampling import (
@@ -28,6 +33,7 @@ from semiortho.sampling import (
     random_a_bounded,
     random_a_isometry,
     random_psd,
+    random_vector,
     shared_attainment_pair,
     zero_a_norm_operator,
 )
@@ -610,3 +616,57 @@ def test_subset_reverses_orthogonality(rng):
             seen_premise += 1
             assert op_orth_direct(a, s, t, eps).holds
     assert seen_premise >= 10  # the construction must actually exercise the premise
+
+
+# ----------------------------- one verdict rule --------------------------------
+
+# decider -> (what it decides, fields it accepts)
+DECIDERS = {
+    "is_a_orthogonal": (lambda a, x, y, eps: is_a_orthogonal(a, x, y), "vec", (False, True)),
+    "is_eps_orthogonal": (is_eps_orthogonal, "vec", (False, True)),
+    "is_chmielinski_orthogonal_vec": (is_chmielinski_orthogonal_vec, "vec", (False, True)),
+    "op_orth_direct": (op_orth_direct, "op", (False, True)),
+    "op_orth_attainment_real": (op_orth_attainment_real, "op", (False,)),
+    "op_orth_theta_sweep_complex": (op_orth_theta_sweep_complex, "op", (True,)),
+    "op_orth_pointwise": (op_orth_pointwise, "pointwise", (False,)),
+}
+
+
+def _decider_cases(kind, complex_field, rng):
+    """Random pairs, an A-orthogonal pair and a zero second argument, over
+    epsilons from 0 to near 1, so verdicts land on both sides and on the
+    boundary."""
+    for eps in (0.0, 0.2, 0.6, 0.95):
+        for _ in range(3):
+            n = int(rng.integers(2, 5))
+            a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_field=complex_field)
+            if kind == "vec":
+                x, y = random_vector(rng, n, complex_field), random_vector(rng, n, complex_field)
+                pairs = [(x, y), (x, orthogonal_decomposition(a, x, y)), (x, np.zeros_like(y))]
+            elif kind == "op":
+                t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+                pairs = [(t, s), (t, np.zeros_like(s))]
+            else:
+                pairs = [shared_attainment_pair(rng, a, multiplicity=1 + int(rng.integers(2)))]
+            for first, second in pairs:
+                yield a, first, second, eps
+
+
+@pytest.mark.parametrize("name", list(DECIDERS))
+def test_every_decider_returns_one_verdict_type(rng, name):
+    decide, kind, fields = DECIDERS[name]
+    seen = set()
+    for complex_field in fields:
+        for a, first, second, eps in _decider_cases(kind, complex_field, rng):
+            v = decide(a, first, second, eps)
+            tol = a.tol.verdict_margin_tol
+            assert isinstance(v, OrthoVerdict)
+            assert v.boundary == (abs(v.margin) <= tol)
+            if name == "is_chmielinski_orthogonal_vec":
+                # decided on the linear-unit violation, not on the squared margin
+                violation = abs(inner_a(a, second, first)) - eps * norm_a(a, first) * norm_a(a, second)
+                assert v.holds == (violation <= tol)
+            else:
+                assert v.holds == (v.margin >= -tol)
+            seen.add(v.holds)
+    assert seen == {True, False}

@@ -171,7 +171,7 @@ def test_chmielinski_witness_reproduces_margin(rng):
     x, y = forced_inner_pair(rng, a, 0.9 * norm_a(a, x))
     v = is_chmielinski_orthogonal_vec(a, x, y, eps)
     if not v.holds:
-        lam = v.witness
+        lam = v.witness.lam
         f = (
             norm_a(a, x + lam * y) ** 2
             - norm_a(a, x) ** 2
