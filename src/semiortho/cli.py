@@ -27,13 +27,13 @@ import json
 import math
 import sys
 import time
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import PsdOperator, Tolerances, psd_decompose
 from .errors import SemiorthoError
-from .operators import bind_operator, is_a_isometry, norm_attainment_set, norm_is_zero
+from .operators import bind_operator, is_a_isometry, norm_attainment_set
 from .orthogonality import (
     op_orth_attainment_real,
     op_orth_direct,
@@ -285,7 +285,7 @@ def _vec_routes(a, x, y, eps, route: str) -> list[tuple[str, OrthoVerdict]]:
 def _op_routes(a, t, s, eps, route: str, complex_field: bool) -> list[tuple[str, OrthoVerdict]]:
     runs = []
     t, s = bind_operator(a, t), bind_operator(a, s)
-    zero_t = norm_is_zero(t)
+    zero_t = t.zero_norm
     if route in ("direct", "auto"):
         runs.append(("direct", op_orth_direct(a, t, s, eps)))
     if route == "attain" or (route == "auto" and not complex_field and not zero_t):
@@ -399,11 +399,17 @@ def cmd_selftest(ns: argparse.Namespace) -> tuple[int, dict]:
 # ----------------------------- entry point ----------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no less than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid value" message
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -430,8 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--epsilon", type=float, default=None)
 
     p_self = sub.add_parser("selftest", help="run the property suites")
-    p_self.add_argument("--seed", type=int, default=42)
-    p_self.add_argument("--trials", type=_positive_int, default=100)
+    p_self.add_argument("--seed", type=_int_at_least(0), default=42)
+    p_self.add_argument("--trials", type=_int_at_least(1), default=100)
 
     for p in (p_norm, p_check, p_cls, p_self):
         p.add_argument("--json-out", default=None, help="write the JSON report here")

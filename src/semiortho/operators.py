@@ -30,9 +30,11 @@ class ABoundedOperator:
 
     ``tilde`` is the r x r matrix of the compression P T restricted to R(A),
     written in coordinates that make the A-seminorm Euclidean; ``sigma`` its
-    singular values, descending; ``norm`` is sigma_max(tilde) = ||T||_A; and
+    singular values, descending; ``norm`` is sigma_max(tilde) = ||T||_A;
     ``top_coords`` (r x m) the right-singular vectors of the top singular-value
-    cluster, a copy that does not keep the other r - m columns alive.
+    cluster, a copy that does not keep the other r - m columns alive; and
+    ``zero_norm`` whether ||T||_A vanishes up to the rounding noise of the
+    reduction, tested once per bind.
     """
 
     psd: PsdOperator
@@ -41,6 +43,7 @@ class ABoundedOperator:
     norm: float
     sigma: np.ndarray
     top_coords: np.ndarray
+    zero_norm: bool
 
     @property
     def kernel(self) -> np.ndarray:
@@ -147,7 +150,12 @@ def _singular_system(a: PsdOperator, left: np.ndarray, right: np.ndarray | None 
 
 
 def _remember(a: PsdOperator, t: np.ndarray, fields: dict) -> ABoundedOperator:
-    """Record the bind of the validated matrix ``t`` in the memo of ``a``."""
+    """Record the bind of the validated matrix ``t`` in the memo of ``a``,
+    with the zero-norm test, made once here for every later hit: ||T||_A is
+    zero when it is below 1e-12 of the rounding scale of the reduction,
+    sqrt(max(lam_max, 1)) (1 + ||T||_F)."""
+    scale = math.sqrt(max(a.lam_max, 1.0)) * (1.0 + float(np.linalg.norm(t)))
+    fields["zero_norm"] = fields["norm"] <= 1e-12 * scale
     # every later hit shares these arrays, so a write must fail loudly
     for key in ("tilde", "sigma", "top_coords"):
         fields[key].flags.writeable = False
@@ -174,12 +182,6 @@ def operator_norm_a(a: PsdOperator, t: np.ndarray) -> float:
     return bind_operator(a, t).norm
 
 
-def norm_is_zero(op: ABoundedOperator) -> bool:
-    """Whether ||T||_A vanishes up to the rounding noise of the reduction."""
-    scale = math.sqrt(max(op.psd.lam_max, 1.0)) * (1.0 + float(np.linalg.norm(op.matrix)))
-    return op.norm <= 1e-12 * scale
-
-
 @dataclass(frozen=True)
 class NormAttainment:
     """The attainment structure of an A-bounded operator.
@@ -199,7 +201,7 @@ class NormAttainment:
 def attainment_coords(op: ABoundedOperator) -> np.ndarray:
     """Top-cluster right-singular coordinates of the reduction (r x m); for
     the zero operator, whose every A-unit vector attains, all of them."""
-    if op.norm == 0.0 or norm_is_zero(op):
+    if op.zero_norm:
         return np.eye(op.tilde.shape[0], dtype=op.tilde.dtype)
     return op.top_coords
 
@@ -232,12 +234,12 @@ def is_a_isometry(a: PsdOperator, t: Operand) -> IsometryCheck:
     """
     op = bind_operator(a, t)
     sig = op.sigma
-    if sig.size == 0 or op.norm == 0.0 or norm_is_zero(op):
+    if op.zero_norm:
         return IsometryCheck(ok=True, deviation=0.0)
     deviation = float((sig[0] ** 2 - sig[-1] ** 2) / sig[0] ** 2)
     return IsometryCheck(ok=deviation <= a.tol.isometry_tol, deviation=deviation)
 
 
 def require_positive_norm(op: ABoundedOperator) -> None:
-    if norm_is_zero(op):
+    if op.zero_norm:
         raise ZeroANormError("operator has zero A-norm; use the direct route")

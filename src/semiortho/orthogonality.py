@@ -44,7 +44,6 @@ from .operators import (
     Operand,
     attainment_coords,
     bind_operator,
-    norm_is_zero,
     require_positive_norm,
 )
 from .vectors import Method, OrthoVerdict, Scalar, Witness, _verdict, validate_epsilon
@@ -69,30 +68,46 @@ _MAX_CUTS = 150
 _SIMPLE_GAP = 1e-12
 
 
+def _eigensystem(m: np.ndarray, s_tilde: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(M, w, V, M v, S~ v): the eigensystem (w, V) of M* M and the products
+    at its top eigenvector v."""
+    w, vecs = np.linalg.eigh(m.conj().T @ m)
+    v = vecs[:, -1]
+    return m, w, vecs, m @ v, s_tilde @ v
+
+
 def _objective(
     op_t: ABoundedOperator, op_s: ABoundedOperator, eps: float, lam: Scalar
-) -> tuple[float, complex, tuple[np.ndarray, ...]]:
-    """g(lambda), a subgradient of g written d/dRe + i d/dIm, and what a
-    Newton step needs: the eigensystem (w, V) of M* M, M and the products
-    M v and S~ v at its top eigenvector v.
+) -> tuple[float, complex, Callable[[], tuple[np.ndarray, ...]]]:
+    """g(lambda), a subgradient of g written d/dRe + i d/dIm, and a function
+    returning what a Newton step needs: the eigensystem (w, V) of M* M, M
+    and the products M v and S~ v at its top eigenvector v.
 
     The smooth part sigma_max(M)^2 >= ||M v||^2, M = T~ + lambda S~, has
     subgradient 2 <M v, S~ v> (Lewis & Overton, Acta Numerica 1996). Of the
     disc that is the subdifferential of 2 eps ||T|| ||S|| |lambda| at 0, the
     element that shortens the subgradient most is taken, so a zero
-    subgradient proves lambda = 0 optimal.
+    subgradient proves lambda = 0 optimal. At lambda = 0, M = T~: g(0) = 0
+    by definition and v is the top singular vector held by the bind of T, so
+    the eigensystem is formed only if a Newton step asks for it.
     """
     penalty = 2.0 * eps * op_t.norm * op_s.norm
     m = op_t.tilde + lam * op_s.tilde
-    w, vecs = np.linalg.eigh(m.conj().T @ m)
-    v = vecs[:, -1]
-    mv, sv = m @ v, op_s.tilde @ v
+    if lam == 0:
+        v = op_t.top_coords[:, 0]
+        val, mv, sv = 0.0, m @ v, op_s.tilde @ v
+        eig = partial(_eigensystem, m, op_s.tilde)
+    else:
+        system = _eigensystem(m, op_s.tilde)
+        _, w, _, mv, sv = system
+        val = float(w[-1]) - op_t.norm**2 + penalty * abs(lam)
+        eig = lambda: system
     grad = 2.0 * complex(np.vdot(sv, mv))
     if lam != 0:
         grad += penalty * lam / abs(lam)
     elif grad != 0:
         grad *= max(0.0, 1.0 - penalty / abs(grad))
-    return float(w[-1]) - op_t.norm**2 + penalty * abs(lam), grad, (m, w, vecs, mv, sv)
+    return val, grad, eig
 
 
 def _newton_step(
@@ -100,7 +115,7 @@ def _newton_step(
     penalty: float,
     lam: Scalar,
     grad: complex,
-    eig: tuple[np.ndarray, ...],
+    eig: Callable[[], tuple[np.ndarray, ...]],
 ) -> Optional[tuple[float, float]]:
     """Newton step of g at lambda as (dRe, dIm), or None where the top
     eigenvalue of M* M is multiple (g is not smooth there) or the curvature
@@ -121,7 +136,7 @@ def _newton_step(
     smooth part's Hessian and h the shortened subgradient; in the real field
     that is the model's least point.
     """
-    m, w, vecs, mv, sv = eig
+    m, w, vecs, mv, sv = eig()
     if w.size > 1 and w[-1] - w[-2] <= _SIMPLE_GAP * w[-1]:
         return None
     # b_1 = p + q and b_2 = i (q - p) with p = S~* M v and q = M* S~ v. The
@@ -245,10 +260,11 @@ def op_orth_direct(
     plus a norm term), and outside |lambda| <= 2 (1 + eps) ||T||_A / ||S||_A
     the triangle inequality forces g >= 0 = g(0). The ellipsoid minimizer
     certifies min g on that disc (an interval for the real field). Its first
-    query is lambda = 0, the kink of the |lambda| term; from there it takes
-    the proximal Newton step, which keeps |lambda| exact, and elsewhere Newton
-    steps, wherever the top eigenvalue of M* M is simple and the curvature
-    along the step is positive. At a "fails" minimizer g is smooth in the
+    query is lambda = 0, the kink of the |lambda| term, read from the bind of
+    T with no eigensolve; where it does not settle the verdict, the search
+    takes the proximal Newton step from there, which keeps |lambda| exact,
+    and elsewhere Newton steps, wherever the top eigenvalue of M* M is simple
+    and the curvature along the step is positive. At a "fails" minimizer g is smooth in the
     generic case, so a minimizer next to the kink is reached in a few steps
     and they converge quadratically. The margin is the least g seen, at the
     witness lambda, and ``margin_lower`` the best lower bound. The search
@@ -260,7 +276,7 @@ def op_orth_direct(
     op_t = bind_operator(a, t)
     op_s = bind_operator(a, s)
     tol = a.tol.verdict_margin_tol
-    if norm_is_zero(op_t) or norm_is_zero(op_s):
+    if op_t.zero_norm or op_s.zero_norm:
         return _verdict(0.0, Method.DIRECT_MINIMIZATION, tol, Witness(lam=0.0), margin_lower=0.0)
 
     dim = 2 if _field_is_complex(op_t, op_s) else 1
@@ -285,7 +301,7 @@ def direct_objective(a: PsdOperator, t: Operand, s: Operand, eps: float, lam: Sc
     eps = validate_epsilon(eps)
     op_t = bind_operator(a, t)
     op_s = bind_operator(a, s)
-    if norm_is_zero(op_t) or norm_is_zero(op_s):
+    if op_t.zero_norm or op_s.zero_norm:
         return 0.0
     return _objective(op_t, op_s, eps, lam)[0]
 
@@ -294,8 +310,7 @@ def _attainment_form(op_t: ABoundedOperator, op_s: ABoundedOperator) -> tuple[np
     """Coordinates C of M_A^T cap R(A) and the m x m form M with
     c* M c = <T v, S v>_A for v = W- C c."""
     coords = attainment_coords(op_t)
-    form = coords.conj().T @ (op_s.tilde.conj().T @ op_t.tilde) @ coords
-    return coords, form
+    return coords, (op_s.tilde @ coords).conj().T @ (op_t.tilde @ coords)
 
 
 def _least_modulus(form: np.ndarray) -> tuple[float, np.ndarray]:

@@ -32,7 +32,6 @@ from .operators import (
     attainment_coords,
     bind_operator,
     is_a_isometry,
-    norm_is_zero,
 )
 from .vectors import validate_epsilon
 
@@ -160,7 +159,7 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
     _require_real(a, op)
-    if norm_is_zero(op):
+    if op.zero_norm:
         raise ZeroANormError("zero operator is an A-isometry; no right witness exists")
     if is_a_isometry(a, op).ok:
         raise IsometryError("operator is an A-isometry; no right witness exists")
@@ -220,7 +219,7 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
     _require_real(a, op)
-    if norm_is_zero(op):
+    if op.zero_norm:
         raise ZeroANormError("zero-A-norm operator is left symmetric; no witness exists")
     r = a.rank
     if r < 2:
@@ -327,7 +326,7 @@ def classify_left(a: PsdOperator, t: Operand, eps: float) -> SymmetryReport:
     _require_real(a, op)
     if a.rank < 2:
         raise RankTooSmallError("left classification needs dim R(A) >= 2")
-    if norm_is_zero(op):
+    if op.zero_norm:
         return SymmetryReport(
             kind=SymmetryKind.LEFT_SYMMETRIC, epsilon=eps, evidence=op.norm
         )

@@ -323,6 +323,14 @@ def test_selftest_rejects_nonpositive_trials(trials, capsys):
     assert "SELFTEST" not in capsys.readouterr().out
 
 
+def test_selftest_rejects_negative_seed(capsys):
+    """A negative seed is a flag error (exit 2), not a property failure."""
+    assert cli.main(["selftest", "--seed", "-1", "--trials", "1"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "SELFTEST" not in captured.out
+    assert "must be at least 0, got -1" in captured.err
+
+
 def test_selftest_fault_injection(tmp_path, monkeypatch, capsys):
     def corrupted(rng, trials):
         return [{"trial": 0, "detail": "injected fault"}]

@@ -29,6 +29,7 @@ from semiortho import (
     psd_decompose,
 )
 from semiortho.sampling import (
+    eps_orthogonal_probe,
     operator_with_multiplicity,
     random_a_bounded,
     random_a_isometry,
@@ -98,6 +99,89 @@ def test_direct_complex_witness_reproduces_margin(rng):
     v = op_orth_direct(a, t, s, 0.1)
     assert isinstance(v.witness.lam, complex) and v.margin < 0.0
     assert direct_objective(a, t, s, 0.1, v.witness.lam) == pytest.approx(v.margin, abs=1e-9)
+
+
+# ----------------------------- first query from the bind -----------------------
+
+
+def _zero_optimal_pairs(rng):
+    """Bound pairs (T, S, eps) where lambda = 0 minimizes g: S perp T pairs
+    from the real probe construction, read as (S, T), and generic pairs in
+    both fields with eps above |<S~ v, T~ v>| / (||T|| ||S||) at the top
+    singular vector v of T~, so that the shortened subgradient at 0 is 0."""
+    for n in (3, 4, 16):
+        a = random_psd(rng, n, rank=n - 1)
+        t = random_a_bounded(rng, a)
+        eps = float(rng.uniform(0.05, 0.9))
+        yield bind_operator(a, eps_orthogonal_probe(rng, a, t, eps)), bind_operator(a, t), eps
+        for complex_field in (False, True):
+            a = random_psd(rng, n, complex_field=complex_field)
+            op_t = bind_operator(a, random_a_bounded(rng, a))
+            op_s = bind_operator(a, random_a_bounded(rng, a))
+            v = op_t.top_coords[:, 0]
+            ratio = abs(np.vdot(op_s.tilde @ v, op_t.tilde @ v)) / (op_t.norm * op_s.norm)
+            yield op_t, op_s, (1.0 + ratio) / 2.0
+
+
+def test_direct_holds_at_zero_without_eigensolve(rng, eigh_calls):
+    """Where lambda = 0 is optimal the first query reads T's bind and
+    settles: no eigensolve beyond the two binds, and g(0) = 0 exactly."""
+    for op_t, op_s, eps in _zero_optimal_pairs(rng):
+        a = op_t.psd
+        eigh_calls.clear()
+        v = op_orth_direct(a, op_t, op_s, eps)
+        assert eigh_calls == []
+        assert v.holds and v.margin == 0.0 and v.margin_lower == 0.0
+        assert v.witness.lam == 0.0 and isinstance(v.witness.lam, float)
+        assert direct_objective(a, op_t, op_s, eps, 0.0) == 0.0
+        assert direct_objective(a, op_t, op_s, eps, 0j) == 0.0
+        assert eigh_calls == []
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_direct_failing_witness_reproduces_margin(rng, eigh_calls, complex_field):
+    """A pair that fails needs the proximal Newton step at 0, so the search
+    forms the eigensystem of T~* T~ there; its witness lambda* still
+    reproduces the margin through ``direct_objective``."""
+    found = 0
+    while found < 10:
+        a = random_psd(rng, int(rng.integers(3, 9)), complex_field=complex_field)
+        op_t = bind_operator(a, random_a_bounded(rng, a))
+        op_s = bind_operator(a, random_a_bounded(rng, a))
+        eps = float(rng.uniform(0.0, 0.5))
+        eigh_calls.clear()
+        v = op_orth_direct(a, op_t, op_s, eps)
+        if v.holds:
+            continue
+        found += 1
+        assert eigh_calls and v.witness.lam != 0
+        g = direct_objective(a, op_t, op_s, eps, v.witness.lam)
+        assert g == pytest.approx(v.margin, abs=1e-12 * op_t.norm**2)
+        assert v.margin_lower <= v.margin
+
+
+def test_direct_from_bind_agrees_on_multiple_top_and_mixed_fields(rng):
+    """The bind's top singular vector is one of several where T's top
+    singular value is multiple, and a real T~ paired with a complex S~ puts
+    the first query in the complex plane: the direct route still agrees with
+    the attainment route and with the theta route on pairs at least 1e-3 of
+    ||T||_A ||S||_A from the boundary."""
+    checked = 0
+    for n in (3, 4, 6):
+        for _ in range(10):
+            a = random_psd(rng, n)
+            t = operator_with_multiplicity(rng, a, int(rng.integers(2, n)))
+            mixed = (random_a_bounded(rng, a), random_a_bounded(rng, a, complex_field=True))
+            for s, cross in zip(mixed, (op_orth_attainment_real, op_orth_theta_sweep_complex)):
+                eps = float(rng.uniform(0.0, 0.99))
+                reference = cross(a, t, s, eps)
+                if abs(reference.margin) < 1e-3 * operator_norm_a(a, t) * operator_norm_a(a, s):
+                    continue
+                v = op_orth_direct(a, t, s, eps)
+                assert v.holds == reference.holds
+                assert v.margin_lower <= v.margin
+                checked += 1
+    assert checked >= 40
 
 
 # ----------------------------- direct-route certificate ------------------------
