@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .core import PsdOperator, null_basis, psd_decompose
-from .numerics import orthonormal_complement
 from .operators import bind_operator, lift_tilde
 from .vectors import inner_a, norm_a
 
@@ -204,7 +203,7 @@ def eps_orthogonal_probe(
         u /= np.linalg.norm(u)
     else:
         direction = image / image_norm
-        perp = orthonormal_complement(direction[:, None], r)[:, 0]
+        perp = np.linalg.qr(direction[:, None], mode="complete")[0][:, 1]
         # |<u, Tx0>| = |c| * image_norm <= eps * ||T||_A needs |c| <= eps
         c = eps * float(rng.uniform(-0.95, 0.95)) * op_t.norm / image_norm
         c = float(np.clip(c, -0.95, 0.95))

@@ -591,8 +591,8 @@ def _suite_sym_left_witness(rng: np.random.Generator, trials: int) -> list[dict]
         if branch == 1 and wc.tag is not expected_tags[1]:
             failures.append(_fail(i, f"expected rank-one branch, got {wc.tag}"))
             continue
-        fwd = op_orth_direct(a, t, wc.operator, eps)
-        bwd = op_orth_direct(a, wc.operator, t, eps)
+        fwd = op_orth_direct(a, t, wc.witness, eps)
+        bwd = op_orth_direct(a, wc.witness, t, eps)
         if not fwd.holds or bwd.holds:
             failures.append(
                 _fail(i, "left witness fails verification", eps=eps, fwd=fwd.margin, bwd=bwd.margin)

@@ -24,7 +24,6 @@ from .errors import (
     WitnessConstructionError,
     ZeroANormError,
 )
-from .numerics import orthonormal_complement
 from .operators import (
     ABoundedOperator,
     Operand,
@@ -74,22 +73,17 @@ class LeftParams:
 
 @dataclass(frozen=True)
 class WitnessConstruction:
-    """Intermediates and result of a symmetry counterexample.
+    """A symmetry counterexample: the branch that built it, its parameters
+    (left cases I and II only), and the witness, bound to A from its factors.
 
-    Basis data lives in range coordinates (length-r vectors); ``tilde`` is the
-    coordinate matrix, of rank m + 1 (right) or at most 2 (left), and
-    ``operator`` its ambient n x n lift, zero on N(A): both come from the bind
-    of the factors, so binding ``operator`` to the same A is a memo hit.
+    ``witness.matrix`` is the ambient operator, zero on N(A), and
+    ``witness.tilde`` its coordinate matrix, of rank m + 1 (right) or at
+    most 2 (left).
     """
 
     tag: ConstructionTag
-    attain_basis: np.ndarray
-    extension_basis: np.ndarray
-    w: Optional[np.ndarray]
-    sign_flipped: bool
     params: Optional[LeftParams]
-    operator: np.ndarray
-    tilde: np.ndarray
+    witness: ABoundedOperator
 
 
 @dataclass(frozen=True)
@@ -97,8 +91,12 @@ class SymmetryReport:
     kind: SymmetryKind
     epsilon: float
     evidence: float
-    witness: Optional[ABoundedOperator] = None
     construction: Optional[WitnessConstruction] = None
+
+    @property
+    def witness(self) -> Optional[ABoundedOperator]:
+        """The construction's witness, or None for a symmetric operator."""
+        return None if self.construction is None else self.construction.witness
 
 
 def left_parameters(eps: float) -> LeftParams:
@@ -145,16 +143,30 @@ def _require_real(a: PsdOperator, op: ABoundedOperator) -> None:
         raise ComplexFieldError("symmetry classification is real-field only")
 
 
+def _unit_orthogonal(basis: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to the orthonormal columns of ``basis``
+    (r x m, m < r), in O(r m): the coordinate vector farthest from their span,
+    e_k for the row k of least norm (distance sqrt(1 - |row k|^2), at least
+    sqrt(1 - m/r)), projected off the span twice."""
+    v = np.zeros(basis.shape[0], dtype=basis.dtype)
+    v[np.argmin(np.linalg.norm(basis, axis=1))] = 1.0
+    for _ in range(2):
+        v -= basis @ (basis.conj().T @ v)
+    return v / np.linalg.norm(v)
+
+
 def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
     """Build U with U perp T but not T perp U, for a non-isometry T.
 
-    Steps, in range coordinates: take the attainment basis x_1..x_m, extend
-    by x_{m+1}..x_r; take the images y_i = T x_i / sigma_i, the left singular
-    vectors, which stay orthonormal when the cluster's singular values differ
-    within cluster_tol; pick an A-orthonormal w_0 orthogonal to them; flip its
-    sign so the norm cannot dip along +T x_{m+1}; send x_i to -y_i for
+    Steps, in range coordinates: take the attainment basis x_1..x_m and one
+    unit x_{m+1} orthogonal to it; take the images y_i = T x_i / sigma_i, the
+    left singular vectors, which stay orthonormal when the cluster's singular
+    values differ within cluster_tol; pick a unit w_0 orthogonal to them; flip
+    its sign so the norm cannot dip along +T x_{m+1}; send x_i to -y_i for
     i <= m, x_{m+1} to w_0, the rest to zero: bind the factors
     L = [-y_1..-y_m, w_0], R = [x_1..x_{m+1}] with an (m+1) x (m+1) eigensolve.
+    x_{m+1} and w_0 are each the coordinate vector farthest from the span they
+    must avoid, projected off it (``_unit_orthogonal``): O(r m), no QR.
     """
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
@@ -171,7 +183,6 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
     m = coords.shape[1]
     if m >= r:
         raise IsometryError("attainment subspace fills R(A); operator is an A-isometry")
-    extension = orthonormal_complement(coords, r)
     images = op.tilde @ coords / op.sigma[:m]
     gram_defect = float(np.max(np.abs(images.T @ images - np.eye(m))))
     if gram_defect > _ORTHO_ASSERT_TOL:
@@ -179,24 +190,14 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
             f"attainment images not orthonormal (defect {gram_defect:.2e}); "
             "attainment cluster is ill-resolved"
         )
-    w0 = orthonormal_complement(images, r)[:, 0]
-    lead = float(w0 @ (op.tilde @ extension[:, 0]))
-    flipped = lead < 0.0
-    if flipped:
+    extension = _unit_orthogonal(coords)
+    w0 = _unit_orthogonal(images)
+    if float(w0 @ (op.tilde @ extension)) < 0.0:
         w0 = -w0
 
-    right = np.column_stack([coords, extension[:, 0]])
-    bound = _bind_factors(a, np.column_stack([-images, w0]), right)
-    return WitnessConstruction(
-        tag=ConstructionTag.RIGHT_PROOF,
-        attain_basis=coords,
-        extension_basis=extension,
-        w=w0,
-        sign_flipped=flipped,
-        params=None,
-        operator=bound.matrix,
-        tilde=bound.tilde,
-    )
+    right = np.column_stack([coords, extension])
+    witness = _bind_factors(a, np.column_stack([-images, w0]), right)
+    return WitnessConstruction(tag=ConstructionTag.RIGHT_PROOF, params=None, witness=witness)
 
 
 def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
@@ -208,10 +209,16 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
       a second attaining vector z_2 and copies T there;
     * m = 1 and T kills the orthocomplement of its attaining vector x
       (rank-one T): rotate (x, x_1) by eps1 into (z_1, z_2) and send them to
-      prescribed combinations of Tx and a unit w orthogonal to Tx;
-    * m = 1 with some orthocomplement basis vector x_k not killed: the same
-      with x_1 replaced by x_k and w the normalized image of x_k, which is
-      orthogonal to Tx automatically (x is a top singular vector).
+      prescribed combinations of Tx and a unit w orthogonal to Tx, with x_1
+      and w picked by ``_unit_orthogonal``;
+    * m = 1 otherwise: the same with x_1 the coordinate vector e_k whose
+      projection off x has the largest image, projected off x and normalized,
+      and w = T x_1 / beta, orthogonal to Tx automatically (x is a top
+      singular vector).
+
+    Column k of T - (Tx) x^H is the image of e_k projected off x, so T kills
+    the orthocomplement of x when no column exceeds 1e-9. No branch takes a
+    QR.
 
     S is bound from its factors: L = [T z_2], R = [z_2] in the first branch,
     L = [a Tx + b w, alpha (b Tx - a w)], R = [z_1, z_2] in the others.
@@ -221,8 +228,7 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
     _require_real(a, op)
     if op.zero_norm:
         raise ZeroANormError("zero-A-norm operator is left symmetric; no witness exists")
-    r = a.rank
-    if r < 2:
+    if a.rank < 2:
         raise RankTooSmallError("left witness construction needs dim R(A) >= 2")
 
     tilde_n = op.tilde / op.norm
@@ -231,35 +237,27 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
 
     if m >= 2:
         z2 = coords[:, 1:2]
-        bound = _bind_factors(a, tilde_n @ z2, z2)
-        return WitnessConstruction(
-            tag=ConstructionTag.LEFT_MULTI_PAIR,
-            attain_basis=coords[:, :2],
-            extension_basis=np.zeros((r, 0)),
-            w=None,
-            sign_flipped=False,
-            params=None,
-            operator=bound.matrix,
-            tilde=bound.tilde,
-        )
+        witness = _bind_factors(a, tilde_n @ z2, z2)
+        return WitnessConstruction(tag=ConstructionTag.LEFT_MULTI_PAIR, params=None, witness=witness)
 
     x = coords[:, 0]
     image_x = tilde_n @ x
-    complement = orthonormal_complement(x[:, None], r)
-    images = tilde_n @ complement
-    norms = np.linalg.norm(images, axis=0)
+    norms = np.linalg.norm(tilde_n - np.outer(image_x, x.conj()), axis=0)
     k = int(np.argmax(norms))
-    beta = float(norms[k])
 
-    if beta <= 1e-9:
+    if norms[k] <= 1e-9:
         tag = ConstructionTag.LEFT_CASE_I
-        partner = complement[:, 0]
-        w = orthonormal_complement(image_x[:, None], r)[:, 0]
+        partner = _unit_orthogonal(coords)
+        w = _unit_orthogonal(image_x[:, None])
         beta = 0.0
     else:
         tag = ConstructionTag.LEFT_CASE_II
-        partner = complement[:, k]
-        w = images[:, k] / beta
+        partner = -np.conj(x[k]) * x
+        partner[k] += 1.0
+        partner /= np.linalg.norm(partner)
+        w = tilde_n @ partner
+        beta = float(np.linalg.norm(w))
+        w /= beta
         cross = abs(float(w @ image_x))
         if cross > _ORTHO_ASSERT_TOL:
             raise WitnessConstructionError(
@@ -284,21 +282,15 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
 
     right = np.column_stack([x, partner]) @ np.array([[e1, -s1], [s1, e1]])  # (z_1, z_2)
     mix = np.array([[params.a, params.alpha * params.b], [params.b, -params.alpha * params.a]])
-    bound = _bind_factors(a, np.column_stack([image_x, w]) @ mix, right)
-    return WitnessConstruction(
-        tag=tag,
-        attain_basis=x[:, None],
-        extension_basis=partner[:, None],
-        w=w,
-        sign_flipped=False,
-        params=params,
-        operator=bound.matrix,
-        tilde=bound.tilde,
-    )
+    witness = _bind_factors(a, np.column_stack([image_x, w]) @ mix, right)
+    return WitnessConstruction(tag=tag, params=params, witness=witness)
 
 
 def classify_right(a: PsdOperator, t: Operand, eps: float) -> SymmetryReport:
-    """Right symmetric iff A-isometry; otherwise attach a verified witness."""
+    """Right symmetric iff A-isometry; otherwise attach the witness that
+    ``right_witness`` builds. The witness is not verified here: ``semiortho
+    classify`` and the ``sym_right_witness`` selftest suite verify it both
+    ways with the direct route."""
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
     _require_real(a, op)
@@ -309,18 +301,19 @@ def classify_right(a: PsdOperator, t: Operand, eps: float) -> SymmetryReport:
         return SymmetryReport(
             kind=SymmetryKind.RIGHT_SYMMETRIC, epsilon=eps, evidence=iso.deviation
         )
-    construction = right_witness(a, op, eps)
     return SymmetryReport(
         kind=SymmetryKind.NOT_RIGHT_SYMMETRIC,
         epsilon=eps,
         evidence=iso.deviation,
-        witness=bind_operator(a, construction.operator),
-        construction=construction,
+        construction=right_witness(a, op, eps),
     )
 
 
 def classify_left(a: PsdOperator, t: Operand, eps: float) -> SymmetryReport:
-    """Left symmetric iff ||T||_A = 0; otherwise attach a verified witness."""
+    """Left symmetric iff ||T||_A = 0; otherwise attach the witness that
+    ``left_witness`` builds. The witness is not verified here: ``semiortho
+    classify`` and the ``sym_left_witness`` selftest suite verify it both
+    ways with the direct route."""
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
     _require_real(a, op)
@@ -330,11 +323,9 @@ def classify_left(a: PsdOperator, t: Operand, eps: float) -> SymmetryReport:
         return SymmetryReport(
             kind=SymmetryKind.LEFT_SYMMETRIC, epsilon=eps, evidence=op.norm
         )
-    construction = left_witness(a, op, eps)
     return SymmetryReport(
         kind=SymmetryKind.NOT_LEFT_SYMMETRIC,
         epsilon=eps,
         evidence=op.norm,
-        witness=bind_operator(a, construction.operator),
-        construction=construction,
+        construction=left_witness(a, op, eps),
     )

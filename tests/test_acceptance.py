@@ -210,8 +210,8 @@ def test_criterion_6_right_symmetry(announce):
             continue
         eps = EPS_CYCLE[verified % 4]
         wc = right_witness(a, t, eps)
-        assert op_orth_direct(a, wc.operator, t, eps).holds
-        assert not op_orth_direct(a, t, wc.operator, eps).holds
+        assert op_orth_direct(a, wc.witness, t, eps).holds
+        assert not op_orth_direct(a, t, wc.witness, eps).holds
         verified += 1
 
     isometry_checks = 0
@@ -251,8 +251,8 @@ def test_criterion_7_left_symmetry(announce):
         eps = EPS_CYCLE[k % 4]
         wc = left_witness(a, t, eps)
         branch_counts[branch] += 1
-        assert op_orth_direct(a, t, wc.operator, eps).holds
-        assert not op_orth_direct(a, wc.operator, t, eps).holds
+        assert op_orth_direct(a, t, wc.witness, eps).holds
+        assert not op_orth_direct(a, wc.witness, t, eps).holds
     assert all(c >= 30 for c in branch_counts)
 
     for eps in np.linspace(0.0, 0.99, 100):

@@ -93,3 +93,23 @@ def test_probe_premise_certified(rng):
 def test_isometry_generator_isometric(rng):
     a = random_psd(rng, 5, rank=2)
     assert is_a_isometry(a, random_a_isometry(rng, a)).ok
+
+
+# eps_orthogonal_probe(default_rng(1729), random_psd(n = 4), random_a_bounded, 0.3)
+_PINNED_PROBE = np.array([
+    [0.00965828639614784, 0.08391733844367305, 0.0855984222000411, -0.10350533371926117],
+    [0.3765666959899446, 0.24866269036249397, 0.10119151560149596, -0.04938244337062411],
+    [-0.09517172892485669, 0.17291870433295292, -0.06247397008961511, -0.21828107783663336],
+    [0.08847911569711994, -0.21601884264108737, 0.3484563293350172, 0.4735351872989186],
+])
+
+
+def test_probe_pinned_at_fixed_seed():
+    """The benchmark's op-real probe slots and the selftest instances are
+    drawn with this generator: an edit that changes its output would make
+    runs of two versions decide different instances."""
+    rng = np.random.default_rng(1729)
+    a = random_psd(rng, 4)
+    t = random_a_bounded(rng, a)
+    s = eps_orthogonal_probe(rng, a, t, 0.3)
+    assert np.max(np.abs(s - _PINNED_PROBE)) <= 1e-12 * np.max(np.abs(_PINNED_PROBE))

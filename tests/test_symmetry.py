@@ -120,9 +120,9 @@ def test_reference_not_right_symmetric():
 def test_right_witness_reference_epsilon_sweep():
     for eps in (0.0, 1.0 / 3.0, 0.9):
         wc = right_witness(A_REF, T_REF, eps)
-        assert _verify_right(A_REF, T_REF, wc.operator, eps)
+        assert _verify_right(A_REF, T_REF, wc.witness, eps)
         # witness kills N(A) (trivial here) and lives in coordinates
-        assert wc.operator.shape == (2, 2)
+        assert wc.witness.matrix.shape == (2, 2)
 
 
 def test_right_witness_errors(rng):
@@ -147,11 +147,11 @@ def test_right_witness_random_instances(rng):
             continue
         eps = (0.0, 0.1, 0.5, 0.9)[checked % 4]
         wc = right_witness(a, t, eps)
-        assert _verify_right(a, t, wc.operator, eps)
+        assert _verify_right(a, t, wc.witness, eps)
         # witness maps N(A) to zero
         nb = null_basis(a)
         if nb.shape[1]:
-            assert np.max(np.abs(wc.operator @ nb)) <= 1e-9
+            assert np.max(np.abs(wc.witness.matrix @ nb)) <= 1e-9
         checked += 1
 
 
@@ -159,8 +159,8 @@ def test_right_witness_multiplicity_above_one(rng):
     a = random_psd(rng, 5, rank=4)
     t = operator_with_multiplicity(rng, a, 2)
     wc = right_witness(a, t, 0.4)
-    assert wc.attain_basis.shape[1] == 2
-    assert _verify_right(a, t, wc.operator, 0.4)
+    assert norm_attainment_set(a, t).multiplicity == 2
+    assert _verify_right(a, t, wc.witness, 0.4)
 
 
 def test_right_classification_probe_oracle(rng):
@@ -192,7 +192,7 @@ def test_right_witness_scale_invariance(rng):
         pytest.skip("degenerate draw")
     wc = right_witness(a, t, 0.3)
     for c in (0.2, 5.0):
-        assert _verify_right(a, c * t, wc.operator, 0.3)
+        assert _verify_right(a, c * t, wc.witness, 0.3)
 
 
 # ----------------------------- left symmetry ----------------------------------
@@ -239,20 +239,26 @@ def test_left_witness_branches(rng):
             count += 1
             wc = left_witness(a, t, eps)
             assert wc.tag is tag, (tag, wc.tag, rank)
-            assert _verify_left(a, t, wc.operator, eps)
+            assert _verify_left(a, t, wc.witness, eps)
 
 
 def test_left_witness_case_ii_orthogonality_is_automatic(rng):
     a = random_psd(rng, 5, rank=4)
     t = operator_with_multiplicity(rng, a, 1)
+    # the builder's cross check |<w, Tx>| <= 1e-8 raises if w is not
+    # orthogonal to the image of the attaining vector x; it passes because x
+    # is a top singular vector
     wc = left_witness(a, t, 0.2)
     assert wc.tag is ConstructionTag.LEFT_CASE_II
     assert wc.params.beta > 0.0
-    # w is the unmodified image direction and is orthogonal to the image of
-    # the attaining vector because that vector is a top singular vector
-    tilde_n = bind_operator(a, t).tilde / operator_norm_a(a, t)
-    image_x = tilde_n @ wc.attain_basis[:, 0]
-    assert abs(float(wc.w @ image_x)) <= 1e-8
+    wit = wc.witness
+    assert np.count_nonzero(wit.sigma > 1e-12 * wit.norm) <= 2
+    # S z_1 = a Tx + b w with Tx a unit vector, so <S z_1, Tx> = a exactly
+    # when w is orthogonal to Tx
+    x = norm_attainment_set(a, t).attain_coords[:, 0]
+    z1 = wit.top_coords[:, 0] * np.sign(wit.top_coords[:, 0] @ x)
+    image_x = bind_operator(a, t).tilde @ x / operator_norm_a(a, t)
+    assert abs(float((wit.tilde @ z1) @ image_x) - wc.params.a) <= 1e-8
 
 
 def test_left_witness_forward_value_stays_inside_band(rng):
@@ -288,7 +294,7 @@ def test_left_witness_scale_invariance(rng):
     t = operator_with_multiplicity(rng, a, 1)
     wc = left_witness(a, t, 0.4)
     for c in (0.1, 7.0):
-        assert _verify_left(a, c * t, wc.operator, 0.4)
+        assert _verify_left(a, c * t, wc.witness, 0.4)
 
 
 def test_left_witness_attains_at_z1(rng):
@@ -296,13 +302,13 @@ def test_left_witness_attains_at_z1(rng):
     a = random_psd(rng, 4, rank=3)
     t = rank_one_operator(rng, a)
     wc = left_witness(a, t, 0.25)
-    p = wc.params
-    x = wc.attain_basis[:, 0]
-    partner = wc.extension_basis[:, 0]
-    s1 = math.sqrt(1.0 - p.eps1**2)
-    z1 = p.eps1 * x + s1 * partner
-    img = wc.tilde @ z1
-    assert np.linalg.norm(img) == pytest.approx(1.0, abs=1e-9)
+    wit = wc.witness
+    assert wit.top_coords.shape[1] == 1
+    assert wit.norm == pytest.approx(1.0, abs=1e-9)
+    # z_1 = eps1 x + sqrt(1 - eps1^2) x_1 with x_1 orthogonal to x
+    z1 = wit.top_coords[:, 0]
+    x = norm_attainment_set(a, t).attain_coords[:, 0]
+    assert abs(float(z1 @ x)) == pytest.approx(wc.params.eps1, abs=1e-9)
 
 
 def test_right_witness_near_tie_cluster(rng):
@@ -315,7 +321,7 @@ def test_right_witness_near_tie_cluster(rng):
         t = lift_operator(rng, a, (left * np.array([1.0, 1.0 - gap, 0.5, 0.2])) @ right.T)
         eps = float(rng.uniform(0.05, 0.9))
         report = classify_right(a, t, eps)
-        assert report.construction.attain_basis.shape[1] == 2
+        assert norm_attainment_set(a, t).multiplicity == 2
         assert _verify_right(a, t, report.witness.matrix, eps)
 
 
@@ -330,6 +336,56 @@ def test_classifiers_bind_once(rng, eigh_calls):
             eigh_calls.clear()
             assert classify_left(a, t, 0.3).witness is not None
             assert len(eigh_calls) <= 2  # T's bind is a memo hit; the witness's solve
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_classifiers_take_no_qr(rng, monkeypatch, n):
+    """The witness builders find each vector orthogonal to a few given ones
+    by projecting a coordinate vector, so a classification takes no QR; the
+    report's witness is the construction's, not a second bind."""
+    a = random_psd(rng, n)
+    operators = (random_a_bounded(rng, a), operator_with_multiplicity(rng, a, 2),
+                 rank_one_operator(rng, a))
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0] if args else kwargs["a"]))
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    for t in operators:
+        for report in (classify_right(a, t, 0.3), classify_left(a, t, 0.3)):
+            assert report.witness is not None
+            assert report.witness is report.construction.witness
+    assert calls == []
+
+
+_PERMUTATION = np.array([[0.0, 0.0, 3.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "a_diag, t, left_tag",
+    [
+        pytest.param([1.0] * 3, np.diag([2.0, 1.0, 0.5]), ConstructionTag.LEFT_CASE_II, id="distinct"),
+        pytest.param([1.0] * 3, np.diag([2.0, 0.0, 0.0]), ConstructionTag.LEFT_CASE_I, id="rank_one"),
+        pytest.param([1.0] * 3, np.diag([2.0, 2.0, 0.5]), ConstructionTag.LEFT_MULTI_PAIR, id="double"),
+        pytest.param([1.0] * 4, np.diag([1.0, 1.0, 1.0, 0.0]), ConstructionTag.LEFT_MULTI_PAIR, id="kernel"),
+        pytest.param([1.0, 2.0, 0.0], np.diag([3.0, 1.0, 5.0]), ConstructionTag.LEFT_CASE_II, id="deficient_a"),
+        pytest.param([1.0] * 3, _PERMUTATION, ConstructionTag.LEFT_CASE_II, id="scaled_permutation"),
+    ],
+)
+def test_witnesses_on_axis_aligned_operators(a_diag, t, left_tag):
+    """Singular vectors along coordinate axes: the coordinate vector picked
+    for a complement may lie in the span it must avoid, or have zero image."""
+    a = psd_decompose(np.diag(a_diag))
+    for eps in (0.0, 0.3, 0.9):
+        right = classify_right(a, t, eps)
+        assert right.construction.tag is ConstructionTag.RIGHT_PROOF
+        assert _verify_right(a, t, right.witness, eps)
+        left = classify_left(a, t, eps)
+        assert left.construction.tag is left_tag
+        assert _verify_left(a, t, left.witness, eps)
 
 
 def test_symmetry_calls_share_one_bind(rng, eigh_calls):
@@ -366,7 +422,7 @@ def test_factored_witness_matches_fresh_bind(rng, n, deficient):
         for report in (classify_right(a, t, 0.3), classify_left(a, t, 0.3)):
             tags.add(report.construction.tag)
             wit = report.witness
-            assert wit.matrix is report.construction.operator
+            assert wit is report.construction.witness
             fresh = bind_operator(psd_decompose(a.matrix), wit.matrix)
             assert fresh.psd is not a
             assert abs(wit.norm - fresh.norm) <= 1e-12 * fresh.norm
