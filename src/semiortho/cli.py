@@ -40,7 +40,7 @@ from .orthogonality import (
     op_orth_theta_sweep_complex,
 )
 from .selftest import run_selftest
-from .symmetry import SymmetryKind, classify_left, classify_right
+from .symmetry import classify_left, classify_right
 from .vectors import (
     OrthoVerdict,
     is_chmielinski_orthogonal_vec,
@@ -347,15 +347,9 @@ def cmd_classify(ns: argparse.Namespace) -> tuple[int, dict]:
     }
     verified = True
     if sym.witness is not None:
-        u = sym.witness
-        if sym.kind is SymmetryKind.NOT_RIGHT_SYMMETRIC:
-            fwd = op_orth_direct(a, u, t, eps)
-            bwd = op_orth_direct(a, t, u, eps)
-        else:
-            fwd = op_orth_direct(a, t, u, eps)
-            bwd = op_orth_direct(a, u, t, eps)
+        fwd, bwd = sym.verify(a, t)
         verified = fwd.holds and not bwd.holds
-        entry["witness"] = _encode(u.matrix)
+        entry["witness"] = _encode(sym.witness.matrix)
         entry["witness_verified"] = verified
         entry["witness_margins"] = {"forward": fwd.margin, "reverse": bwd.margin}
         if sym.construction is not None:

@@ -24,8 +24,8 @@ class Tolerances:
     rank_tol        eigenvalue clipping threshold, relative to the largest one
     orth_tol        absolute slack for exact-orthogonality predicates
     verdict_margin_tol  slack that turns a signed margin into a verdict
-    cluster_tol     relative width of a top singular-value cluster
-    isometry_tol    relative spread of singular values accepted as an isometry
+    cluster_tol     relative width of the top singular-value cluster, which
+                    decides attainment and A-isometry
     """
 
     hermitian_tol: float = 1e-10
@@ -33,7 +33,6 @@ class Tolerances:
     orth_tol: float = 1e-8
     verdict_margin_tol: float = 1e-9
     cluster_tol: float = 1e-8
-    isometry_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:

@@ -32,9 +32,10 @@ class ABoundedOperator:
     written in coordinates that make the A-seminorm Euclidean; ``sigma`` its
     singular values, descending; ``norm`` is sigma_max(tilde) = ||T||_A;
     ``top_coords`` (r x m) the right-singular vectors of the top singular-value
-    cluster, a copy that does not keep the other r - m columns alive; and
-    ``zero_norm`` whether ||T||_A vanishes up to the rounding noise of the
-    reduction, tested once per bind.
+    cluster, a copy that does not keep the other r - m columns alive, which
+    span the attainment subspace (all of R(A), the r x r identity, when the
+    norm is zero); and ``zero_norm`` whether ||T||_A vanishes up to the
+    rounding noise of the reduction, tested once per bind.
     """
 
     psd: PsdOperator
@@ -44,11 +45,6 @@ class ABoundedOperator:
     sigma: np.ndarray
     top_coords: np.ndarray
     zero_norm: bool
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """A^{1/2} T W-, the n x r restricted kernel (same singular values)."""
-        return self.psd.u_plus @ self.tilde
 
     @property
     def is_complex(self) -> bool:
@@ -153,9 +149,12 @@ def _remember(a: PsdOperator, t: np.ndarray, fields: dict) -> ABoundedOperator:
     """Record the bind of the validated matrix ``t`` in the memo of ``a``,
     with the zero-norm test, made once here for every later hit: ||T||_A is
     zero when it is below 1e-12 of the rounding scale of the reduction,
-    sqrt(max(lam_max, 1)) (1 + ||T||_F)."""
+    sqrt(max(lam_max, 1)) (1 + ||T||_F), and then every A-unit vector attains
+    it, so the attainment coordinates are the identity."""
     scale = math.sqrt(max(a.lam_max, 1.0)) * (1.0 + float(np.linalg.norm(t)))
     fields["zero_norm"] = fields["norm"] <= 1e-12 * scale
+    if fields["zero_norm"]:
+        fields["top_coords"] = np.eye(fields["tilde"].shape[0], dtype=fields["tilde"].dtype)
     # every later hit shares these arrays, so a write must fail loudly
     for key in ("tilde", "sigma", "top_coords"):
         fields[key].flags.writeable = False
@@ -198,18 +197,10 @@ class NormAttainment:
     multiplicity: int
 
 
-def attainment_coords(op: ABoundedOperator) -> np.ndarray:
-    """Top-cluster right-singular coordinates of the reduction (r x m); for
-    the zero operator, whose every A-unit vector attains, all of them."""
-    if op.zero_norm:
-        return np.eye(op.tilde.shape[0], dtype=op.tilde.dtype)
-    return op.top_coords
-
-
 def norm_attainment_set(a: PsdOperator, t: Operand) -> NormAttainment:
     """Norm, attainment subspace basis, and N(A) basis for an A-bounded T."""
     op = bind_operator(a, t)
-    coords = attainment_coords(op)
+    coords = op.top_coords
     return NormAttainment(
         norm=op.norm,
         attain_basis=a.w_inv_map @ coords,
@@ -226,18 +217,16 @@ class IsometryCheck:
 
 
 def is_a_isometry(a: PsdOperator, t: Operand) -> IsometryCheck:
-    """Whether every A-unit vector attains ||T||_A.
-
-    Equivalent to all singular values of the reduction being equal; the
-    reported deviation is (sigma_max^2 - sigma_min^2) / sigma_max^2. The zero
-    operator counts as an A-isometry of norm 0.
+    """Whether every A-unit vector attains ||T||_A: whether the attainment
+    cluster of the bind fills R(A), i.e. sigma_min >= (1 - cluster_tol)
+    sigma_max, the one test that also decides attainment. The reported
+    deviation is (sigma_max^2 - sigma_min^2) / sigma_max^2. The zero operator
+    counts as an A-isometry of norm 0, with deviation 0.
     """
     op = bind_operator(a, t)
     sig = op.sigma
-    if op.zero_norm:
-        return IsometryCheck(ok=True, deviation=0.0)
-    deviation = float((sig[0] ** 2 - sig[-1] ** 2) / sig[0] ** 2)
-    return IsometryCheck(ok=deviation <= a.tol.isometry_tol, deviation=deviation)
+    deviation = 0.0 if op.zero_norm else float((sig[0] ** 2 - sig[-1] ** 2) / sig[0] ** 2)
+    return IsometryCheck(ok=op.top_coords.shape[1] == sig.size, deviation=deviation)
 
 
 def require_positive_norm(op: ABoundedOperator) -> None:

@@ -42,7 +42,6 @@ from .errors import AttainmentSubsetError, ComplexFieldError, RealFieldError
 from .operators import (
     ABoundedOperator,
     Operand,
-    attainment_coords,
     bind_operator,
     require_positive_norm,
 )
@@ -309,7 +308,7 @@ def direct_objective(a: PsdOperator, t: Operand, s: Operand, eps: float, lam: Sc
 def _attainment_form(op_t: ABoundedOperator, op_s: ABoundedOperator) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates C of M_A^T cap R(A) and the m x m form M with
     c* M c = <T v, S v>_A for v = W- C c."""
-    coords = attainment_coords(op_t)
+    coords = op_t.top_coords
     return coords, (op_s.tilde @ coords).conj().T @ (op_t.tilde @ coords)
 
 
@@ -420,22 +419,27 @@ def op_orth_theta_sweep_complex(
     return _verdict(margin, Method.THETA_SWEEP, tol, witness, (FINITE_DIM_NOTE,), margin_lower=lower)
 
 
-def attainment_subset(
-    a: PsdOperator, t: Operand, s: Operand, tol: float = 1e-8
-) -> bool:
+# Largest principal-angle sine between attainment spans that still counts as
+# containment. Singular vectors from the eigensolve of the Gram matrix carry a
+# rounding error of about 1e-16 / gap, where gap is the relative distance from
+# the cluster to the next singular value; a cluster separated by the default
+# cluster_tol (1e-8) has error about 1e-8, so a smaller sine is rounding.
+_SUBSET_SINE_TOL = 1e-8
+
+
+def attainment_subset(a: PsdOperator, t: Operand, s: Operand) -> bool:
     """Whether M_A^T is contained in M_A^S.
 
     Both attainment sets are A-unit spheres of subspaces (plus a shared N(A)
-    component), so containment of the coordinate spans, measured by the
-    largest principal angle, is the criterion.
+    component), the spans of the bound operators' attainment clusters, so
+    containment of the coordinate spans, measured by the largest principal
+    angle against ``_SUBSET_SINE_TOL``, is the criterion.
     """
-    op_t = bind_operator(a, t)
-    op_s = bind_operator(a, s)
-    coords_t = attainment_coords(op_t)
-    coords_s = attainment_coords(op_s)
+    coords_t = bind_operator(a, t).top_coords
+    coords_s = bind_operator(a, s).top_coords
     residual = coords_t - coords_s @ (coords_s.conj().T @ coords_t)
     sine = float(np.linalg.norm(residual, 2)) if residual.size else 0.0
-    return sine <= tol
+    return sine <= _SUBSET_SINE_TOL
 
 
 def op_orth_pointwise(

@@ -41,7 +41,6 @@ from .symmetry import (
     classify_left,
     classify_right,
     left_parameters,
-    left_witness,
 )
 from .vectors import (
     ConeTag,
@@ -531,9 +530,7 @@ def _suite_sym_right_witness(rng: np.random.Generator, trials: int) -> list[dict
         if report.kind is not SymmetryKind.NOT_RIGHT_SYMMETRIC or report.witness is None:
             failures.append(_fail(i, "non-isometry classified right symmetric"))
             continue
-        u = report.witness.matrix
-        fwd = op_orth_direct(a, u, t, eps)
-        bwd = op_orth_direct(a, t, u, eps)
+        fwd, bwd = report.verify(a, t)
         if not fwd.holds or bwd.holds:
             failures.append(
                 _fail(i, "right witness fails verification", eps=eps, fwd=fwd.margin, bwd=bwd.margin)
@@ -584,23 +581,22 @@ def _suite_sym_left_witness(rng: np.random.Generator, trials: int) -> list[dict]
         branch = i % 3
         t = branch_makers[branch](rank, a)
         eps = float(EPS_POOL[i % len(EPS_POOL)])
-        wc = left_witness(a, t, eps)
-        if branch == 0 and a.rank >= 2 and wc.tag is not expected_tags[0]:
-            failures.append(_fail(i, f"expected multi-pair branch, got {wc.tag}"))
+        report = classify_left(a, t, eps)
+        if report.kind is not SymmetryKind.NOT_LEFT_SYMMETRIC:
+            failures.append(_fail(i, "nonzero operator classified left symmetric"))
             continue
-        if branch == 1 and wc.tag is not expected_tags[1]:
-            failures.append(_fail(i, f"expected rank-one branch, got {wc.tag}"))
+        tag = report.construction.tag
+        if branch == 0 and tag is not expected_tags[0]:
+            failures.append(_fail(i, f"expected multi-pair branch, got {tag}"))
             continue
-        fwd = op_orth_direct(a, t, wc.witness, eps)
-        bwd = op_orth_direct(a, wc.witness, t, eps)
+        if branch == 1 and tag is not expected_tags[1]:
+            failures.append(_fail(i, f"expected rank-one branch, got {tag}"))
+            continue
+        fwd, bwd = report.verify(a, t)
         if not fwd.holds or bwd.holds:
             failures.append(
                 _fail(i, "left witness fails verification", eps=eps, fwd=fwd.margin, bwd=bwd.margin)
             )
-            continue
-        report = classify_left(a, t, eps)
-        if report.kind is not SymmetryKind.NOT_LEFT_SYMMETRIC:
-            failures.append(_fail(i, "nonzero operator classified left symmetric"))
     return failures
 
 

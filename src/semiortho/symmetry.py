@@ -28,11 +28,11 @@ from .operators import (
     ABoundedOperator,
     Operand,
     _bind_factors,
-    attainment_coords,
     bind_operator,
     is_a_isometry,
 )
-from .vectors import validate_epsilon
+from .orthogonality import op_orth_direct
+from .vectors import OrthoVerdict, validate_epsilon
 
 _ORTHO_ASSERT_TOL = 1e-8
 
@@ -98,6 +98,17 @@ class SymmetryReport:
         """The construction's witness, or None for a symmetric operator."""
         return None if self.construction is None else self.construction.witness
 
+    def verify(self, a: PsdOperator, t: Operand) -> tuple[OrthoVerdict, OrthoVerdict]:
+        """The direct-route verdicts (forward, reverse) on the witness of this
+        report on T; it is verified when forward holds and reverse fails. A
+        right witness U has U perp T but not T perp U, a left witness S has
+        T perp S but not S perp T. A symmetric report has no witness."""
+        u, eps = self.witness, self.epsilon
+        if u is None:
+            raise ValueError(f"a {self.kind.value} report has no witness to verify")
+        first, second = (u, t) if self.kind is SymmetryKind.NOT_RIGHT_SYMMETRIC else (t, u)
+        return op_orth_direct(a, first, second, eps), op_orth_direct(a, second, first, eps)
+
 
 def left_parameters(eps: float) -> LeftParams:
     """Deterministic parameters for the left-symmetry counterexample.
@@ -156,7 +167,9 @@ def _unit_orthogonal(basis: np.ndarray) -> np.ndarray:
 
 
 def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
-    """Build U with U perp T but not T perp U, for a non-isometry T.
+    """Build U with U perp T but not T perp U, for a non-isometry T: one whose
+    attainment cluster, of size m, does not fill R(A) (the test of
+    ``is_a_isometry``), so m < r and there is room for x_{m+1}.
 
     Steps, in range coordinates: take the attainment basis x_1..x_m and one
     unit x_{m+1} orthogonal to it; take the images y_i = T x_i / sigma_i, the
@@ -175,14 +188,9 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
         raise ZeroANormError("zero operator is an A-isometry; no right witness exists")
     if is_a_isometry(a, op).ok:
         raise IsometryError("operator is an A-isometry; no right witness exists")
-    r = a.rank
-    if r < 2:
-        raise RankTooSmallError("a non-isometry needs dim R(A) >= 2")
 
-    coords = attainment_coords(op)
+    coords = op.top_coords
     m = coords.shape[1]
-    if m >= r:
-        raise IsometryError("attainment subspace fills R(A); operator is an A-isometry")
     images = op.tilde @ coords / op.sigma[:m]
     gram_defect = float(np.max(np.abs(images.T @ images - np.eye(m))))
     if gram_defect > _ORTHO_ASSERT_TOL:
@@ -232,7 +240,7 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
         raise RankTooSmallError("left witness construction needs dim R(A) >= 2")
 
     tilde_n = op.tilde / op.norm
-    coords = attainment_coords(op)
+    coords = op.top_coords
     m = coords.shape[1]
 
     if m >= 2:

@@ -222,7 +222,7 @@ def test_non_finite_instances_rejected(tmp_path, capsys):
         {"epsilon": 10**400},
         {"tolerances": {"rank_tol": "1e-3", "cluster_tol": True}},
         {"tolerances": {"cluster_tol": True}},
-        {"tolerances": {"isometry_tol": None}},
+        {"tolerances": {"verdict_margin_tol": None}},
         {"tolerances": {"orth_tol": 10**400}},
         {"schema": True},
         {"schema": 1.0},
@@ -281,6 +281,45 @@ def test_classify_identity_right(tmp_path):
     out = tmp_path / "r.json"
     assert cli.main(["classify", inst, "--side", "right", "--json-out", str(out)]) == EXIT_OK
     assert _read(out)["classification"]["kind"] == "right_symmetric"
+
+
+EYE3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "last, tolerances, kind",
+    [
+        (1.0 - 8e-9, None, "right_symmetric"),
+        (1.0 - 3e-8, None, "not_right_symmetric"),
+        (1.0 - 3e-8, {"cluster_tol": 1e-6}, "right_symmetric"),
+    ],
+    ids=["inside_cluster", "outside_cluster", "wide_cluster_tol"],
+)
+def test_classify_right_near_isometry(tmp_path, last, tolerances, kind):
+    """The attainment cluster alone decides isometry: norm and classify agree
+    with exit 0 where sigma_min / sigma_max is within cluster_tol of 1, and
+    the instance's cluster_tol moves the decision."""
+    fields = dict(field="real", A=EYE3, T=np.diag([1.0, 1.0, last]).tolist(), epsilon=0.3)
+    if tolerances is not None:
+        fields["tolerances"] = tolerances
+    inst = write_instance(tmp_path / "i.json", **fields)
+    out = tmp_path / "r.json"
+    assert cli.main(["norm", inst, "--json-out", str(out)]) == EXIT_OK
+    derived = _read(out)["derived"]
+    assert derived["isometry"] is (kind == "right_symmetric")
+    assert derived["attainment_multiplicity"] == (3 if kind == "right_symmetric" else 2)
+    assert cli.main(["classify", inst, "--side", "right", "--json-out", str(out)]) == EXIT_OK
+    cls = _read(out)["classification"]
+    assert cls["kind"] == kind
+    assert cls.get("witness_verified", True) is True
+
+
+def test_isometry_tol_is_unknown(tmp_path, capsys):
+    """cluster_tol is the one isometry knob; the removed isometry_tol is an
+    unknown field."""
+    inst = write_instance(tmp_path / "i.json", **dict(REF, tolerances={"isometry_tol": 1e-8}))
+    assert cli.main(["norm", inst]) == EXIT_PARSE
+    assert "isometry_tol" in capsys.readouterr().err
 
 
 def test_classify_left_zero_norm(tmp_path):

@@ -212,15 +212,29 @@ def test_zero_operator_is_isometry_of_norm_zero(rng):
     assert chk.ok and chk.deviation == 0.0
 
 
-def test_kernel_shares_singular_values(rng):
-    a = random_psd(rng, 5, rank=3, complex_field=True)
-    t = random_a_bounded(rng, a)
-    op = bind_operator(a, t)
-    assert op.kernel.shape == (5, 3)
-    kernel_sv = np.linalg.svd(op.kernel, compute_uv=False)
-    tilde_sv = np.linalg.svd(op.tilde, compute_uv=False)
-    assert np.allclose(kernel_sv, tilde_sv, atol=1e-9)
-    assert op.norm == pytest.approx(kernel_sv[0], abs=1e-9)
+def test_isometry_is_the_attainment_cluster():
+    """sigma_min / sigma_max = 1 - 8e-9 lies inside the cluster width 1e-8,
+    so the cluster fills R(A) and T is an isometry; 1 - 3e-8 lies outside.
+    The deviation reports (sigma_max^2 - sigma_min^2) / sigma_max^2."""
+    eye = psd_decompose(np.eye(3))
+    band = np.diag([1.0, 1.0, 1.0 - 8e-9])
+    chk = is_a_isometry(eye, band)
+    assert chk.ok and chk.deviation == pytest.approx(1.6e-8, rel=1e-6)
+    assert norm_attainment_set(eye, band).multiplicity == 3
+    outside = np.diag([1.0, 1.0, 1.0 - 3e-8])
+    assert not is_a_isometry(eye, outside).ok
+    assert norm_attainment_set(eye, outside).multiplicity == 2
+    wide = psd_decompose(np.eye(3), Tolerances(cluster_tol=1e-6))
+    assert is_a_isometry(wide, outside).ok
+    assert norm_attainment_set(wide, outside).multiplicity == 3
+
+
+def test_zero_norm_attainment_coords_are_identity(rng):
+    a = random_psd(rng, 5, rank=3)
+    op = bind_operator(a, zero_a_norm_operator(rng, a))
+    assert op.zero_norm
+    assert np.array_equal(op.top_coords, np.eye(3))
+    assert not op.top_coords.flags.writeable
 
 
 # ----------------------------- sup form (statistical) --------------------------

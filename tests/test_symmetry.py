@@ -13,6 +13,7 @@ from semiortho import (
     IsometryError,
     RankTooSmallError,
     SymmetryKind,
+    Tolerances,
     WitnessConstructionError,
     ZeroANormError,
     bind_operator,
@@ -28,6 +29,7 @@ from semiortho import (
     psd_decompose,
     right_witness,
 )
+from semiortho import selftest, symmetry
 from semiortho.operators import _bind_factors, lift_tilde
 from semiortho.sampling import (
     lift_operator,
@@ -193,6 +195,56 @@ def test_right_witness_scale_invariance(rng):
     wc = right_witness(a, t, 0.3)
     for c in (0.2, 5.0):
         assert _verify_right(a, c * t, wc.witness, 0.3)
+
+
+def test_right_classification_near_isometry():
+    """One cluster decides: sigma_min / sigma_max = 1 - 8e-9 is within
+    cluster_tol (1e-8) of 1, so T is right symmetric; 1 - 3e-8 is not, and its
+    witness verifies; a cluster_tol of 1e-6 makes that T right symmetric."""
+    eye = psd_decompose(np.eye(3))
+    inside = classify_right(eye, np.diag([1.0, 1.0, 1.0 - 8e-9]), 0.3)
+    assert inside.kind is SymmetryKind.RIGHT_SYMMETRIC and inside.witness is None
+    t = np.diag([1.0, 1.0, 1.0 - 3e-8])
+    outside = classify_right(eye, t, 0.3)
+    assert outside.kind is SymmetryKind.NOT_RIGHT_SYMMETRIC
+    fwd, bwd = outside.verify(eye, t)
+    assert fwd.holds and not bwd.holds
+    wide = psd_decompose(np.eye(3), Tolerances(cluster_tol=1e-6))
+    assert classify_right(wide, t, 0.3).kind is SymmetryKind.RIGHT_SYMMETRIC
+    with pytest.raises(IsometryError):
+        right_witness(wide, t, 0.3)
+
+
+def test_report_verify_orients_each_side(rng):
+    """verify checks U perp T for a right witness U and T perp S for a left
+    witness S, forward first; a symmetric report has nothing to verify."""
+    a = random_psd(rng, 4, rank=3)
+    t = random_a_bounded(rng, a)
+    right = classify_right(a, t, 0.3)
+    left = classify_left(a, t, 0.3)
+    for report, (first, second) in ((right, (right.witness, t)), (left, (t, left.witness))):
+        fwd, bwd = report.verify(a, t)
+        assert fwd == op_orth_direct(a, first, second, 0.3)
+        assert bwd == op_orth_direct(a, second, first, 0.3)
+        assert fwd.holds and not bwd.holds
+    with pytest.raises(ValueError):
+        classify_right(a, np.eye(4), 0.3).verify(a, np.eye(4))
+
+
+def test_left_suite_builds_each_witness_once(monkeypatch):
+    """The sym_left_witness suite reads tag and witness from classify_left's
+    report: one witness build per trial."""
+    builds = []
+    build = symmetry.left_witness
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(symmetry, "left_witness", counted)
+    monkeypatch.setattr(selftest, "left_witness", counted, raising=False)
+    assert selftest._suite_sym_left_witness(np.random.default_rng(5), 9) == []
+    assert len(builds) == 9
 
 
 # ----------------------------- left symmetry ----------------------------------
