@@ -66,8 +66,9 @@ def _hermitian_eig(matrix: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
         )
     m = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(m)
-    order = np.argsort(w)[::-1]
-    return m, w[order].astype(np.float64), v[:, order]
+    # LAPACK's order is ascending; the Fortran-order copy of the reversed
+    # columns keeps a positive-stride layout for BLAS
+    return m, w[::-1], v[:, ::-1].copy(order="F")
 
 
 def hermitian_eig(

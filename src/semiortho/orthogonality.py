@@ -315,7 +315,10 @@ def _attainment_form(op_t: ABoundedOperator, op_s: ABoundedOperator) -> tuple[np
 def _least_modulus(form: np.ndarray) -> tuple[float, np.ndarray]:
     """Least |c* H c| over unit c for the Hermitian part H of ``form``, with
     a unit c that attains it: 0, from a combination of the bottom and top
-    eigenvectors, where the spectrum of H straddles 0, else the nearer end."""
+    eigenvectors, where the spectrum of H straddles 0, else the nearer end.
+    A 1 x 1 form needs no eigensolve: |Re f| at c = 1."""
+    if form.shape[0] == 1:
+        return abs(float(form[0, 0].real)), np.ones(1)
     mu, vecs = np.linalg.eigh((form + form.conj().T) / 2.0)
     lo, hi = float(mu[0]), float(mu[-1])
     if not lo <= 0.0 <= hi:
@@ -438,8 +441,13 @@ def attainment_subset(a: PsdOperator, t: Operand, s: Operand) -> bool:
     coords_t = bind_operator(a, t).top_coords
     coords_s = bind_operator(a, s).top_coords
     residual = coords_t - coords_s @ (coords_s.conj().T @ coords_t)
-    sine = float(np.linalg.norm(residual, 2)) if residual.size else 0.0
-    return sine <= _SUBSET_SINE_TOL
+    if not residual.size:
+        return True
+    # the sine is the largest singular value of the r x m residual: the root
+    # of the top eigenvalue of its m x m Gram matrix, a scalar when m = 1
+    gram = residual.conj().T @ residual
+    top = float(gram[0, 0].real) if gram.shape[0] == 1 else float(np.linalg.eigvalsh(gram)[-1])
+    return math.sqrt(max(top, 0.0)) <= _SUBSET_SINE_TOL
 
 
 def op_orth_pointwise(

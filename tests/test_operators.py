@@ -23,8 +23,10 @@ from semiortho import (
     psd_decompose,
     tilde_reduce,
 )
+from semiortho.operators import lift_tilde
 from semiortho.sampling import (
     gaussian,
+    operator_with_multiplicity,
     random_a_bounded,
     random_a_isometry,
     random_a_unit,
@@ -275,6 +277,106 @@ def test_bound_singular_system(rng):
     assert op.norm == op.sigma[0] and op.top_coords.shape == (4, 1)
     top = op.top_coords[:, 0]
     assert np.linalg.norm(op.tilde @ top) == pytest.approx(op.norm, rel=1e-12)
+
+
+# ----------------------------- partial singular system -------------------------
+
+# Ranks at and above ``_PARTIAL_MIN_RANK``: the bind takes eigvalsh plus
+# inverse iteration for the top cluster.
+PARTIAL_CASES = [(r, c) for r in (64, 96, 128) for c in (False, True)]
+
+
+def _full_eigh(op, m):
+    """Squared singular values, descending, and the top m right-singular
+    vectors of the bind's reduction, from one full eigh of its Gram matrix."""
+    w, v = np.linalg.eigh(op.tilde.conj().T @ op.tilde)
+    return w[::-1], v[:, ::-1][:, :m]
+
+
+def _span_sine(basis, ref):
+    """Largest principal-angle sine from span ``ref`` to span ``basis``."""
+    return float(np.linalg.norm(ref - basis @ (basis.conj().T @ ref), 2))
+
+
+@pytest.mark.parametrize("r, complex_field", PARTIAL_CASES)
+def test_partial_bind_matches_full_eigh(rng, eigh_calls, r, complex_field):
+    """A generic bind at r >= 64 makes no eigh; its squared singular values
+    agree with a full eigh to rounding (1e-14 sigma_1^2: the square root
+    magnifies the difference at small sigma_i) and its top vector spans the
+    same line to 1e-12."""
+    a = random_psd(rng, r, complex_field=complex_field)
+    eigh_calls.clear()
+    op = bind_operator(a, random_a_bounded(rng, a))
+    assert eigh_calls == []
+    assert op.top_coords.shape == (r, 1) and op.is_complex == complex_field
+    w, top = _full_eigh(op, 1)
+    assert abs(op.norm - math.sqrt(w[0])) <= 1e-14 * op.norm
+    assert np.max(np.abs(op.sigma**2 - np.clip(w, 0.0, None))) <= 1e-14 * w[0]
+    assert _span_sine(op.top_coords, top) <= 1e-12
+    assert np.allclose(op.top_coords.conj().T @ op.top_coords, np.eye(1), atol=1e-14)
+
+
+@pytest.mark.parametrize("r, complex_field", PARTIAL_CASES)
+def test_partial_bind_multiple_cluster(rng, eigh_calls, r, complex_field):
+    """A cluster of multiplicity 2 or 3 comes from inverse iteration too: the
+    only eigh is the m x m Rayleigh-Ritz step, and the span agrees with a
+    full eigh to 1e-12."""
+    a = random_psd(rng, r, complex_field=complex_field)
+    for m in (2, 3):
+        t = operator_with_multiplicity(rng, a, m)
+        eigh_calls.clear()
+        op = bind_operator(a, t)
+        assert set(eigh_calls) <= {(m, m)}
+        assert op.top_coords.shape == (r, m)
+        assert _span_sine(op.top_coords, _full_eigh(op, m)[1]) <= 1e-12
+        assert np.allclose(op.top_coords.conj().T @ op.top_coords, np.eye(m), atol=1e-13)
+
+
+@pytest.mark.parametrize("r, complex_field", PARTIAL_CASES)
+def test_partial_bind_near_tie_falls_back(rng, eigh_calls, r, complex_field):
+    """A top gap of 1e-6, outside cluster_tol but too narrow for the residual
+    test, takes the full eigh, so the cluster matches it exactly."""
+    a = psd_decompose(np.diag(rng.uniform(0.5, 2.0, r)).astype(complex if complex_field else float))
+    for m in (1, 2):
+        sig = np.sort(rng.uniform(0.1, 0.9, r))[::-1]
+        sig[:m], sig[m] = 1.0, 1.0 - 1e-6
+        left, right = random_orthonormal(rng, r, complex_field), random_orthonormal(rng, r, complex_field)
+        eigh_calls.clear()
+        op = bind_operator(a, lift_tilde(a, (left * sig[None, :]) @ right.conj().T))
+        assert (r, r) in eigh_calls
+        assert op.top_coords.shape == (r, m)
+        assert np.array_equal(op.top_coords, _full_eigh(op, m)[1])
+
+
+def test_partial_bind_rejects_a_lower_eigenvector(eigh_calls):
+    """The Gram column of largest diagonal can be an exact eigenvector below
+    the top one, here e_1 with eigenvalue 1.5 against 2 along (e_2 + e_3):
+    its residual is 0, but its Ritz value lies below the midpoint to the
+    next eigenvalue, so the bind falls back to the full eigh."""
+    a = psd_decompose(np.eye(64))
+    t = np.zeros((64, 64))
+    t[0, 0], t[1, 1], t[1, 2] = math.sqrt(1.5), 1.0, 1.0
+    eigh_calls.clear()
+    op = bind_operator(a, t)
+    assert (64, 64) in eigh_calls
+    assert op.norm == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert _span_sine(op.top_coords, _full_eigh(op, 1)[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("r, complex_field", PARTIAL_CASES)
+def test_partial_bind_identity_without_solve(rng, eigh_calls, monkeypatch, r, complex_field):
+    """An A-isometry and a zero-norm operator hold the r x r identity as
+    attainment coordinates, decided from the eigenvalues with no solve."""
+    a = random_psd(rng, r, complex_field=complex_field)
+    solves, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args) or solve(*args))
+    eigh_calls.clear()
+    for t in (random_a_isometry(rng, a), zero_a_norm_operator(rng, a)):
+        op = bind_operator(a, t)
+        assert np.array_equal(op.top_coords, np.eye(r))
+        assert op.top_coords.dtype == op.tilde.dtype
+        assert is_a_isometry(a, op).ok
+    assert eigh_calls == [] and solves == []
 
 
 def test_attainment_and_isometry_one_eigensolve_each(rng, eigh_calls):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from semiortho import (
     orthogonal_decomposition,
     psd_decompose,
 )
+from semiortho.orthogonality import _SUBSET_SINE_TOL
 from semiortho.sampling import (
     eps_orthogonal_probe,
     operator_with_multiplicity,
@@ -277,15 +279,16 @@ def test_direct_eigensolves_per_call_capped(rng, eigh_calls):
 
 def test_attainment_route_reuses_direct_binds(rng, eigh_calls):
     """A pair passed as matrices to two routes is bound once: after the
-    direct route the attainment route's only eigensolve is that of its m x m
-    attainment form."""
+    direct route the attainment route makes no eigensolve, as T's attainment
+    cluster is simple and its 1 x 1 attainment form is read in closed form."""
     for n in (4, 16):
         a = random_psd(rng, n, rank=n - 1)
         t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
         op_orth_direct(a, t, s, 0.3)
+        assert bind_operator(a, t).top_coords.shape[1] == 1
         eigh_calls.clear()
         op_orth_attainment_real(a, t, s, 0.3)
-        assert len(eigh_calls) == 1
+        assert len(eigh_calls) == 0
 
 
 def test_direct_newton_steps_on_failing_pairs(rng, eigh_calls):
@@ -627,6 +630,24 @@ def test_attainment_subset_constructed_pair(rng):
     t, s = shared_attainment_pair(rng, a)
     assert attainment_subset(a, t, s)
     assert attainment_subset(a, s, t)
+
+
+@pytest.mark.parametrize("factor, expected", [(0.5, True), (0.9, True), (1.1, False), (2.0, False)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_attainment_subset_decides_at_sine_tol(factor, expected, m):
+    """Containment is decided on the largest principal-angle sine between the
+    attainment spans against _SUBSET_SINE_TOL, for a simple and a double
+    cluster: S is T with its domain turned in the plane of e_m and e_{m+1},
+    so one attaining direction leaves T's span by an angle whose sine is
+    ``factor`` times the tolerance."""
+    a = psd_decompose(np.eye(5))
+    t = np.diag([3.0] * m + [1.0] * (5 - m))
+    c, s = math.cos(math.asin(factor * _SUBSET_SINE_TOL)), factor * _SUBSET_SINE_TOL
+    turn = np.eye(5)
+    turn[m - 1 : m + 1, m - 1 : m + 1] = [[c, -s], [s, c]]
+    s_op = t @ turn.T
+    assert attainment_subset(a, t, s_op) is expected
+    assert attainment_subset(a, s_op, t) is expected
 
 
 def test_pointwise_requires_subset():
