@@ -45,7 +45,6 @@ from .vectors import (
     OrthoVerdict,
     is_chmielinski_orthogonal_vec,
     is_eps_orthogonal,
-    validate_epsilon,
 )
 
 EXIT_OK = 0
@@ -240,11 +239,8 @@ def _need(instance: dict, key: str) -> np.ndarray:
 
 
 def _epsilon(instance: dict, ns: argparse.Namespace) -> float:
-    if getattr(ns, "epsilon", None) is not None:
-        return validate_epsilon(ns.epsilon)
-    if instance["epsilon"] is not None:
-        return instance["epsilon"]
-    return 0.0
+    """The --epsilon flag, else the instance file's epsilon, else 0."""
+    return ns.epsilon if ns.epsilon is not None else instance["epsilon"] or 0.0
 
 
 def cmd_norm(ns: argparse.Namespace) -> tuple[int, dict]:
@@ -406,6 +402,17 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _epsilon_arg(text: str) -> float:
+    """An argparse type: an epsilon in [0, 1), like an instance file's."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"epsilon must lie in [0, 1), got {value}")
+    return value
+
+
+_epsilon_arg.__name__ = "float"  # as ``_int_at_least`` names its type
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiortho",
@@ -422,12 +429,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--route", choices=("direct", "attain", "theta", "inner", "auto"), default="auto"
     )
-    p_check.add_argument("--epsilon", type=float, default=None)
+    p_check.add_argument("--epsilon", type=_epsilon_arg, default=None)
 
     p_cls = sub.add_parser("classify", help="right/left approximate symmetry")
     p_cls.add_argument("instance")
     p_cls.add_argument("--side", choices=("right", "left"), required=True)
-    p_cls.add_argument("--epsilon", type=float, default=None)
+    p_cls.add_argument("--epsilon", type=_epsilon_arg, default=None)
 
     p_self = sub.add_parser("selftest", help="run the property suites")
     p_self.add_argument("--seed", type=_int_at_least(0), default=42)

@@ -34,9 +34,8 @@ class ABoundedOperator:
     ``top_coords`` (r x m) the right-singular vectors of the top singular-value
     cluster, a copy that does not keep the other r - m columns alive, which
     span the attainment subspace (all of R(A), the r x r identity, when the
-    norm is zero, and for an A-isometry of rank ``_PARTIAL_MIN_RANK`` or
-    more); and ``zero_norm`` whether ||T||_A vanishes up to the rounding
-    noise of the reduction, tested once per bind.
+    norm is zero and for an A-isometry); and ``zero_norm`` whether ||T||_A
+    vanishes up to the rounding noise of the reduction, tested once per bind.
     """
 
     psd: PsdOperator
@@ -95,12 +94,7 @@ def _reduce(a: PsdOperator, t: np.ndarray) -> np.ndarray:
         raise NotABoundedError(
             f"operator does not map N(A) into N(A): residual {chk.residual:.3e}"
         )
-    return a.w_map.conj().T @ t @ a.w_inv_map
-
-
-def lift_tilde(a: PsdOperator, tilde: np.ndarray) -> np.ndarray:
-    """Ambient operator with the given range-coordinate matrix, zero on N(A)."""
-    return a.w_inv_map @ tilde @ a.w_map.conj().T
+    return a.reduce(t)
 
 
 # Reductions remembered per decomposition: enough for T, S and the two
@@ -144,14 +138,15 @@ def _singular_system(a: PsdOperator, t: np.ndarray, left: np.ndarray,
 
     ||T||_A is zero when it is below 1e-12 of the rounding scale of the
     reduction, sqrt(max(lam_max, 1)) (1 + ||T||_F); then every A-unit vector
-    attains it, and the attainment coordinates are the r x r identity. This
-    is decided from the eigenvalues, before any vector work.
+    attains it, and the attainment coordinates are the r x r identity, as
+    they are for any cluster that fills R(A). Both are decided from the
+    eigenvalues, before any vector work.
 
     A reduction of rank r >= ``_PARTIAL_MIN_RANK`` takes the eigenvalues
-    alone (``eigvalsh``): a cluster that fills R(A) has the identity as its
-    coordinates too, and any other cluster comes from ``_top_block``, with a
-    full ``eigh`` where that cannot certify it. Smaller reductions, and the
-    k x k Gram matrices of witness factors, take one ``eigh``.
+    alone (``eigvalsh``), and any cluster short of R(A) comes from
+    ``_top_block``, with a full ``eigh`` where that cannot certify it.
+    Smaller reductions, and the k x k Gram matrices of witness factors, take
+    one ``eigh``.
     """
     gram = left.conj().T @ left
     k = gram.shape[0]
@@ -169,7 +164,7 @@ def _singular_system(a: PsdOperator, t: np.ndarray, left: np.ndarray,
     zero_norm = norm <= 1e-12 * scale
     m = int(np.count_nonzero(sigma >= norm * (1.0 - a.tol.cluster_tol)))
     tilde = left if right is None else left @ right.conj().T
-    if zero_norm or (partial and m == k):
+    if zero_norm or m == sigma.size:
         top = np.eye(left.shape[0], dtype=tilde.dtype)
     else:
         top = _top_block(gram, w, m) if partial else None
@@ -283,7 +278,7 @@ def _bind_factors(a: PsdOperator, left: np.ndarray, right: np.ndarray) -> ABound
     defect = float(np.max(np.abs(right.conj().T @ right - np.eye(right.shape[1]))))
     if defect > 1e-12:
         raise WitnessConstructionError(f"right factor not orthonormal (defect {defect:.2e})")
-    matrix = (a.w_inv_map @ left) @ (a.w_map @ right).conj().T
+    matrix = a.lift(left, right)
     return _remember(a, matrix, _singular_system(a, matrix, left, right))
 
 
@@ -314,7 +309,7 @@ def norm_attainment_set(a: PsdOperator, t: Operand) -> NormAttainment:
     coords = op.top_coords
     return NormAttainment(
         norm=op.norm,
-        attain_basis=a.w_inv_map @ coords,
+        attain_basis=a.from_coords(coords),
         attain_coords=coords,
         null_basis=null_basis(a),
         multiplicity=coords.shape[1],

@@ -346,7 +346,7 @@ def op_orth_attainment_real(
     coords, form = _attainment_form(op_t, op_s)
     minval, c_star = _least_modulus(form)
     margin = eps * op_t.norm * op_s.norm - minval
-    witness = Witness(vector=a.w_inv_map @ (coords @ c_star))
+    witness = Witness(vector=a.from_coords(coords @ c_star))
     return _verdict(
         margin, Method.ATTAINMENT, a.tol.verdict_margin_tol, witness, (FINITE_DIM_NOTE,)
     )
@@ -417,7 +417,7 @@ def op_orth_theta_sweep_complex(
         upper, lower, best = _ellipsoid_min(oracle, None, 2, 1.0, tol, -tol - band, False)
         margin, lower = band + upper, band + lower
     d, c = (0j, _least_modulus(form)[1]) if best is None else best
-    x = a.w_inv_map @ (coords @ c)
+    x = a.from_coords(coords @ c)
     witness = Witness(vector=x, theta=math.atan2(d.imag, d.real) % math.pi)
     return _verdict(margin, Method.THETA_SWEEP, tol, witness, (FINITE_DIM_NOTE,), margin_lower=lower)
 

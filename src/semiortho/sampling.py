@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import PsdOperator, null_basis, psd_decompose
-from .operators import bind_operator, lift_tilde
+from .operators import bind_operator
 from .vectors import inner_a, norm_a
 
 
@@ -86,7 +86,7 @@ def lift_operator(
     With ``null_blocks`` the operator also moves N(A) into itself and leaks
     part of R(A) into N(A); neither block affects any A-seminorm quantity.
     """
-    t = lift_tilde(a, tilde)
+    t = a.lift(tilde)
     k = a.null_dim
     if null_blocks and k and rng is not None:
         nb = null_basis(a)

@@ -144,9 +144,11 @@ def is_chmielinski_orthogonal_vec(
 
     Decides inf_lambda f(lambda) >= 0 for
     f(lambda) = ||x + lambda y||_A^2 - ||x||_A^2 + 2 eps ||x||_A ||lambda y||_A.
-    On each ray lambda = t e^{i phi}, t >= 0, f is a quadratic in t whose
-    minimum is taken in closed form, and so is the optimal phase: the ray
-    along -conj(<y, x>_A) (both signs in the real field).
+    On the ray lambda = t d, t >= 0, |d| = 1, f is the quadratic
+    t^2 ||y||_A^2 + 2 t (Re(d <y, x>_A) + eps ||x||_A ||y||_A), steepest along
+    d = -conj(<y, x>_A) / |<y, x>_A| in either field. There its linear
+    coefficient is -c for the violation c = |<y, x>_A| - eps ||x||_A ||y||_A,
+    so the dip is -max(0, c)^2 / ||y||_A^2, at lambda = max(0, c) / ||y||_A^2 d.
     Must agree with :func:`is_eps_orthogonal` on every input.
     """
     eps = validate_epsilon(eps)
@@ -157,26 +159,13 @@ def is_chmielinski_orthogonal_vec(
     nx = norm_a(a, x)
     ny = norm_a(a, y)
     ip_yx = inner_a(a, y, x)
-    complex_field = a.is_complex or np.iscomplexobj(x) or np.iscomplexobj(y)
-
-    def ray_min(direction: Scalar) -> tuple[float, Scalar]:
-        # f restricted to lambda = t*direction, t >= 0, |direction| = 1:
-        # t^2 ny^2 + 2 t (Re(direction <y,x>_A) + eps nx ny)
-        lin = float(np.real(direction * ip_yx)) + eps * nx * ny
-        if lin >= 0.0:
-            return 0.0, 0.0
-        t_star = -lin / ny**2
-        return -(lin**2) / ny**2, t_star * direction
-
-    if complex_field:
-        margin, lam = ray_min(complex(np.exp(1j * (math.pi - np.angle(ip_yx)))))
-    else:
-        margin, lam = min(ray_min(1.0), ray_min(-1.0), key=lambda c: c[0])
-    # The dip of f is exactly -max(0, c)^2 / ||y||_A^2 for the linear-unit
-    # violation c = |<x,y>_A| - eps ||x||_A ||y||_A, so deciding the verdict by
-    # c keeps this route's decision boundary identical to the inner-product
-    # route's instead of squaring the tolerance band.
     violation = abs(ip_yx) - eps * nx * ny
+    margin, lam = 0.0, 0.0
+    if violation > 0.0:
+        margin = -(violation**2) / ny**2
+        lam = violation / ny**2 * (-ip_yx.conjugate() / abs(ip_yx))
+    # Deciding the verdict by c keeps this route's decision boundary identical
+    # to the inner-product route's instead of squaring the tolerance band.
     return _verdict(
         margin, Method.DIRECT_MINIMIZATION, tol, Witness(lam=lam), decided_on=-violation
     )

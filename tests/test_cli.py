@@ -261,6 +261,16 @@ def test_precondition_errors(tmp_path):
     assert cli.main(["classify", complex_classify, "--side", "right"]) == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["check"], ["classify", "--side", "right"]])
+def test_out_of_range_epsilon_flag_is_a_parse_error(tmp_path, capsys, command, value):
+    """An --epsilon outside [0, 1) exits 2, as the same value in the instance
+    file does, and names the flag."""
+    inst = write_instance(tmp_path / "i.json", **REF)
+    assert cli.main([command[0], inst, *command[1:], f"--epsilon={value}"]) == EXIT_PARSE
+    assert "--epsilon" in capsys.readouterr().err
+
+
 # ----------------------------- classify ----------------------------------------
 
 

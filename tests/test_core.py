@@ -116,6 +116,42 @@ def test_coordinate_isometry(rng):
     assert abs(norm_a(a, x) - np.linalg.norm(u)) <= 1e-10 * (1 + np.linalg.norm(u))
 
 
+def _explicit_maps(a):
+    """W = U+ diag(sqrt(lam+)) and W- = U+ diag(1/sqrt(lam+)), as explicit
+    n x r matrices built from the spectral factorization."""
+    u = a.eigenvectors[:, : a.rank]
+    root = np.sqrt(a.eigenvalues[: a.rank])
+    return u * root[None, :], u / root[None, :]
+
+
+def _relative(x, ref):
+    return float(np.linalg.norm(x - ref)) / float(np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("deficient", [False, True])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_coordinate_methods_match_explicit_maps(rng, n, deficient, complex_field):
+    """from_coords is W- u, reduce is W* T W-, and lift is (W- L)(W R)^H,
+    or W- L W* without R, each within 1e-13 relative of the explicit maps."""
+    a = random_psd(rng, n, rank=n - n // 4 if deficient else n, complex_field=complex_field)
+    w, w_inv = _explicit_maps(a)
+    r, k = a.rank, 3
+    u = gaussian(rng, (r,), complex_field)
+    block = gaussian(rng, (r, k), complex_field)
+    t = gaussian(rng, (n, n), complex_field)
+    tilde = gaussian(rng, (r, r), complex_field)
+    left, right = gaussian(rng, (r, k), complex_field), gaussian(rng, (r, k), complex_field)
+    assert a.from_coords(u).shape == (n,)
+    assert _relative(a.from_coords(u), w_inv @ u) <= 1e-13
+    assert _relative(a.from_coords(block), w_inv @ block) <= 1e-13
+    assert _relative(a.reduce(t), w.conj().T @ t @ w_inv) <= 1e-13
+    assert _relative(a.lift(tilde), w_inv @ tilde @ w.conj().T) <= 1e-13
+    assert _relative(a.lift(left, right), (w_inv @ left) @ (w @ right).conj().T) <= 1e-13
+    p = a.projector
+    assert _relative(a.lift(a.reduce(t)), p @ t @ p) <= 1e-13
+
+
 def test_positivity_quadratic_form(rng):
     a = random_psd(rng, 6, rank=4)
     for _ in range(50):

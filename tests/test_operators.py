@@ -23,7 +23,6 @@ from semiortho import (
     psd_decompose,
     tilde_reduce,
 )
-from semiortho.operators import lift_tilde
 from semiortho.sampling import (
     gaussian,
     operator_with_multiplicity,
@@ -90,7 +89,7 @@ def test_norm_monte_carlo_bound(rng):
     for _ in range(100_000 // 50):  # batches of 50 below
         coords = gaussian(rng, (a.rank, 50))
         coords /= np.linalg.norm(coords, axis=0)[None, :]
-        xs = a.w_inv_map @ coords
+        xs = a.from_coords(coords)
         imgs = a.matrix @ (t @ xs)
         vals = np.sqrt(np.clip(np.real(np.einsum("ik,ik->k", (t @ xs).conj(), imgs)), 0, None))
         values.append(vals)
@@ -342,7 +341,7 @@ def test_partial_bind_near_tie_falls_back(rng, eigh_calls, r, complex_field):
         sig[:m], sig[m] = 1.0, 1.0 - 1e-6
         left, right = random_orthonormal(rng, r, complex_field), random_orthonormal(rng, r, complex_field)
         eigh_calls.clear()
-        op = bind_operator(a, lift_tilde(a, (left * sig[None, :]) @ right.conj().T))
+        op = bind_operator(a, a.lift((left * sig[None, :]) @ right.conj().T))
         assert (r, r) in eigh_calls
         assert op.top_coords.shape == (r, m)
         assert np.array_equal(op.top_coords, _full_eigh(op, m)[1])

@@ -30,7 +30,7 @@ from semiortho import (
     right_witness,
 )
 from semiortho import selftest, symmetry
-from semiortho.operators import _bind_factors, lift_tilde
+from semiortho.operators import _bind_factors
 from semiortho.sampling import (
     lift_operator,
     operator_with_multiplicity,
@@ -213,6 +213,21 @@ def test_right_classification_near_isometry():
     assert classify_right(wide, t, 0.3).kind is SymmetryKind.RIGHT_SYMMETRIC
     with pytest.raises(IsometryError):
         right_witness(wide, t, 0.3)
+
+
+@pytest.mark.parametrize("r", [4, 64])
+def test_isometry_attainment_basis_is_identity_at_every_rank(rng, r):
+    """A cluster that fills R(A) takes the identity as its coordinates on both
+    sides of ``_PARTIAL_MIN_RANK``, and the multi-pair left witness built on
+    that basis verifies both ways."""
+    a = random_psd(rng, r)
+    t = random_a_isometry(rng, a)
+    assert np.array_equal(bind_operator(a, t).top_coords, np.eye(r))
+    assert np.array_equal(norm_attainment_set(a, t).attain_coords, np.eye(r))
+    report = classify_left(a, t, 0.3)
+    assert report.construction.tag is ConstructionTag.LEFT_MULTI_PAIR
+    fwd, rev = report.verify(a, t)
+    assert fwd.holds and not rev.holds
 
 
 def test_report_verify_orients_each_side(rng):
@@ -482,7 +497,7 @@ def test_factored_witness_matches_fresh_bind(rng, n, deficient):
             assert wit.top_coords.shape == fresh.top_coords.shape
             assert _principal_sine(fresh.top_coords, wit.top_coords) <= 1e-8
             scale = np.linalg.norm(wit.matrix)
-            assert np.linalg.norm(wit.matrix - lift_tilde(a, wit.tilde)) <= 1e-12 * scale
+            assert np.linalg.norm(wit.matrix - a.lift(wit.tilde)) <= 1e-12 * scale
             assert np.linalg.norm(wit.tilde - fresh.tilde) <= 1e-12 * np.linalg.norm(wit.tilde)
             assert np.linalg.norm(wit.matrix @ null_basis(a)) <= 1e-12 * scale
     assert tags == set(ConstructionTag)
