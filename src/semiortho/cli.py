@@ -278,10 +278,10 @@ def _vec_routes(a, x, y, eps, route: str) -> list[tuple[str, OrthoVerdict]]:
     return runs
 
 
-def _op_routes(a, t, s, eps, route: str, complex_field: bool) -> list[tuple[str, OrthoVerdict]]:
+def _op_routes(a, t, s, eps, route: str) -> list[tuple[str, OrthoVerdict]]:
     runs = []
     t, s = bind_operator(a, t), bind_operator(a, s)
-    zero_t = t.zero_norm
+    zero_t, complex_field = t.zero_norm, t.is_complex or s.is_complex
     if route in ("direct", "auto"):
         runs.append(("direct", op_orth_direct(a, t, s, eps)))
     if route == "attain" or (route == "auto" and not complex_field and not zero_t):
@@ -295,7 +295,6 @@ def cmd_check(ns: argparse.Namespace) -> tuple[int, dict]:
     instance = load_instance(ns.instance)
     a = _decompose(instance)
     eps = _epsilon(instance, ns)
-    complex_field = instance["field"] == "complex"
     report = _base_report(
         "check",
         instance,
@@ -311,7 +310,7 @@ def cmd_check(ns: argparse.Namespace) -> tuple[int, dict]:
         if ns.route == "inner":
             raise InstanceError("route 'inner' applies to --mode vec only")
         t, s = _need(instance, "T"), _need(instance, "S")
-        runs = _op_routes(a, t, s, eps, ns.route, complex_field)
+        runs = _op_routes(a, t, s, eps, ns.route)
     report["verdicts"] = [_verdict_dict(r, v) for r, v in runs]
 
     verdicts = [v.holds for _, v in runs]

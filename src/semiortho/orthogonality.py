@@ -454,14 +454,14 @@ def op_orth_pointwise(
     a: PsdOperator, t: Operand, s: Operand, eps: float
 ) -> OrthoVerdict:
     """Vector-level criterion Tx perp Sx minimized over M_A^T, valid when
-    M_A^T is a subset of M_A^S (there ||Tx||_A ||Sx||_A = ||T||_A ||S||_A, so
-    the spectral closed form of the attainment route applies verbatim)."""
+    M_A^T is a subset of M_A^S: there ||Tx||_A ||Sx||_A = ||T||_A ||S||_A, so
+    the least |<Tx, Sx>_A| is dist(0, W(F)), which the field's attainment
+    route decides (eigenvalue interval over R, theta sweep over C)."""
     eps = validate_epsilon(eps)
     op_t = bind_operator(a, t)
     op_s = bind_operator(a, s)
-    if _field_is_complex(op_t, op_s):
-        raise ComplexFieldError("pointwise criterion is real-field only")
     require_positive_norm(op_t)
     if not attainment_subset(a, op_t, op_s):
         raise AttainmentSubsetError("M_A^T is not contained in M_A^S")
-    return replace(op_orth_attainment_real(a, op_t, op_s, eps), method=Method.POINTWISE)
+    route = op_orth_theta_sweep_complex if _field_is_complex(op_t, op_s) else op_orth_attainment_real
+    return replace(route(a, op_t, op_s, eps), method=Method.POINTWISE)

@@ -182,24 +182,24 @@ def shared_attainment_pair(
 def eps_orthogonal_probe(
     rng: np.random.Generator, a: PsdOperator, t: np.ndarray, eps: float
 ) -> np.ndarray:
-    """Random S satisfying S perp T by construction (real field).
+    """Random S satisfying S perp T by construction, in A's field.
 
     S is built with a single attaining direction x0 whose image makes an
     angle with T x0 that keeps |<S x0, T x0>_A| strictly below
     eps ||S||_A ||T||_A; the sufficiency direction of the single-vector
     criterion then certifies the relation. Requires dim R(A) >= 2.
     """
-    r = a.rank
+    r, complex_field = a.rank, a.is_complex
     if r < 2:
         raise ValueError("probe construction needs dim R(A) >= 2")
     op_t = bind_operator(a, t)
-    x0 = gaussian(rng, (r,))
+    x0 = gaussian(rng, (r,), complex_field)
     x0 /= np.linalg.norm(x0)
     image = op_t.tilde @ x0
     image_norm = float(np.linalg.norm(image))
     sigma = float(rng.uniform(0.5, 2.0))
     if image_norm <= 1e-12 * max(op_t.norm, 1.0):
-        u = gaussian(rng, (r,))
+        u = gaussian(rng, (r,), complex_field)
         u /= np.linalg.norm(u)
     else:
         direction = image / image_norm
@@ -208,12 +208,12 @@ def eps_orthogonal_probe(
         c = eps * float(rng.uniform(-0.95, 0.95)) * op_t.norm / image_norm
         c = float(np.clip(c, -0.95, 0.95))
         u = c * direction + math.sqrt(1.0 - c**2) * perp
-    rest = gaussian(rng, (r, r))
-    rest = (np.eye(r) - np.outer(u, u)) @ rest @ (np.eye(r) - np.outer(x0, x0))
+    rest = gaussian(rng, (r, r), complex_field)
+    rest = (np.eye(r) - np.outer(u, u.conj())) @ rest @ (np.eye(r) - np.outer(x0, x0.conj()))
     spectral = float(np.linalg.norm(rest, 2))
     if spectral > 0.0:
         rest *= 0.7 * sigma / spectral
-    tilde_s = sigma * np.outer(u, x0) + rest
+    tilde_s = sigma * np.outer(u, x0.conj()) + rest
     return lift_operator(rng, a, tilde_s)
 
 

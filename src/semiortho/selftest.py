@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -515,12 +516,12 @@ def _suite_op_subset_reverse(rng: np.random.Generator, trials: int) -> list[dict
     return failures
 
 
-def _suite_sym_right_witness(rng: np.random.Generator, trials: int) -> list[dict]:
+def _suite_sym_right_witness(rng: np.random.Generator, trials: int, complex_field: bool = False) -> list[dict]:
     failures = []
     for i in range(trials):
         n = int(rng.integers(2, 7))
         rank = int(rng.integers(2, n + 1))
-        a = smp.random_psd(rng, n, rank=rank)
+        a = smp.random_psd(rng, n, rank=rank, complex_field=complex_field)
         t = smp.random_a_bounded(rng, a)
         if is_a_isometry(a, t).ok:
             continue
@@ -537,13 +538,13 @@ def _suite_sym_right_witness(rng: np.random.Generator, trials: int) -> list[dict
     return failures
 
 
-def _suite_sym_right_isometry(rng: np.random.Generator, trials: int) -> list[dict]:
+def _suite_sym_right_isometry(rng: np.random.Generator, trials: int, complex_field: bool = False) -> list[dict]:
     failures = []
     probes = 8
     for i in range(trials):
         n = int(rng.integers(2, 7))
         rank = int(rng.integers(2, n + 1))
-        a = smp.random_psd(rng, n, rank=rank)
+        a = smp.random_psd(rng, n, rank=rank, complex_field=complex_field)
         t = smp.random_a_isometry(rng, a)
         eps = float(EPS_POOL[i % len(EPS_POOL)])
         if classify_right(a, t, eps).kind is not SymmetryKind.RIGHT_SYMMETRIC:
@@ -561,7 +562,7 @@ def _suite_sym_right_isometry(rng: np.random.Generator, trials: int) -> list[dic
     return failures
 
 
-def _suite_sym_left_witness(rng: np.random.Generator, trials: int) -> list[dict]:
+def _suite_sym_left_witness(rng: np.random.Generator, trials: int, complex_field: bool = False) -> list[dict]:
     failures = []
     branch_makers = (
         lambda r_, a_: smp.operator_with_multiplicity(rng, a_, min(2, a_.rank)),
@@ -576,7 +577,7 @@ def _suite_sym_left_witness(rng: np.random.Generator, trials: int) -> list[dict]
     for i in range(trials):
         n = int(rng.integers(2, 7))
         rank = int(rng.integers(2, n + 1))
-        a = smp.random_psd(rng, n, rank=rank)
+        a = smp.random_psd(rng, n, rank=rank, complex_field=complex_field)
         branch = i % 3
         t = branch_makers[branch](rank, a)
         eps = float(EPS_POOL[i % len(EPS_POOL)])
@@ -585,11 +586,8 @@ def _suite_sym_left_witness(rng: np.random.Generator, trials: int) -> list[dict]
             failures.append(_fail(i, "nonzero operator classified left symmetric"))
             continue
         tag = report.construction.tag
-        if branch == 0 and tag is not expected_tags[0]:
-            failures.append(_fail(i, f"expected multi-pair branch, got {tag}"))
-            continue
-        if branch == 1 and tag is not expected_tags[1]:
-            failures.append(_fail(i, f"expected rank-one branch, got {tag}"))
+        if branch < 2 and tag is not expected_tags[branch]:
+            failures.append(_fail(i, f"expected {expected_tags[branch].value} branch, got {tag}"))
             continue
         fwd, bwd = report.verify(a, t)
         if not fwd.holds or bwd.holds:
@@ -645,6 +643,9 @@ SUITES: dict[str, tuple[SuiteFn, Optional[int]]] = {
     "left_parameter_grid": (_suite_left_parameter_grid, 1),
     # appended, so the suites above keep their generators (keyed by position)
     "op_route_equivalence_complex_multiplicity": (_suite_op_routes_complex_multiplicity, 80),
+    "sym_right_witness_complex": (partial(_suite_sym_right_witness, complex_field=True), 60),
+    "sym_right_isometry_complex": (partial(_suite_sym_right_isometry, complex_field=True), 40),
+    "sym_left_witness_complex": (partial(_suite_sym_left_witness, complex_field=True), 100),
 }
 
 

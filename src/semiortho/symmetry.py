@@ -1,4 +1,4 @@
-"""Classification of approximate right/left symmetric operators (real field).
+"""Classification of approximate right/left symmetric operators, over R or C.
 
 An A-bounded operator T is right symmetric for the approximate operator
 orthogonality exactly when it is an A-isometry, and left symmetric exactly
@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import PsdOperator
 from .errors import (
-    ComplexFieldError,
     IsometryError,
     RankTooSmallError,
     WitnessConstructionError,
@@ -149,11 +148,6 @@ def left_parameters(eps: float) -> LeftParams:
     )
 
 
-def _require_real(a: PsdOperator, op: ABoundedOperator) -> None:
-    if a.is_complex or op.is_complex:
-        raise ComplexFieldError("symmetry classification is real-field only")
-
-
 def _unit_orthogonal(basis: np.ndarray) -> np.ndarray:
     """A unit vector orthogonal to the orthonormal columns of ``basis``
     (r x m, m < r), in O(r m): the coordinate vector farthest from their span,
@@ -174,16 +168,20 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
     Steps, in range coordinates: take the attainment basis x_1..x_m and one
     unit x_{m+1} orthogonal to it; take the images y_i = T x_i / sigma_i, the
     left singular vectors, which stay orthonormal when the cluster's singular
-    values differ within cluster_tol; pick a unit w_0 orthogonal to them; flip
-    its sign so the norm cannot dip along +T x_{m+1}; send x_i to -y_i for
-    i <= m, x_{m+1} to w_0, the rest to zero: bind the factors
+    values differ within cluster_tol; pick a unit w_0 orthogonal to them, of
+    the phase that makes <w_0, T x_{m+1}> >= 0; send x_i to -y_i for i <= m,
+    x_{m+1} to w_0, the rest to zero: bind the factors
     L = [-y_1..-y_m, w_0], R = [x_1..x_{m+1}] with an (m+1) x (m+1) eigensolve.
     x_{m+1} and w_0 are each the coordinate vector farthest from the span they
     must avoid, projected off it (``_unit_orthogonal``): O(r m), no QR.
+
+    Over R and C alike, U attains its norm on the span of x_1..x_{m+1}, where
+    the numerical range of <U x, T x>_A holds -sigma_1 (at x_1) and a value
+    >= 0 (at x_{m+1}), so 0 (Toeplitz-Hausdorff): U perp T. On T's attainment
+    sphere <T x, U x>_A = -sum sigma_i |c_i|^2 for x = sum c_i x_i: T perp U fails.
     """
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
-    _require_real(a, op)
     if op.zero_norm:
         raise ZeroANormError("zero operator is an A-isometry; no right witness exists")
     if is_a_isometry(a, op).ok:
@@ -192,7 +190,7 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
     coords = op.top_coords
     m = coords.shape[1]
     images = op.tilde @ coords / op.sigma[:m]
-    gram_defect = float(np.max(np.abs(images.T @ images - np.eye(m))))
+    gram_defect = float(np.max(np.abs(images.conj().T @ images - np.eye(m))))
     if gram_defect > _ORTHO_ASSERT_TOL:
         raise WitnessConstructionError(
             f"attainment images not orthonormal (defect {gram_defect:.2e}); "
@@ -200,8 +198,9 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
         )
     extension = _unit_orthogonal(coords)
     w0 = _unit_orthogonal(images)
-    if float(w0 @ (op.tilde @ extension)) < 0.0:
-        w0 = -w0
+    value = np.vdot(w0, op.tilde @ extension)
+    if value != 0:
+        w0 = w0 * (value / abs(value))
 
     right = np.column_stack([coords, extension])
     witness = _bind_factors(a, np.column_stack([-images, w0]), right)
@@ -230,10 +229,13 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
 
     S is bound from its factors: L = [T z_2], R = [z_2] in the first branch,
     L = [a Tx + b w, alpha (b Tx - a w)], R = [z_1, z_2] in the others.
+
+    Over C the parameters stay real: a real rotation of an orthonormal pair is
+    orthonormal, and <T x, S x>_A and <S z_1, T z_1>_A are real and
+    phase-invariant (the same at e^{i phi} x and e^{i phi} z_1).
     """
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
-    _require_real(a, op)
     if op.zero_norm:
         raise ZeroANormError("zero-A-norm operator is left symmetric; no witness exists")
     if a.rank < 2:
@@ -266,7 +268,7 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
         w = tilde_n @ partner
         beta = float(np.linalg.norm(w))
         w /= beta
-        cross = abs(float(w @ image_x))
+        cross = abs(np.vdot(w, image_x))
         if cross > _ORTHO_ASSERT_TOL:
             raise WitnessConstructionError(
                 f"secondary image not orthogonal to Tx (|<w,Tx>| = {cross:.2e}); "
@@ -301,7 +303,6 @@ def classify_right(a: PsdOperator, t: Operand, eps: float) -> SymmetryReport:
     ways with the direct route."""
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
-    _require_real(a, op)
     if a.rank < 1:
         raise RankTooSmallError("right classification needs dim R(A) >= 1")
     iso = is_a_isometry(a, op)
@@ -324,7 +325,6 @@ def classify_left(a: PsdOperator, t: Operand, eps: float) -> SymmetryReport:
     ways with the direct route."""
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
-    _require_real(a, op)
     if a.rank < 2:
         raise RankTooSmallError("left classification needs dim R(A) >= 2")
     if op.zero_norm:

@@ -252,14 +252,6 @@ def test_precondition_errors(tmp_path):
     )
     assert cli.main(["norm", unbounded]) == EXIT_PRECONDITION
 
-    complex_classify = write_instance(
-        tmp_path / "c.json",
-        field="complex",
-        A=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-        T=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-    )
-    assert cli.main(["classify", complex_classify, "--side", "right"]) == EXIT_PRECONDITION
-
 
 @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "inf"])
 @pytest.mark.parametrize("command", [["check"], ["classify", "--side", "right"]])
@@ -330,6 +322,25 @@ def test_isometry_tol_is_unknown(tmp_path, capsys):
     inst = write_instance(tmp_path / "i.json", **dict(REF, tolerances={"isometry_tol": 1e-8}))
     assert cli.main(["norm", inst]) == EXIT_PARSE
     assert "isometry_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side, construction", [("right", "right_proof"), ("left", "left_case_ii")])
+def test_classify_complex_non_isometry(tmp_path, side, construction):
+    """Both sides classify a complex operator that is not an A-isometry, and
+    its witness verifies both ways with the direct route."""
+    inst = write_instance(
+        tmp_path / "c.json",
+        field="complex",
+        A=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+        T=[[[2.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.5, -0.5]]],
+        epsilon=0.3,
+    )
+    out = tmp_path / "r.json"
+    assert cli.main(["classify", inst, "--side", side, "--json-out", str(out)]) == EXIT_OK
+    cls = _read(out)["classification"]
+    assert cls["kind"] == f"not_{side}_symmetric"
+    assert cls["witness_verified"] is True
+    assert cls["construction"] == construction
 
 
 def test_classify_left_zero_norm(tmp_path):

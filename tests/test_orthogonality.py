@@ -9,6 +9,7 @@ import pytest
 from semiortho import (
     AttainmentSubsetError,
     ComplexFieldError,
+    Method,
     OrthoVerdict,
     RealFieldError,
     ZeroANormError,
@@ -681,6 +682,31 @@ def test_pointwise_agrees_with_direct_on_shared_attainment(rng):
         t, s = shared_attainment_pair(rng, a)
         eps = float(rng.uniform(0.1, 0.9))
         assert op_orth_pointwise(a, t, s, eps).holds == op_orth_direct(a, t, s, eps).holds
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2])
+def test_complex_pointwise_is_the_theta_route(rng, multiplicity):
+    """Over C the pointwise route is the theta sweep on the attainment form,
+    reported as POINTWISE, and agrees with the direct route."""
+    for _ in range(10):
+        n = int(rng.integers(2, 6))
+        a = random_psd(rng, n, rank=int(rng.integers(multiplicity, n + 1)), complex_field=True)
+        t, s = shared_attainment_pair(rng, a, multiplicity=multiplicity)
+        eps = float(rng.uniform(0.1, 0.9))
+        pointwise = op_orth_pointwise(a, t, s, eps)
+        sweep = op_orth_theta_sweep_complex(a, t, s, eps)
+        assert pointwise.method is Method.POINTWISE
+        assert pointwise.margin == sweep.margin
+        assert pointwise.margin_lower == sweep.margin_lower
+        assert pointwise.holds == sweep.holds == op_orth_direct(a, t, s, eps).holds
+
+
+def test_complex_pointwise_requires_subset():
+    a = psd_decompose(np.eye(2, dtype=complex))
+    t = np.diag([2.0, 1.0j])
+    s = np.diag([1.0, 2.0j])
+    with pytest.raises(AttainmentSubsetError):
+        op_orth_pointwise(a, t, s, 0.3)
 
 
 # ----------------------------- structural invariants ---------------------------

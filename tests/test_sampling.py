@@ -90,6 +90,19 @@ def test_probe_premise_certified(rng):
             assert op_orth_direct(a, s, t, eps).holds
 
 
+def test_complex_probe_premise_certified(rng):
+    """Over C the probe is drawn in A's field with conjugate projectors, so
+    S attains only at x0 and S perp T holds."""
+    for eps in (0.0, 0.2, 0.8):
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            a = random_psd(rng, n, rank=int(rng.integers(2, n + 1)), complex_field=True)
+            t = random_a_bounded(rng, a)
+            s = eps_orthogonal_probe(rng, a, t, eps)
+            assert norm_attainment_set(a, s).multiplicity == 1
+            assert op_orth_direct(a, s, t, eps).holds
+
+
 def test_isometry_generator_isometric(rng):
     a = random_psd(rng, 5, rank=2)
     assert is_a_isometry(a, random_a_isometry(rng, a)).ok

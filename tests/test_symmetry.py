@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiortho import (
-    ComplexFieldError,
     ConstructionTag,
     IsometryError,
     RankTooSmallError,
@@ -133,9 +132,6 @@ def test_right_witness_errors(rng):
     a = random_psd(rng, 4, rank=2)
     with pytest.raises(ZeroANormError):
         right_witness(a, zero_a_norm_operator(rng, a), 0.3)
-    ac = random_psd(rng, 3, rank=2, complex_field=True)
-    with pytest.raises(ComplexFieldError):
-        right_witness(ac, random_a_bounded(rng, ac), 0.3)
 
 
 def test_right_witness_random_instances(rng):
@@ -155,6 +151,51 @@ def test_right_witness_random_instances(rng):
         if nb.shape[1]:
             assert np.max(np.abs(wc.witness.matrix @ nb)) <= 1e-9
         checked += 1
+
+
+def test_real_right_witness_turned_by_minus_one_stays_real():
+    """T x_2 = -e_2 points against the unit w_0 = e_2 that ``_unit_orthogonal``
+    picks, so the phase that makes <w_0, T x_2> >= 0 is -1: the witness stays
+    float64, sends x_2 to -e_2 and verifies both ways."""
+    a = psd_decompose(np.diag([1.0, 2.0]))
+    t = np.diag([2.0, -1.0])
+    op = bind_operator(a, t)
+    ext = symmetry._unit_orthogonal(op.top_coords)
+    w0 = symmetry._unit_orthogonal(op.tilde @ op.top_coords / op.norm)
+    assert np.vdot(w0, op.tilde @ ext) < 0.0
+    for eps in (0.0, 0.4, 0.9):
+        wc = right_witness(a, t, eps)
+        assert wc.witness.tilde.dtype == np.float64
+        assert np.array_equal(wc.witness.tilde @ ext, -w0)
+        assert _verify_right(a, t, wc.witness, eps)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_complex_witnesses_verify(rng, side):
+    """Over C, generic, multiplicity-2 and rank-one operators on a range of
+    dimension >= 3 (none an A-isometry) get a witness on either side that
+    verifies both ways with the complex direct route."""
+    makers = (
+        random_a_bounded,
+        lambda rng_, a_: operator_with_multiplicity(rng_, a_, 2),
+        rank_one_operator,
+    )
+    tags = set()
+    for k in range(15):
+        n = int(rng.integers(3, 6))
+        a = random_psd(rng, n, rank=int(rng.integers(3, n + 1)), complex_field=True)
+        t = makers[k % 3](rng, a)
+        eps = (0.0, 0.3, 0.7, 0.9)[k % 4]
+        report = (classify_right if side == "right" else classify_left)(a, t, eps)
+        assert report.kind is SymmetryKind(f"not_{side}_symmetric")
+        assert report.witness.is_complex
+        fwd, bwd = report.verify(a, t)
+        assert fwd.holds and not bwd.holds, (k, eps, fwd.margin, bwd.margin)
+        tags.add(report.construction.tag)
+    expected = {ConstructionTag.RIGHT_PROOF} if side == "right" else {
+        ConstructionTag.LEFT_MULTI_PAIR, ConstructionTag.LEFT_CASE_I, ConstructionTag.LEFT_CASE_II
+    }
+    assert tags == expected
 
 
 def test_right_witness_multiplicity_above_one(rng):
@@ -351,9 +392,6 @@ def test_left_witness_errors(rng):
     a = random_psd(rng, 4, rank=3)
     with pytest.raises(ZeroANormError):
         left_witness(a, np.zeros((4, 4)), 0.3)
-    ac = random_psd(rng, 3, rank=2, complex_field=True)
-    with pytest.raises(ComplexFieldError):
-        classify_left(ac, random_a_bounded(rng, ac), 0.3)
 
 
 def test_left_witness_scale_invariance(rng):
