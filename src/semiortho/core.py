@@ -106,9 +106,9 @@ class PsdOperator:
     notation, not attributes: :meth:`from_coords` is the one lift of coordinate
     vectors and blocks, and :meth:`reduce` and :meth:`lift` change operators' basis.
 
-    Each instance also keeps a small private memo of the operators bound to
-    it (see :func:`semiortho.operators.bind_operator`), so an operator bound
-    again to the same decomposition costs no further eigensolve. The memo
+    Each instance also keeps a private memo of the last matrices bound to it
+    (see :func:`semiortho.operators.bind_operator`; witnesses bound from their
+    factors are not kept), so binding one again costs no eigensolve. The memo
     takes no part in comparisons and dies with the instance.
     """
 

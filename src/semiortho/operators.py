@@ -97,8 +97,9 @@ def _reduce(a: PsdOperator, t: np.ndarray) -> np.ndarray:
     return a.reduce(t)
 
 
-# Reductions remembered per decomposition: enough for T, S and the two
-# witnesses of a symmetry report.
+# Reductions remembered per decomposition. A timed benchmark operation binds
+# at most two matrices (T and S), and the op-complex set-up loop, which binds
+# fresh pairs to one A, only ever hits its last two entries.
 _BIND_MEMO_SIZE = 4
 
 
@@ -125,7 +126,11 @@ def bind_operator(a: PsdOperator, t: Operand) -> ABoundedOperator:
     for key, fields in a._binds:
         if key.dtype == t.dtype and np.array_equal(key, t):
             return ABoundedOperator(psd=a, matrix=t, **fields)
-    return _remember(a, t, _singular_system(a, t, _reduce(a, t)))
+    fields = _singular_system(a, t, _reduce(a, t))
+    # two statements that never raise, so threads sharing ``a`` need no lock
+    a._binds.append((t.copy(), fields))
+    del a._binds[:-_BIND_MEMO_SIZE]
+    return ABoundedOperator(psd=a, matrix=t, **fields)
 
 
 def _singular_system(a: PsdOperator, t: np.ndarray, left: np.ndarray,
@@ -174,6 +179,9 @@ def _singular_system(a: PsdOperator, t: np.ndarray, left: np.ndarray,
             top = v[:, :m].copy(order="F")
         if right is not None:
             top = right @ top
+    # bound operators are immutable, and memo hits share these arrays
+    for array in (tilde, sigma, top):
+        array.flags.writeable = False
     return {"tilde": tilde, "norm": norm, "sigma": sigma, "top_coords": top,
             "zero_norm": zero_norm}
 
@@ -257,29 +265,16 @@ def _orthonormalize(x: np.ndarray) -> np.ndarray | None:
     return q
 
 
-def _remember(a: PsdOperator, t: np.ndarray, fields: dict) -> ABoundedOperator:
-    """Record the bind of the validated matrix ``t``, with the fields of its
-    ``_singular_system``, in the memo of ``a``, where every later hit shares
-    them."""
-    # every later hit shares these arrays, so a write must fail loudly
-    for key in ("tilde", "sigma", "top_coords"):
-        fields[key].flags.writeable = False
-    # two statements that never raise, so threads sharing ``a`` need no lock
-    a._binds.append((t.copy(), fields))
-    del a._binds[:-_BIND_MEMO_SIZE]
-    return ABoundedOperator(psd=a, matrix=t, **fields)
-
-
 def _bind_factors(a: PsdOperator, left: np.ndarray, right: np.ndarray) -> ABoundedOperator:
     """Bind the operator whose reduction is left @ right^H, for nonzero r x k
     factors, ``right`` with orthonormal columns (within 1e-12 per entry): its
-    lift (W- left)(W right)^H costs O(n r k) and is zero on N(A), and its
-    singular system takes a k x k eigensolve."""
+    lift (W- left)(W right)^H costs O(n r k) and is zero on N(A), its singular
+    system takes a k x k eigensolve, and the memo of ``a`` does not keep it."""
     defect = float(np.max(np.abs(right.conj().T @ right - np.eye(right.shape[1]))))
     if defect > 1e-12:
         raise WitnessConstructionError(f"right factor not orthonormal (defect {defect:.2e})")
     matrix = a.lift(left, right)
-    return _remember(a, matrix, _singular_system(a, matrix, left, right))
+    return ABoundedOperator(psd=a, matrix=matrix, **_singular_system(a, matrix, left, right))
 
 
 def operator_norm_a(a: PsdOperator, t: np.ndarray) -> float:

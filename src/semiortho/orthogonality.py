@@ -55,12 +55,12 @@ def _field_is_complex(*objs: ABoundedOperator) -> bool:
 
 
 # Cut budget of the ellipsoid minimizer, which makes one eigensolve per cut.
-# On 400 2x2 to 5x5 stress pairs (repeated top singular values, A-isometries,
-# S = T, shared attainment; numpy seed 7), the direct route's complex decisions
-# certified within 100 cuts (mean 14) and real ones within 15 (mean 3). On 600
-# complex 3x3 to 6x6 pairs whose T attains its norm on 2 to 4 dimensions (seed
-# 2026), the complex attainment route took at most 96 (mean 29) and the direct
-# route at most 108. The rest is slack, and a call stays under 200 eigensolves.
+# On 600 complex 3x3 to 6x6 pairs whose T attains its norm on 2 to 4
+# dimensions, drawn as the op_route_equivalence_complex_multiplicity suite
+# draws them from default_rng(2026), the theta route took at most 99 cuts
+# (mean 28.9) and the direct route at most 111 (mean 32.6); on the bench's 200
+# near_boundary_complex probes of seeds 1 and 2 the direct route took at most
+# 73 (mean 5.9). The rest is slack, and a call stays under 200 eigensolves.
 _MAX_CUTS = 150
 # Relative gap below which the top eigenvalue of M* M counts as multiple: g is
 # not smooth there, so the route takes no Newton step.

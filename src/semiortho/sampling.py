@@ -1,10 +1,11 @@
-"""Seeded random instance generators used by tests and the self-test suites.
+"""Seeded random instance generators for the tests, the self-test suites and
+the benchmark.
 
 Everything takes an explicit numpy Generator, so the suites are reproducible
 given a seed. A-bounded operators are assembled block-wise against the
 range/null splitting of A: an arbitrary action inside R(A) (prescribed in
-range coordinates), plus optional blocks mapping into N(A), which keeps
-A-boundedness exact by construction.
+range coordinates), plus, where A is singular, random blocks mapping into
+N(A), which keeps A-boundedness exact by construction.
 """
 
 from __future__ import annotations
@@ -38,20 +39,16 @@ def random_hermitian(rng: np.random.Generator, n: int, complex_field: bool = Fal
 
 
 def random_psd(
-    rng: np.random.Generator,
-    n: int,
-    rank: int | None = None,
-    complex_field: bool = False,
-    eig_low: float = 0.3,
-    eig_high: float = 2.5,
+    rng: np.random.Generator, n: int, rank: int | None = None, complex_field: bool = False
 ) -> PsdOperator:
-    """Random PSD operator with exactly ``rank`` positive eigenvalues."""
+    """Random PSD operator with exactly ``rank`` positive eigenvalues (all of
+    them by default), drawn uniformly from [0.3, 2.5]."""
     rank = n if rank is None else rank
     if not 0 <= rank <= n:
         raise ValueError(f"rank must lie in [0, {n}], got {rank}")
     u = random_orthonormal(rng, n, complex_field)
     lam = np.zeros(n)
-    lam[:rank] = np.sort(rng.uniform(eig_low, eig_high, size=rank))[::-1]
+    lam[:rank] = np.sort(rng.uniform(0.3, 2.5, size=rank))[::-1]
     matrix = (u * lam[None, :]) @ u.conj().T
     matrix = (matrix + matrix.conj().T) / 2.0
     if complex_field:
@@ -63,32 +60,25 @@ def random_vector(rng: np.random.Generator, n: int, complex_field: bool = False)
     return gaussian(rng, (n,), complex_field)
 
 
-def random_a_unit(
-    rng: np.random.Generator, a: PsdOperator, null_component: bool = True
-) -> np.ndarray:
-    """Random A-unit vector, optionally with a nonzero N(A) part."""
+def random_a_unit(rng: np.random.Generator, a: PsdOperator) -> np.ndarray:
+    """Random A-unit vector, plus a random N(A) part where A is singular."""
     u = gaussian(rng, (a.rank,), a.is_complex)
     u /= np.linalg.norm(u)
     x = a.from_coords(u)
-    if null_component and a.null_dim:
+    if a.null_dim:
         x = x + null_basis(a) @ gaussian(rng, (a.null_dim,), a.is_complex)
     return x
 
 
-def lift_operator(
-    rng: np.random.Generator | None,
-    a: PsdOperator,
-    tilde: np.ndarray,
-    null_blocks: bool = True,
-) -> np.ndarray:
+def lift_operator(rng: np.random.Generator, a: PsdOperator, tilde: np.ndarray) -> np.ndarray:
     """Ambient A-bounded operator with the given range-coordinate matrix.
 
-    With ``null_blocks`` the operator also moves N(A) into itself and leaks
-    part of R(A) into N(A); neither block affects any A-seminorm quantity.
+    Where A is singular, random blocks also move N(A) into itself and leak
+    part of R(A) into N(A); neither affects any A-seminorm quantity.
     """
     t = a.lift(tilde)
     k = a.null_dim
-    if null_blocks and k and rng is not None:
+    if k:
         nb = null_basis(a)
         t = t + nb @ gaussian(rng, (k, k), a.is_complex) @ nb.conj().T
         t = t + nb @ gaussian(rng, (k, a.rank), a.is_complex) @ a.u_plus.conj().T
@@ -114,41 +104,32 @@ def random_a_isometry(
     return lift_operator(rng, a, tilde)
 
 
-def operator_with_multiplicity(
-    rng: np.random.Generator,
-    a: PsdOperator,
-    multiplicity: int,
-    top: float = 1.0,
-    gap: float = 0.35,
-    complex_field: bool | None = None,
-) -> np.ndarray:
-    """A-bounded operator whose top singular value has exact multiplicity."""
+def operator_with_multiplicity(rng: np.random.Generator, a: PsdOperator, multiplicity: int) -> np.ndarray:
+    """A-bounded operator, in A's field, whose top singular value 1 has exact
+    multiplicity; the others are drawn uniformly from [0.05, 0.65], a
+    relative gap of at least 0.35 below it."""
     r = a.rank
     if not 1 <= multiplicity <= r:
         raise ValueError(f"multiplicity must lie in [1, {r}], got {multiplicity}")
-    if complex_field is None:
-        complex_field = a.is_complex
     sig = np.empty(r)
-    sig[:multiplicity] = top
+    sig[:multiplicity] = 1.0
     if r > multiplicity:
-        sig[multiplicity:] = np.sort(
-            rng.uniform(0.05 * top, (1.0 - gap) * top, size=r - multiplicity)
-        )[::-1]
-    left = random_orthonormal(rng, r, complex_field)
-    right = random_orthonormal(rng, r, complex_field)
+        sig[multiplicity:] = np.sort(rng.uniform(0.05, 0.65, size=r - multiplicity))[::-1]
+    left = random_orthonormal(rng, r, a.is_complex)
+    right = random_orthonormal(rng, r, a.is_complex)
     tilde = (left * sig[None, :]) @ right.conj().T
     return lift_operator(rng, a, tilde)
 
 
-def rank_one_operator(rng: np.random.Generator, a: PsdOperator, top: float = 1.0) -> np.ndarray:
-    """Rank-one A-bounded operator: kills the orthocomplement of its
-    attaining vector (the first left-symmetry witness case)."""
+def rank_one_operator(rng: np.random.Generator, a: PsdOperator) -> np.ndarray:
+    """Rank-one A-bounded operator of A-norm 1: kills the orthocomplement of
+    its attaining vector (the first left-symmetry witness case)."""
     r = a.rank
     u = gaussian(rng, (r,), a.is_complex)
     u /= np.linalg.norm(u)
     v = gaussian(rng, (r,), a.is_complex)
     v /= np.linalg.norm(v)
-    return lift_operator(rng, a, top * np.outer(u, v.conj()))
+    return lift_operator(rng, a, np.outer(u, v.conj()))
 
 
 def zero_a_norm_operator(rng: np.random.Generator, a: PsdOperator) -> np.ndarray:

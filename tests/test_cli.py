@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -190,6 +191,24 @@ def test_parse_errors(tmp_path):
 
     assert cli.main(["check", write_instance(tmp_path / "v.json", **REF), "--mode", "vec"]) == EXIT_PARSE
 
+    top_list = tmp_path / "list.json"
+    top_list.write_text(json.dumps([REF]))
+    assert cli.main(["norm", str(top_list)]) == EXIT_PARSE
+
+    malformed = {
+        "a_vector": dict(REF, A=[1.0, 2.0]),
+        "a_ragged": dict(REF, A=[[1.0, 0.0], [2.0]]),
+        "a_scalar": dict(REF, A=1.0),
+        "a_empty": dict(REF, A=[]),
+        "a_not_square": dict(REF, A=[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+        "field_unknown": dict(REF, field="quaternion"),
+        "t_wrong_size": dict(REF, T=[[1.0]]),
+        "x_wrong_length": dict(REF, x=[1.0]),
+        "tolerances_list": dict(REF, tolerances=[1.0]),
+    }
+    for name, fields in malformed.items():
+        assert cli.main(["norm", write_instance(tmp_path / f"{name}.json", **fields)]) == EXIT_PARSE, name
+
 
 def test_non_finite_instances_rejected(tmp_path, capsys):
     """json reads NaN, Infinity and 1e400; none of them may reach a decider."""
@@ -356,6 +375,22 @@ def test_classify_left_zero_norm(tmp_path):
     assert _read(out)["classification"]["kind"] == "left_symmetric"
 
 
+def test_classify_unverified_witness_is_property_failure(tmp_path, monkeypatch, capsys):
+    """A witness that does not verify exits 1 and says so in both reports."""
+    from semiortho import symmetry
+    from semiortho.vectors import Method, OrthoVerdict
+
+    def broken(a, t, s, eps):
+        return OrthoVerdict(holds=False, margin=-1.0, method=Method.DIRECT_MINIMIZATION)
+
+    monkeypatch.setattr(symmetry, "op_orth_direct", broken)
+    inst = write_instance(tmp_path / "i.json", **REF)
+    out = tmp_path / "r.json"
+    assert cli.main(["classify", inst, "--side", "right", "--json-out", str(out)]) == EXIT_PROPERTY
+    assert _read(out)["classification"]["witness_verified"] is False
+    assert "witness verified: NO" in capsys.readouterr().out
+
+
 def test_classify_left_reference(tmp_path):
     inst = write_instance(tmp_path / "i.json", **REF)
     out = tmp_path / "r.json"
@@ -403,6 +438,26 @@ def test_selftest_fault_injection(tmp_path, monkeypatch, capsys):
     bad = [s for s in report["suites"] if not s["passed"]]
     assert bad and bad[0]["failures"][0]["detail"] == "injected fault"
     assert "SELFTEST FAIL" in capsys.readouterr().out
+
+    # a real suite's records: flipping the attainment route makes the real
+    # routes disagree on every trial, of which the report keeps five
+    attainment = selftest_mod.op_orth_attainment_real
+
+    def flipped(*args):
+        verdict = attainment(*args)
+        return dataclasses.replace(verdict, holds=not verdict.holds)
+
+    monkeypatch.setattr(selftest_mod, "op_orth_attainment_real", flipped)
+    assert cli.main(["selftest", "--seed", "3", "--trials", "8", "--json-out", str(out)]) == EXIT_PROPERTY
+    suites = {s["name"]: s for s in _read(out)["suites"]}
+    assert not suites["op_route_equivalence_real"]["passed"]
+    assert all(len(s["failures"]) <= 5 for s in suites.values())
+    records = suites["op_route_equivalence_real"]["failures"]
+    assert len(records) == 5
+    for rec in records:
+        assert set(rec) == {"trial", "detail", "eps", "direct", "attain"}
+        assert isinstance(rec["trial"], int) and isinstance(rec["detail"], str)
+        assert all(isinstance(rec[k], float) for k in ("eps", "direct", "attain"))
 
 
 def test_check_random_fixture_batch(tmp_path, rng):

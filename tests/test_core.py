@@ -51,6 +51,8 @@ def test_hermitian_eig_rejects_bad_input():
         hermitian_eig(np.ones((2, 3)))
     with pytest.raises(NotHermitianError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(DimensionMismatchError):  # square, but not the size of A
+        psd_decompose(np.eye(2)).check_matrix(np.eye(3))
 
 
 def test_psd_decompose_reference_diagonal():

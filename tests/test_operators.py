@@ -15,6 +15,8 @@ from semiortho import (
     Tolerances,
     bind_operator,
     check_a_bounded,
+    classify_left,
+    classify_right,
     is_a_isometry,
     norm_a,
     norm_attainment_set,
@@ -362,6 +364,30 @@ def test_partial_bind_rejects_a_lower_eigenvector(eigh_calls):
     assert _span_sine(op.top_coords, _full_eigh(op, 1)[1]) <= 1e-12
 
 
+@pytest.mark.parametrize("m, fault", [(1, "singular"), (1, "overflow"), (2, "dependent")])
+def test_partial_bind_falls_back_when_iteration_fails(rng, eigh_calls, monkeypatch, m, fault):
+    """Where the shifted solve raises, or returns a block with an infinite
+    column or dependent columns, inverse iteration certifies nothing and the
+    bind takes one full eigh, whose top span it keeps."""
+    a = random_psd(rng, 64)
+    t = operator_with_multiplicity(rng, a, m)
+    solve = np.linalg.solve
+
+    def failing(lhs, rhs):
+        if fault == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        if fault == "overflow":
+            return np.full_like(rhs, np.inf)
+        return np.repeat(solve(lhs, rhs)[:, :1], rhs.shape[1], axis=1)
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    eigh_calls.clear()
+    op = bind_operator(a, t)
+    assert eigh_calls == [(64, 64)]
+    assert op.top_coords.shape == (64, m)
+    assert _span_sine(op.top_coords, _full_eigh(op, m)[1]) <= 1e-12
+
+
 @pytest.mark.parametrize("r, complex_field", PARTIAL_CASES)
 def test_partial_bind_identity_without_solve(rng, eigh_calls, monkeypatch, r, complex_field):
     """An A-isometry and a zero-norm operator hold the r x r identity as
@@ -407,6 +433,22 @@ def test_repeated_matrix_bind_costs_no_eigensolve(rng, eigh_calls):
     # the shared arrays cannot be edited behind the memo's back
     with pytest.raises(ValueError):
         again.tilde[0, 0] = 1.0
+
+
+def test_symmetry_witnesses_bind_outside_the_memo(rng):
+    """A symmetry report on T and the norm calls on it remember T alone: the
+    witnesses, bound from their factors, stay out of the memo, and their
+    arrays are read-only like those of every bound operator."""
+    a = random_psd(rng, 6, rank=5)
+    t = random_a_bounded(rng, a)
+    reports = classify_right(a, t, 0.3), classify_left(a, t, 0.3)
+    norm_attainment_set(a, t)
+    is_a_isometry(a, t)
+    assert len(a._binds) == 1
+    for report in reports:
+        for array in (report.witness.tilde, report.witness.sigma, report.witness.top_coords):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 def test_bind_after_in_place_edit_reduces_again(rng, eigh_calls):

@@ -69,6 +69,12 @@ def test_direct_zero_s_holds(rng):
     a, t, _ = _real_instance(rng)
     v = op_orth_direct(a, t, np.zeros_like(t), 0.2)
     assert v.holds and v.margin == 0.0
+    # on the attainment route T = I attains on all of R(A), so the form is
+    # the zero 3 x 3 matrix and every attaining vector is a minimizer
+    eye = psd_decompose(np.eye(3))
+    v = op_orth_attainment_real(eye, np.eye(3), np.zeros((3, 3)), 0.2)
+    assert v.holds and v.margin == 0.0
+    assert norm_a(eye, v.witness.vector) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_direct_zero_t_holds(rng):
@@ -77,6 +83,7 @@ def test_direct_zero_t_holds(rng):
     s = random_a_bounded(rng, a)
     assert op_orth_direct(a, z, s, 0.1).holds
     assert op_orth_direct(a, s, z, 0.1).holds
+    assert direct_objective(a, z, s, 0.1, 0.5) == 0.0
 
 
 def test_direct_witness_reproduces_margin(rng):
