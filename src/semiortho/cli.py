@@ -92,17 +92,18 @@ def _parse_entry(value: Any, complex_field: bool) -> complex | float:
 
 
 def _parse_array(data: Any, complex_field: bool, ndim: int, name: str) -> np.ndarray:
-    try:
-        if ndim == 1:
-            entries = [_parse_entry(v, complex_field) for v in data]
-            return np.array(entries, dtype=np.complex128 if complex_field else np.float64)
-        rows = [[_parse_entry(v, complex_field) for v in row] for row in data]
-        arr = np.array(rows, dtype=np.complex128 if complex_field else np.float64)
-        if arr.ndim != 2:
-            raise InstanceError(f"{name} is not a matrix")
-        return arr
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"cannot parse {name}: {exc}") from exc
+    dtype = np.complex128 if complex_field else np.float64
+    if ndim == 1:
+        if not isinstance(data, list):
+            raise InstanceError(f"{name} must be a 1-D list of entries")
+        return np.array([_parse_entry(v, complex_field) for v in data], dtype=dtype)
+    if not (
+        isinstance(data, list)
+        and data
+        and all(isinstance(row, list) and len(row) == len(data[0]) for row in data)
+    ):
+        raise InstanceError(f"{name} must be a 2-D list of rows of equal length")
+    return np.array([[_parse_entry(v, complex_field) for v in row] for row in data], dtype=dtype)
 
 
 def load_instance(path: str) -> dict:

@@ -1,8 +1,9 @@
 """Spectral substrate: Hermitian eigendecomposition and the positive operator A.
 
-Everything downstream works through :class:`PsdOperator`, which stores the
-spectral factorization of the positive semidefinite operator A and is the one
-place that changes basis to and from range coordinates. For x in R(A) the
+Everything downstream works through :class:`PsdOperator`, which stores a
+factorization of the positive semidefinite operator A (a certified Cholesky
+factor where A has full rank and n >= 24, else the spectral one) and is the
+one place that changes basis to and from range coordinates. For x in R(A) the
 coordinates u = W* x satisfy ||x||_A = ||u||_2, so range coordinates turn the
 degenerate geometry into a plain Euclidean one.
 """
@@ -10,6 +11,7 @@ degenerate geometry into a plain Euclidean one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,9 +54,8 @@ def _as_square_matrix(m: np.ndarray) -> np.ndarray:
     return m.astype(np.float64, copy=False)
 
 
-def _hermitian_eig(matrix: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate near-Hermitian input; return its exactly Hermitian part with
-    that part's eigenvalues, descending, and matching eigenvectors."""
+def _hermitian_part(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """Validate near-Hermitian input and return its exactly Hermitian part."""
     m = _as_square_matrix(matrix)
     scale = max(float(np.max(np.abs(m))), 1.0) if m.size else 1.0
     if not np.isfinite(scale):
@@ -64,11 +65,23 @@ def _hermitian_eig(matrix: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
         raise NotHermitianError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} > {tol:.1e} * {scale:.3e}"
         )
-    m = (m + m.conj().T) / 2.0
+    return (m + m.conj().T) / 2.0
+
+
+def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the exactly Hermitian ``m``, descending, and matching
+    eigenvectors."""
     w, v = np.linalg.eigh(m)
     # LAPACK's order is ascending; the Fortran-order copy of the reversed
     # columns keeps a positive-stride layout for BLAS
-    return m, w[::-1], v[:, ::-1].copy(order="F")
+    return w[::-1], v[:, ::-1].copy(order="F")
+
+
+def _clip(w: np.ndarray, rank_tol: float) -> tuple[np.ndarray, float]:
+    """Descending eigenvalues with those at or below clip = rank_tol * max(w_1, 0)
+    set to zero, and that threshold."""
+    clip = rank_tol * max(float(w[0]) if w.size else 0.0, 0.0)
+    return np.where(w > clip, w, 0.0), clip
 
 
 def hermitian_eig(
@@ -79,32 +92,42 @@ def hermitian_eig(
     Returns (eigenvalues, eigenvectors) with unitary eigenvector columns
     matching the eigenvalue order, so matrix = V diag(w) V*.
     """
-    return _hermitian_eig(matrix, tol.hermitian_tol)[1:]
+    return _eigh_descending(_hermitian_part(matrix, tol.hermitian_tol))
 
 
 @dataclass(frozen=True)
 class PsdOperator:
-    """A positive semidefinite operator with its spectral factorization.
+    """A positive semidefinite operator with the maps to its range coordinates.
 
     Attributes
     ----------
     matrix : ndarray
         The (exactly Hermitian) n x n matrix of A.
+    rank : int
+        Number of eigenvalues above the clipping threshold.
+    lam_max : float
+        The largest eigenvalue where A took a full eigendecomposition; on the
+        Cholesky path a lower bound on it (see :func:`psd_decompose`).
     eigenvalues : ndarray
         Clipped spectrum, descending, all >= 0.
     eigenvectors : ndarray
         Unitary matrix whose columns match ``eigenvalues``.
-    rank : int
-        Number of eigenvalues above the clipping threshold.
     u_plus, lam_plus : ndarray
         Eigenvectors/eigenvalues of the positive block (n x r and r).
     projector : ndarray
         Orthogonal projection onto R(A).
 
-    Range coordinates are u = W* x, with W = U+ diag(sqrt(lam+)) and
-    W- = U+ diag(1/sqrt(lam+)) (n x r), so ||W- u||_A = ||u||_2. W and W- are
-    notation, not attributes: :meth:`from_coords` is the one lift of coordinate
-    vectors and blocks, and :meth:`reduce` and :meth:`lift` change operators' basis.
+    Range coordinates are u = W* x, for an n x r map W with W W* = A (the
+    clipped eigenvalues aside), so that ||x||_A = ||u||_2; W- (n x r), with
+    W* W- = I, lifts them back. Where :func:`psd_decompose` took a full
+    eigendecomposition, W = U+ diag(sqrt(lam+)) and W- = U+ diag(1/sqrt(lam+)),
+    and the spectral attributes are stored. Where a Cholesky factor A = L L*
+    certified full rank, W = L and W- = L^-* are stored, and the spectral
+    attributes are computed on first use, with one ``eigh``; ``null_dim``
+    and :func:`null_basis` need none. The two choices of W differ by a
+    unitary. W and W- are notation, not attributes: :meth:`from_coords` is
+    the one lift of coordinate vectors and blocks, and :meth:`reduce` and
+    :meth:`lift` change operators' basis.
 
     Each instance also keeps a private memo of the last matrices bound to it
     (see :func:`semiortho.operators.bind_operator`; witnesses bound from their
@@ -113,11 +136,27 @@ class PsdOperator:
     """
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     rank: int
+    lam_max: float
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
+    # (W, W-) = (L, L^-*) on the Cholesky path, None where the spectrum gives them
+    _factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     _binds: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    # psd_decompose stores eigenvalues and eigenvectors in the instance on the
+    # eigh path, so only the Cholesky path reaches these three
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        w, v = _eigh_descending(self.matrix)
+        return _clip(w, self.tol.rank_tol)[0], v
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectrum[0]
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return self._spectrum[1]
 
     @property
     def dim(self) -> int:
@@ -126,10 +165,6 @@ class PsdOperator:
     @property
     def null_dim(self) -> int:
         return self.dim - self.rank
-
-    @property
-    def lam_max(self) -> float:
-        return float(self.eigenvalues[0]) if self.dim else 0.0
 
     @property
     def is_complex(self) -> bool:
@@ -148,25 +183,34 @@ class PsdOperator:
         u = self.u_plus
         return u @ u.conj().T
 
+    def _maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, W-): the stored factors, or U+ sqrt(lam+) and U+ / sqrt(lam+)."""
+        if self._factors is not None:
+            return self._factors
+        u, root = self.u_plus, np.sqrt(self.lam_plus)
+        return u * root, u / root
+
     def from_coords(self, u: np.ndarray) -> np.ndarray:
         """W- u: the ambient vector in R(A) with range coordinates ``u`` (r),
         or one such column per column of an r x k block, in O(n r k)."""
+        if self._factors is not None:
+            return self._factors[1] @ u
         return self.u_plus @ (u.T / np.sqrt(self.lam_plus)).T
 
     def reduce(self, t: np.ndarray) -> np.ndarray:
         """W* T W-, the r x r matrix of T in range coordinates."""
-        # Scaling U+ before the products fixes T~'s rounding, which near-tie
-        # attainment margins magnify by 1/gap (1e-8 at a relative gap of 1e-8).
-        u, root = self.u_plus, np.sqrt(self.lam_plus)
-        return (u * root).conj().T @ t @ (u / root)
+        # On the eigh path, scaling U+ before the products fixes T~'s
+        # rounding, which near-tie attainment margins magnify by 1/gap (1e-8
+        # at a relative gap of 1e-8).
+        w, w_inv = self._maps()
+        return w.conj().T @ t @ w_inv
 
     def lift(self, left: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
         """(W- left)(W right)^H: the operator, zero on N(A), whose range-coordinate
         matrix is left @ right^H, or ``left`` without ``right``, so that
         ``lift(reduce(T))`` is T compressed to R(A); O(n r k + n^2 k) for r x k."""
-        u, root = self.u_plus, np.sqrt(self.lam_plus)
-        w = u * root
-        return (u / root) @ left @ (w if right is None else w @ right).conj().T
+        w, w_inv = self._maps()
+        return w_inv @ left @ (w if right is None else w @ right).conj().T
 
     def check_vector(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -187,23 +231,155 @@ class PsdOperator:
         return t
 
 
+# Size from which psd_decompose tries a Cholesky factor of A before a full
+# eigh. Minimum of 101 (n <= 24) or 41 (n >= 32) in-process calls on a
+# full-rank A with eigenvalues uniform in [0.3, 2.5] (2 vCPU, OpenBLAS 0.3.31
+# pinned to 1 thread), eigh path -> Cholesky path, validation included, ms:
+#   n = 16   real 0.053 -> 0.060, complex 0.081 -> 0.074
+#   n = 20   real 0.075 -> 0.066, complex 0.110 -> 0.081
+#   n = 24   real 0.095 -> 0.073, complex 0.158 -> 0.097
+#   n = 32   real 0.128 -> 0.082, complex 0.171 -> 0.127
+#   n = 48   real 0.260 -> 0.123, complex 0.392 -> 0.203
+#   n = 64   real 0.395 -> 0.158, complex 0.697 -> 0.343
+#   n = 256  real 8.59 -> 2.91, complex 21.5 -> 5.46
+# At n = 20 the gain (0.01 ms) is within the run-to-run spread of a shared
+# host; n = 24 is the smallest of these at which the Cholesky path is faster
+# by a fifth or more in both fields. (A bind's crossover,
+# operators._PARTIAL_MIN_RANK, is 48.)
+_CHOLESKY_MIN_DIM = 24
+
+# Largest diagonal block that _lower_inverse hands to np.linalg.inv.
+_INVERSE_LEAF = 32
+
+# Power steps for lam_max on the Cholesky path.
+_POWER_STEPS = 8
+
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, exactly lower
+    triangular, by recursive 2 x 2 blocking:
+    inv([[A, 0], [C, D]]) = [[A^-1, 0], [-D^-1 C A^-1, D^-1]].
+
+    The work is matrix products; only the diagonal leaves of size at most
+    ``_INVERSE_LEAF`` go to ``np.linalg.inv``, transposed: LU with partial
+    pivoting of an upper-triangular matrix makes no row exchange, so it
+    solves by back substitution and leaves exact zeros below the diagonal.
+    """
+    n = low.shape[0]
+    if n <= _INVERSE_LEAF:
+        return np.linalg.inv(low.T).T
+    h = n // 2
+    head, tail = _lower_inverse(low[:h, :h]), _lower_inverse(low[h:, h:])
+    out = np.zeros_like(low)
+    out[:h, :h] = head
+    out[h:, h:] = tail
+    out[h:, :h] = -(tail @ (low[h:, :h] @ head))
+    return out
+
+
+def _certified_factor(m: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(L, L^-*) where a Cholesky factor of the Hermitian ``m`` proves it
+    positive definite with lambda_min > rank_tol * lambda_max, else None.
+
+    ``np.linalg.cholesky`` returns L with L L* = A + E, where
+    |E| <= gamma_{n+1} |L| |L*| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3), so ||E||_2 <= gamma_{n+1} ||L||_F^2, and
+    by Weyl lambda_min(A) >= sigma_min(L)^2 - ||E||_2. Let
+    g = 4 (n + 1) eps_mach, twice gamma_{n+1}, which also covers the larger
+    constants of complex arithmetic (ibid. Sec. 3.6) and the rounding of the
+    norms below; the bound on the threshold side is
+        floor = rank_tol ||A||_F + g ||L||_F^2,   rank_tol ||A||_F >= rank_tol lambda_max.
+    Every pivot L_ii^2 is a Schur complement's diagonal entry, so it is at
+    least sigma_min(L)^2: min L_ii^2 <= floor rejects in O(n), before any
+    inverse is built. Otherwise X = ``_lower_inverse(L)`` gives
+    sigma_min(L) = 1 / ||L^-1||_2 >= (1 - delta) / ||X||_F, where
+    delta = g ||X||_F ||L||_F bounds ||X L - I||_2 to first order (the
+    leaves' substitution has |X L - I| <= gamma_b |X| |L|; ibid. Sec. 14.2).
+    A is certified when delta < 1/2 and ((1 - delta) / ||X||_F)^2 > floor.
+
+    The rounding term g ||L||_F^2 is about g trace(A) >= g lambda_max, at
+    least 2.2e-14 lambda_max from n = 24, above the n u lambda_max to which
+    any eigensolver resolves the spectrum. So an eigenvalue at rounding level
+    is never certified, however small ``rank_tol`` is: such an A goes to
+    ``eigh``.
+    """
+    try:
+        low = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    # a norm that overflows makes the test fail, and eigh takes A
+    with np.errstate(over="ignore"):
+        g = 4.0 * (m.shape[0] + 1) * float(np.finfo(np.float64).eps)
+        size = float(np.linalg.norm(low))
+        floor = rank_tol * float(np.linalg.norm(m)) + g * size * size
+        pivot = float(np.min(low.diagonal().real))
+        if not pivot * pivot > floor:
+            return None
+        inv = _lower_inverse(low)
+        spread = float(np.linalg.norm(inv))
+    delta = g * size * spread
+    bound = (1.0 - delta) / spread
+    if not (delta < 0.5 and bound * bound > floor):
+        return None
+    return low, inv.conj().T
+
+
+def _power_lam_max(m: np.ndarray) -> float:
+    """The Rayleigh quotient of A^k e_j, k = ``_POWER_STEPS``, for j the
+    largest diagonal entry of the positive definite ``m``: a lower bound on
+    lambda_max, nondecreasing in k and at least max_j A_jj. A is scaled by
+    that entry first, so the iterates grow by at most n per step."""
+    diagonal = m.diagonal().real
+    j = int(np.argmax(diagonal))
+    top = float(diagonal[j])
+    b = m * (1.0 / top)
+    w = b[:, j]
+    for _ in range(_POWER_STEPS):
+        v, w = w, b @ w
+    return top * float(np.vdot(v, w).real) / float(np.vdot(v, v).real)
+
+
 def psd_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PsdOperator:
     """Validate and factor a positive semidefinite matrix.
 
     Eigenvalues in [-rank_tol * lam_max, rank_tol * lam_max] are clipped to
     zero; anything below that band raises :class:`NotPositiveError`.
+
+    A square A of size n >= ``_CHOLESKY_MIN_DIM`` first tries a Cholesky
+    factor, a path that costs about a third of ``eigh`` at n = 256. Where it
+    certifies lambda_min > rank_tol * lambda_max (``_certified_factor``), A
+    has full rank under the clipping rule, and the range coordinates come
+    from L; ``lam_max`` is then the lower bound of ``_power_lam_max``, and
+    the spectrum is computed only if asked for. Every other A, rank-deficient
+    ones included, takes one full ``eigh``, and ``lam_max`` is its largest
+    eigenvalue. The input is validated once, before either path.
+
+    ``lam_max`` scales three tests. ``is_a_null`` and the A-boundedness check
+    decide identically on any value in (0, lam_max] at certified full rank,
+    where no nonzero vector lies within rank_tol * lam_max of N(A). The
+    zero-norm threshold of a bind scales with sqrt(max(lam_max, 1)), so it
+    moves by at most a factor sqrt(lam_max / estimate). On 30 A per size
+    drawn as the benchmark draws them (spectra uniform in [0.3, 2.5],
+    n = 48, 64, 256, both fields) the estimate was at least 0.86 lam_max,
+    which moves that threshold by at most 8 %.
     """
-    m, w, v = _hermitian_eig(matrix, tol.hermitian_tol)
-    lam_max = max(float(w[0]) if w.size else 0.0, 0.0)
-    clip = tol.rank_tol * lam_max
+    m = _hermitian_part(matrix, tol.hermitian_tol)
+    if m.shape[0] >= _CHOLESKY_MIN_DIM:
+        factors = _certified_factor(m, tol.rank_tol)
+        if factors is not None:
+            return PsdOperator(matrix=m, rank=m.shape[0], lam_max=_power_lam_max(m), tol=tol,
+                               _factors=factors)
+    w, v = _eigh_descending(m)
+    clipped, clip = _clip(w, tol.rank_tol)
     if w.size and float(w[-1]) < -clip:
         raise NotPositiveError(
             f"matrix is not positive semidefinite: eigenvalue {float(w[-1]):.3e} "
             f"< {-clip:.3e}"
         )
-    w = np.where(w > clip, w, 0.0)
-    rank = int(np.count_nonzero(w))
-    return PsdOperator(matrix=m, eigenvalues=w, eigenvectors=v, rank=rank, tol=tol)
+    a = PsdOperator(matrix=m, rank=int(np.count_nonzero(clipped)),
+                    lam_max=float(clipped[0]) if w.size else 0.0, tol=tol)
+    a.__dict__.update(eigenvalues=clipped, eigenvectors=v)  # the cached properties' slots
+    return a
 
 
 def sqrt_psd(a: PsdOperator) -> np.ndarray:
@@ -213,5 +389,8 @@ def sqrt_psd(a: PsdOperator) -> np.ndarray:
 
 
 def null_basis(a: PsdOperator) -> np.ndarray:
-    """Orthonormal basis of N(A) as the columns of an n x (n - rank) array."""
+    """Orthonormal basis of N(A) as the columns of an n x (n - rank) array;
+    on the Cholesky path the n x 0 block, with no eigensolve."""
+    if a._factors is not None:
+        return np.zeros((a.dim, 0), dtype=a.matrix.dtype)
     return a.eigenvectors[:, a.rank :]

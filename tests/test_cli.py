@@ -171,7 +171,7 @@ def test_unwritable_report_is_a_flag_error(tmp_path, capsys):
     assert "error: cannot write report" in capsys.readouterr().err
 
 
-def test_parse_errors(tmp_path):
+def test_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["norm", str(bad)]) == EXIT_PARSE
@@ -208,6 +208,12 @@ def test_parse_errors(tmp_path):
     }
     for name, fields in malformed.items():
         assert cli.main(["norm", write_instance(tmp_path / f"{name}.json", **fields)]) == EXIT_PARSE, name
+        err = capsys.readouterr().err
+        if name in ("a_vector", "a_ragged", "a_scalar", "a_empty"):
+            assert "A must be a 2-D list of rows of equal length" in err, name
+    x_scalar = write_instance(tmp_path / "x.json", **dict(REF, x=1.0))
+    assert cli.main(["check", x_scalar, "--mode", "vec"]) == EXIT_PARSE
+    assert "x must be a 1-D list of entries" in capsys.readouterr().err
 
 
 def test_non_finite_instances_rejected(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from semiortho import (
     DimensionMismatchError,
+    NonFiniteError,
     NotHermitianError,
     NotPositiveError,
     Tolerances,
@@ -14,7 +15,8 @@ from semiortho import (
     psd_decompose,
     sqrt_psd,
 )
-from semiortho.sampling import gaussian, random_hermitian, random_psd
+from semiortho.core import _CHOLESKY_MIN_DIM, _lower_inverse
+from semiortho.sampling import gaussian, random_hermitian, random_orthonormal, random_psd
 
 
 def test_hermitian_eig_diagonal():
@@ -119,8 +121,13 @@ def test_coordinate_isometry(rng):
 
 
 def _explicit_maps(a):
-    """W = U+ diag(sqrt(lam+)) and W- = U+ diag(1/sqrt(lam+)), as explicit
-    n x r matrices built from the spectral factorization."""
+    """W and W- as explicit n x r matrices: W = cholesky(A) and
+    W- = inv(W)^-H for a full-rank A at n >= the crossover, else
+    W = U+ diag(sqrt(lam+)) and W- = U+ diag(1/sqrt(lam+)) from the spectral
+    factorization."""
+    if a.rank == a.dim >= _CHOLESKY_MIN_DIM:
+        w = np.linalg.cholesky(a.matrix)
+        return w, np.linalg.inv(w).conj().T
     u = a.eigenvectors[:, : a.rank]
     root = np.sqrt(a.eigenvalues[: a.rank])
     return u * root[None, :], u / root[None, :]
@@ -130,12 +137,13 @@ def _relative(x, ref):
     return float(np.linalg.norm(x - ref)) / float(np.linalg.norm(ref))
 
 
-@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("n", [4, 16, 64, 256])
 @pytest.mark.parametrize("deficient", [False, True])
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_coordinate_methods_match_explicit_maps(rng, n, deficient, complex_field):
     """from_coords is W- u, reduce is W* T W-, and lift is (W- L)(W R)^H,
-    or W- L W* without R, each within 1e-13 relative of the explicit maps."""
+    or W- L W* without R, each within 1e-13 relative of the explicit maps;
+    ||from_coords(u)||_A = ||u|| and lift(reduce(T)) = P T P on either path."""
     a = random_psd(rng, n, rank=n - n // 4 if deficient else n, complex_field=complex_field)
     w, w_inv = _explicit_maps(a)
     r, k = a.rank, 3
@@ -150,6 +158,7 @@ def test_coordinate_methods_match_explicit_maps(rng, n, deficient, complex_field
     assert _relative(a.reduce(t), w.conj().T @ t @ w_inv) <= 1e-13
     assert _relative(a.lift(tilde), w_inv @ tilde @ w.conj().T) <= 1e-13
     assert _relative(a.lift(left, right), (w_inv @ left) @ (w @ right).conj().T) <= 1e-13
+    assert abs(norm_a(a, a.from_coords(u)) - np.linalg.norm(u)) <= 1e-13 * np.linalg.norm(u)
     p = a.projector
     assert _relative(a.lift(a.reduce(t)), p @ t @ p) <= 1e-13
 
@@ -176,3 +185,120 @@ def test_tolerances_validation():
     for bad in (-1.0, float("inf")):
         with pytest.raises(ValueError):
             Tolerances(rank_tol=bad)
+
+
+# ----------------------------- Cholesky path ----------------------------------
+
+
+def _spectral_matrix(rng, lam, complex_field):
+    """U diag(lam) U* for a random unitary U, exactly Hermitian."""
+    u = random_orthonormal(rng, lam.size, complex_field)
+    m = (u * lam[None, :]) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def _eigh_rank(matrix, rank_tol):
+    """The rank that a fresh eigh with the clipping rule gives."""
+    w = hermitian_eig(matrix)[0]
+    return int(np.count_nonzero(w > rank_tol * max(float(w[0]), 0.0)))
+
+
+# lambda_min / lambda_max for each case; None: rank n - n/4
+RANK_CASES = {"full": 0.3 / 2.5, "deficient": None, "above_clip": 1e-9, "below_clip": 1e-11,
+              "negative_in_band": -1e-11}
+
+
+@pytest.mark.parametrize("n", [48, 64, 256])
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("case", RANK_CASES)
+def test_cholesky_path_rank_matches_eigh(rng, eigh_calls, n, complex_field, case):
+    """Either path gives the rank that eigh with the clipping rule gives
+    (rank_tol = 1e-10); a Cholesky factor is kept only at full rank, and
+    its lazily computed spectrum, projector, square root and null basis
+    match eigh's."""
+    lam = np.sort(rng.uniform(0.3, 2.5, n))[::-1]
+    lam[0] = 2.5
+    if RANK_CASES[case] is None:
+        lam[n - n // 4:] = 0.0
+    else:
+        lam[-1] = RANK_CASES[case] * lam[0]
+    matrix = _spectral_matrix(rng, lam, complex_field)
+    rank = _eigh_rank(matrix, 1e-10)
+    eigh_calls.clear()
+    a = psd_decompose(matrix)
+    assert a.rank == rank
+    cholesky = a._factors is not None
+    assert len(eigh_calls) == (0 if cholesky else 1)
+    assert cholesky == (case == "full") or case == "above_clip"
+    if not cholesky:
+        return
+    assert a.rank == n and a.null_dim == 0
+    assert null_basis(a).shape == (n, 0) and null_basis(a).dtype == a.matrix.dtype
+    assert eigh_calls == []
+    w, v = hermitian_eig(matrix)
+    assert 0.0 < a.lam_max <= w[0] * (1.0 + 1e-14)
+    assert np.max(np.abs(a.eigenvalues - w)) <= 1e-14 * w[0]
+    assert len(eigh_calls) == 2  # one lazy eigh, one reference
+    assert np.max(np.abs(a.projector - v @ v.conj().T)) <= 1e-13
+    root = sqrt_psd(a)
+    assert np.max(np.abs(root @ root - a.matrix)) <= 1e-13 * w[0]
+    assert len(eigh_calls) == 2
+
+
+@pytest.mark.parametrize("n", [48, 64, 256])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_cholesky_certificate_never_certifies_rounding(rng, n, complex_field):
+    """With rank_tol = 1e-16, an eigenvalue of 1e-14 lambda_max lies inside
+    the Cholesky factor's rounding term: the factor cannot certify it, and
+    eigh decides the rank."""
+    lam = np.sort(rng.uniform(0.3, 2.5, n))[::-1]
+    lam[-1] = 1e-14 * lam[0]
+    matrix = _spectral_matrix(rng, lam, complex_field)
+    tol = Tolerances(rank_tol=1e-16)
+    a = psd_decompose(matrix, tol)
+    assert a._factors is None
+    assert a.rank == _eigh_rank(matrix, tol.rank_tol)
+
+
+@pytest.mark.parametrize("n", [48, 64, 256])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_cholesky_path_rejects_bad_input_as_before(rng, n, complex_field):
+    lam = rng.uniform(0.3, 2.5, n)
+    matrix = _spectral_matrix(rng, lam, complex_field)
+    skewed = matrix.copy()
+    skewed[0, 1] += 1e-6
+    with pytest.raises(NotHermitianError):
+        psd_decompose(skewed)
+    broken = matrix.copy()
+    broken[1, 1] = np.nan
+    with pytest.raises(NonFiniteError):
+        psd_decompose(broken)
+    lam[-1] = -0.1
+    with pytest.raises(NotPositiveError):
+        psd_decompose(_spectral_matrix(rng, lam, complex_field))
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 255, 256])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_lower_inverse_blocked(rng, n, complex_field):
+    """The blocked inverse is exactly lower triangular, with
+    ||L X - I||_F within a few n u cond(L), across odd splits and leaves."""
+    lam = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    low = np.linalg.cholesky(_spectral_matrix(rng, lam, complex_field))
+    inv = _lower_inverse(low)
+    assert inv.dtype == low.dtype
+    assert not np.any(np.triu(inv, 1))
+    unit = np.finfo(np.float64).eps / 2.0
+    bound = 4.0 * n * unit * np.linalg.cond(low)
+    assert np.linalg.norm(low @ inv - np.eye(n)) <= bound
+
+
+def test_cholesky_path_extreme_scales():
+    """Where a norm in the certificate overflows or the inverse's does, the
+    certificate fails quietly and eigh decides, as it does for every scale
+    below the crossover."""
+    for scale in (1e-310, 1e-300, 1.0, 1e150, 1e300):
+        for dtype in (float, complex):
+            a = psd_decompose(scale * np.eye(32, dtype=dtype))
+            assert a.rank == 32
+            assert (a._factors is not None) == (1e-300 <= scale <= 1e150)
