@@ -1,11 +1,12 @@
 """Spectral substrate: Hermitian eigendecomposition and the positive operator A.
 
-Everything downstream works through :class:`PsdOperator`, which stores a
-factorization of the positive semidefinite operator A (a certified Cholesky
-factor where A has full rank and n >= 24, else the spectral one) and is the
-one place that changes basis to and from range coordinates. For x in R(A) the
-coordinates u = W* x satisfy ||x||_A = ||u||_2, so range coordinates turn the
-degenerate geometry into a plain Euclidean one.
+Everything downstream works through :class:`PsdOperator`, which stores the
+maps W and W- of the positive semidefinite operator A (from a certified
+Cholesky factor where A has full rank and n >= 24, else from the spectral
+factorization) and is the one place that changes basis to and from range
+coordinates. For x in R(A) the coordinates u = W* x satisfy
+||x||_A = ||u||_2, so range coordinates turn the degenerate geometry into a
+plain Euclidean one.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ def _as_square_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Validate near-Hermitian input and return its exactly Hermitian part."""
+    """Validate near-Hermitian input and return its exactly Hermitian part;
+    the asymmetry is measured against the largest entry, at every scale."""
     m = _as_square_matrix(matrix)
-    scale = max(float(np.max(np.abs(m))), 1.0) if m.size else 1.0
+    scale = float(np.max(np.abs(m))) if m.size else 0.0
     if not np.isfinite(scale):
         raise NonFiniteError("matrix has a non-finite entry")
     asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -107,26 +109,26 @@ class PsdOperator:
         Number of eigenvalues above the clipping threshold.
     lam_max : float
         The largest eigenvalue where A took a full eigendecomposition; on the
-        Cholesky path a lower bound on it (see :func:`psd_decompose`).
+        Cholesky path max_j A_jj, a lower bound on it (see :func:`psd_decompose`).
     eigenvalues : ndarray
         Clipped spectrum, descending, all >= 0.
     eigenvectors : ndarray
         Unitary matrix whose columns match ``eigenvalues``.
-    u_plus, lam_plus : ndarray
-        Eigenvectors/eigenvalues of the positive block (n x r and r).
+    u_plus : ndarray
+        Eigenvectors of the positive block (n x r).
     projector : ndarray
         Orthogonal projection onto R(A).
 
     Range coordinates are u = W* x, for an n x r map W with W W* = A (the
     clipped eigenvalues aside), so that ||x||_A = ||u||_2; W- (n x r), with
-    W* W- = I, lifts them back. Where :func:`psd_decompose` took a full
-    eigendecomposition, W = U+ diag(sqrt(lam+)) and W- = U+ diag(1/sqrt(lam+)),
-    and the spectral attributes are stored. Where a Cholesky factor A = L L*
-    certified full rank, W = L and W- = L^-* are stored, and the spectral
-    attributes are computed on first use, with one ``eigh``; ``null_dim``
-    and :func:`null_basis` need none. The two choices of W differ by a
-    unitary. W and W- are notation, not attributes: :meth:`from_coords` is
-    the one lift of coordinate vectors and blocks, and :meth:`reduce` and
+    W* W- = I, lifts them back. :func:`psd_decompose` stores both for every
+    A: W = L and W- = L^-* where a Cholesky factor A = L L* certified full
+    rank, else W = U+ diag(sqrt(lam+)) and W- = U+ diag(1/sqrt(lam+)) from
+    the eigendecomposition, whose spectrum it keeps. On the Cholesky path the
+    spectral attributes are computed on first use, with one ``eigh``;
+    ``null_dim`` and :func:`null_basis` need none. The two choices of W
+    differ by a unitary. W and W- are private: :meth:`from_coords` is the one
+    lift of coordinate vectors and blocks, and :meth:`reduce` and
     :meth:`lift` change operators' basis.
 
     Each instance also keeps a private memo of the last matrices bound to it
@@ -138,23 +140,23 @@ class PsdOperator:
     matrix: np.ndarray
     rank: int
     lam_max: float
+    _w: np.ndarray = field(repr=False, compare=False)
+    _w_inv: np.ndarray = field(repr=False, compare=False)
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
-    # (W, W-) = (L, L^-*) on the Cholesky path, None where the spectrum gives them
-    _factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     _binds: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    # psd_decompose stores eigenvalues and eigenvectors in the instance on the
-    # eigh path, so only the Cholesky path reaches these three
+    # the eigh path of psd_decompose fills this cache, so only the Cholesky
+    # path computes it
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         w, v = _eigh_descending(self.matrix)
         return _clip(w, self.tol.rank_tol)[0], v
 
-    @cached_property
+    @property
     def eigenvalues(self) -> np.ndarray:
         return self._spectrum[0]
 
-    @cached_property
+    @property
     def eigenvectors(self) -> np.ndarray:
         return self._spectrum[1]
 
@@ -175,42 +177,24 @@ class PsdOperator:
         return self.eigenvectors[:, : self.rank]
 
     @property
-    def lam_plus(self) -> np.ndarray:
-        return self.eigenvalues[: self.rank]
-
-    @property
     def projector(self) -> np.ndarray:
         u = self.u_plus
         return u @ u.conj().T
 
-    def _maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, W-): the stored factors, or U+ sqrt(lam+) and U+ / sqrt(lam+)."""
-        if self._factors is not None:
-            return self._factors
-        u, root = self.u_plus, np.sqrt(self.lam_plus)
-        return u * root, u / root
-
     def from_coords(self, u: np.ndarray) -> np.ndarray:
         """W- u: the ambient vector in R(A) with range coordinates ``u`` (r),
         or one such column per column of an r x k block, in O(n r k)."""
-        if self._factors is not None:
-            return self._factors[1] @ u
-        return self.u_plus @ (u.T / np.sqrt(self.lam_plus)).T
+        return self._w_inv @ u
 
     def reduce(self, t: np.ndarray) -> np.ndarray:
         """W* T W-, the r x r matrix of T in range coordinates."""
-        # On the eigh path, scaling U+ before the products fixes T~'s
-        # rounding, which near-tie attainment margins magnify by 1/gap (1e-8
-        # at a relative gap of 1e-8).
-        w, w_inv = self._maps()
-        return w.conj().T @ t @ w_inv
+        return self._w.conj().T @ t @ self._w_inv
 
     def lift(self, left: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
         """(W- left)(W right)^H: the operator, zero on N(A), whose range-coordinate
         matrix is left @ right^H, or ``left`` without ``right``, so that
         ``lift(reduce(T))`` is T compressed to R(A); O(n r k + n^2 k) for r x k."""
-        w, w_inv = self._maps()
-        return w_inv @ left @ (w if right is None else w @ right).conj().T
+        return self._w_inv @ left @ (self._w if right is None else self._w @ right).conj().T
 
     def check_vector(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -250,9 +234,6 @@ _CHOLESKY_MIN_DIM = 24
 
 # Largest diagonal block that _lower_inverse hands to np.linalg.inv.
 _INVERSE_LEAF = 32
-
-# Power steps for lam_max on the Cholesky path.
-_POWER_STEPS = 8
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:
@@ -324,21 +305,6 @@ def _certified_factor(m: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.nd
     return low, inv.conj().T
 
 
-def _power_lam_max(m: np.ndarray) -> float:
-    """The Rayleigh quotient of A^k e_j, k = ``_POWER_STEPS``, for j the
-    largest diagonal entry of the positive definite ``m``: a lower bound on
-    lambda_max, nondecreasing in k and at least max_j A_jj. A is scaled by
-    that entry first, so the iterates grow by at most n per step."""
-    diagonal = m.diagonal().real
-    j = int(np.argmax(diagonal))
-    top = float(diagonal[j])
-    b = m * (1.0 / top)
-    w = b[:, j]
-    for _ in range(_POWER_STEPS):
-        v, w = w, b @ w
-    return top * float(np.vdot(v, w).real) / float(np.vdot(v, v).real)
-
-
 def psd_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PsdOperator:
     """Validate and factor a positive semidefinite matrix.
 
@@ -348,27 +314,24 @@ def psd_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PsdOpera
     A square A of size n >= ``_CHOLESKY_MIN_DIM`` first tries a Cholesky
     factor, a path that costs about a third of ``eigh`` at n = 256. Where it
     certifies lambda_min > rank_tol * lambda_max (``_certified_factor``), A
-    has full rank under the clipping rule, and the range coordinates come
-    from L; ``lam_max`` is then the lower bound of ``_power_lam_max``, and
-    the spectrum is computed only if asked for. Every other A, rank-deficient
-    ones included, takes one full ``eigh``, and ``lam_max`` is its largest
+    has full rank under the clipping rule, W = L and W- = L^-* are stored,
+    ``lam_max`` is max_j A_jj, a lower bound on lambda_max, and the spectrum
+    is computed only if asked for. Every other A, rank-deficient ones
+    included, takes one full ``eigh``, which gives W = U+ diag(sqrt(lam+))
+    and W- = U+ diag(1/sqrt(lam+)), and ``lam_max`` is its largest
     eigenvalue. The input is validated once, before either path.
 
-    ``lam_max`` scales three tests. ``is_a_null`` and the A-boundedness check
-    decide identically on any value in (0, lam_max] at certified full rank,
-    where no nonzero vector lies within rank_tol * lam_max of N(A). The
-    zero-norm threshold of a bind scales with sqrt(max(lam_max, 1)), so it
-    moves by at most a factor sqrt(lam_max / estimate). On 30 A per size
-    drawn as the benchmark draws them (spectra uniform in [0.3, 2.5],
-    n = 48, 64, 256, both fields) the estimate was at least 0.86 lam_max,
-    which moves that threshold by at most 8 %.
+    ``lam_max`` scales ``is_a_null`` and the A-boundedness check, and both
+    decide identically on any value in (0, lambda_max] at certified full
+    rank, where no nonzero vector lies within rank_tol * lambda_max of N(A)
+    and the check has no N(A) to test.
     """
     m = _hermitian_part(matrix, tol.hermitian_tol)
     if m.shape[0] >= _CHOLESKY_MIN_DIM:
         factors = _certified_factor(m, tol.rank_tol)
         if factors is not None:
-            return PsdOperator(matrix=m, rank=m.shape[0], lam_max=_power_lam_max(m), tol=tol,
-                               _factors=factors)
+            return PsdOperator(matrix=m, rank=m.shape[0], _w=factors[0], _w_inv=factors[1],
+                               lam_max=float(np.max(m.diagonal().real)), tol=tol)
     w, v = _eigh_descending(m)
     clipped, clip = _clip(w, tol.rank_tol)
     if w.size and float(w[-1]) < -clip:
@@ -376,9 +339,13 @@ def psd_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PsdOpera
             f"matrix is not positive semidefinite: eigenvalue {float(w[-1]):.3e} "
             f"< {-clip:.3e}"
         )
-    a = PsdOperator(matrix=m, rank=int(np.count_nonzero(clipped)),
-                    lam_max=float(clipped[0]) if w.size else 0.0, tol=tol)
-    a.__dict__.update(eigenvalues=clipped, eigenvectors=v)  # the cached properties' slots
+    rank = int(np.count_nonzero(clipped))
+    # U+ scaled before any product with T fixes T~'s rounding, which near-tie
+    # attainment margins magnify by 1/gap (1e-8 at a relative gap of 1e-8)
+    u, root = v[:, :rank], np.sqrt(clipped[:rank])
+    a = PsdOperator(matrix=m, rank=rank, lam_max=float(clipped[0]) if w.size else 0.0,
+                    _w=u * root, _w_inv=u / root, tol=tol)
+    a.__dict__["_spectrum"] = (clipped, v)  # the cached property's slot
     return a
 
 
@@ -390,7 +357,7 @@ def sqrt_psd(a: PsdOperator) -> np.ndarray:
 
 def null_basis(a: PsdOperator) -> np.ndarray:
     """Orthonormal basis of N(A) as the columns of an n x (n - rank) array;
-    on the Cholesky path the n x 0 block, with no eigensolve."""
-    if a._factors is not None:
+    at full rank the n x 0 block, with no eigensolve."""
+    if a.null_dim == 0:
         return np.zeros((a.dim, 0), dtype=a.matrix.dtype)
     return a.eigenvectors[:, a.rank :]

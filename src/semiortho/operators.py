@@ -141,11 +141,11 @@ def _singular_system(a: PsdOperator, t: np.ndarray, left: np.ndarray,
     G = left^H left, padded with zeros to length r, and the top cluster's
     right-singular vectors are its top eigenvectors.
 
-    ||T||_A is zero when it is below 1e-12 of the rounding scale of the
-    reduction, sqrt(max(lam_max, 1)) (1 + ||T||_F); then every A-unit vector
-    attains it, and the attainment coordinates are the r x r identity, as
-    they are for any cluster that fills R(A). Both are decided from the
-    eigenvalues, before any vector work.
+    ||T||_A is zero when sigma_max(T~) <= 1e-12 ||T||_F, a test that no
+    rescaling of T or A changes; then every A-unit vector attains it, and the
+    attainment coordinates are the r x r identity, as they are for any
+    cluster that fills R(A). Both are decided from the eigenvalues, before
+    any vector work.
 
     A reduction of rank r >= ``_PARTIAL_MIN_RANK`` takes the eigenvalues
     alone (``eigvalsh``), and any cluster short of R(A) comes from
@@ -165,8 +165,7 @@ def _singular_system(a: PsdOperator, t: np.ndarray, left: np.ndarray,
     sigma = np.zeros(left.shape[0])
     sigma[:k] = np.sqrt(np.clip(w, 0.0, None))
     norm = float(sigma[0]) if sigma.size else 0.0
-    scale = math.sqrt(max(a.lam_max, 1.0)) * (1.0 + float(np.linalg.norm(t)))
-    zero_norm = norm <= 1e-12 * scale
+    zero_norm = norm <= 1e-12 * float(np.linalg.norm(t))
     m = int(np.count_nonzero(sigma >= norm * (1.0 - a.tol.cluster_tol)))
     tilde = left if right is None else left @ right.conj().T
     if zero_norm or m == sigma.size:
@@ -265,7 +264,7 @@ def _orthonormalize(x: np.ndarray) -> np.ndarray | None:
     return q
 
 
-def _bind_factors(a: PsdOperator, left: np.ndarray, right: np.ndarray) -> ABoundedOperator:
+def _bind_product(a: PsdOperator, left: np.ndarray, right: np.ndarray) -> ABoundedOperator:
     """Bind the operator whose reduction is left @ right^H, for nonzero r x k
     factors, ``right`` with orthonormal columns (within 1e-12 per entry): its
     lift (W- left)(W right)^H costs O(n r k) and is zero on N(A), its singular

@@ -26,7 +26,7 @@ from .errors import (
 from .operators import (
     ABoundedOperator,
     Operand,
-    _bind_factors,
+    _bind_product,
     bind_operator,
     is_a_isometry,
 )
@@ -203,7 +203,7 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
         w0 = w0 * (value / abs(value))
 
     right = np.column_stack([coords, extension])
-    witness = _bind_factors(a, np.column_stack([-images, w0]), right)
+    witness = _bind_product(a, np.column_stack([-images, w0]), right)
     return WitnessConstruction(tag=ConstructionTag.RIGHT_PROOF, params=None, witness=witness)
 
 
@@ -247,7 +247,7 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
 
     if m >= 2:
         z2 = coords[:, 1:2]
-        witness = _bind_factors(a, tilde_n @ z2, z2)
+        witness = _bind_product(a, tilde_n @ z2, z2)
         return WitnessConstruction(tag=ConstructionTag.LEFT_MULTI_PAIR, params=None, witness=witness)
 
     x = coords[:, 0]
@@ -292,7 +292,7 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
 
     right = np.column_stack([x, partner]) @ np.array([[e1, -s1], [s1, e1]])  # (z_1, z_2)
     mix = np.array([[params.a, params.alpha * params.b], [params.b, -params.alpha * params.a]])
-    witness = _bind_factors(a, np.column_stack([image_x, w]) @ mix, right)
+    witness = _bind_product(a, np.column_stack([image_x, w]) @ mix, right)
     return WitnessConstruction(tag=tag, params=params, witness=witness)
 
 

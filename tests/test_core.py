@@ -57,6 +57,22 @@ def test_hermitian_eig_rejects_bad_input():
         psd_decompose(np.eye(2)).check_matrix(np.eye(3))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-300])
+def test_hermitian_tol_is_relative_at_every_scale(scale):
+    """hermitian_tol is relative to the largest entry, however small the
+    entries are: an asymmetry of half of it is rejected, not symmetrized,
+    and the symmetric part is accepted as it is."""
+    m = scale * np.array([[2.0, 0.0], [1.0, 2.0]])
+    with pytest.raises(NotHermitianError):
+        psd_decompose(m)
+    with pytest.raises(NotHermitianError):
+        hermitian_eig(m)
+    sym = (m + m.T) / 2.0
+    a = psd_decompose(sym)
+    assert a.rank == 2 and np.array_equal(a.matrix, sym)
+    assert np.array_equal(hermitian_eig(sym)[0], a.eigenvalues)
+
+
 def test_psd_decompose_reference_diagonal():
     a = psd_decompose(np.diag([1.0, 2.0]))
     assert a.rank == 2
@@ -71,6 +87,9 @@ def test_psd_decompose_rank_deficient():
     nb = null_basis(a)
     assert nb.shape == (2, 1)
     assert np.allclose(np.abs(nb[:, 0]), [0.0, 1.0])
+    # a zero A, and an empty one, have no entry to scale the Hermitian check
+    assert psd_decompose(np.zeros((2, 2))).rank == 0
+    assert psd_decompose(np.zeros((0, 0))).rank == 0
 
 
 def test_psd_decompose_rejects_indefinite():
@@ -227,8 +246,8 @@ def test_cholesky_path_rank_matches_eigh(rng, eigh_calls, n, complex_field, case
     eigh_calls.clear()
     a = psd_decompose(matrix)
     assert a.rank == rank
-    cholesky = a._factors is not None
-    assert len(eigh_calls) == (0 if cholesky else 1)
+    assert len(eigh_calls) <= 1
+    cholesky = not eigh_calls
     assert cholesky == (case == "full") or case == "above_clip"
     if not cholesky:
         return
@@ -247,7 +266,7 @@ def test_cholesky_path_rank_matches_eigh(rng, eigh_calls, n, complex_field, case
 
 @pytest.mark.parametrize("n", [48, 64, 256])
 @pytest.mark.parametrize("complex_field", [False, True])
-def test_cholesky_certificate_never_certifies_rounding(rng, n, complex_field):
+def test_cholesky_certificate_never_certifies_rounding(rng, eigh_calls, n, complex_field):
     """With rank_tol = 1e-16, an eigenvalue of 1e-14 lambda_max lies inside
     the Cholesky factor's rounding term: the factor cannot certify it, and
     eigh decides the rank."""
@@ -255,8 +274,9 @@ def test_cholesky_certificate_never_certifies_rounding(rng, n, complex_field):
     lam[-1] = 1e-14 * lam[0]
     matrix = _spectral_matrix(rng, lam, complex_field)
     tol = Tolerances(rank_tol=1e-16)
+    eigh_calls.clear()
     a = psd_decompose(matrix, tol)
-    assert a._factors is None
+    assert len(eigh_calls) == 1
     assert a.rank == _eigh_rank(matrix, tol.rank_tol)
 
 
@@ -293,12 +313,34 @@ def test_lower_inverse_blocked(rng, n, complex_field):
     assert np.linalg.norm(low @ inv - np.eye(n)) <= bound
 
 
-def test_cholesky_path_extreme_scales():
+def test_cholesky_path_extreme_scales(eigh_calls):
     """Where a norm in the certificate overflows or the inverse's does, the
     certificate fails quietly and eigh decides, as it does for every scale
     below the crossover."""
     for scale in (1e-310, 1e-300, 1.0, 1e150, 1e300):
         for dtype in (float, complex):
+            eigh_calls.clear()
             a = psd_decompose(scale * np.eye(32, dtype=dtype))
             assert a.rank == 32
-            assert (a._factors is not None) == (1e-300 <= scale <= 1e150)
+            assert (not eigh_calls) == (1e-300 <= scale <= 1e150)
+
+
+@pytest.mark.parametrize("n, rank", [(4, 4), (4, 3), (64, 64), (64, 48)])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_coordinate_methods_make_no_eigensolve(rng, monkeypatch, n, rank, complex_field):
+    """Once psd_decompose has returned, from_coords, reduce, lift and
+    null_basis read the stored maps on either path and solve nothing."""
+    a = random_psd(rng, n, rank=rank, complex_field=complex_field)
+    w, w_inv = _explicit_maps(a)
+    u = gaussian(rng, (rank, 2), complex_field)
+    t = a.lift(gaussian(rng, (rank, rank), complex_field))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve after psd_decompose")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert _relative(a.from_coords(u), w_inv @ u) <= 1e-13
+    assert _relative(a.reduce(t), w.conj().T @ t @ w_inv) <= 1e-13
+    assert _relative(a.lift(u, u), (w_inv @ u) @ (w @ u).conj().T) <= 1e-13
+    assert null_basis(a).shape == (n, n - rank)

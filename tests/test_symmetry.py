@@ -29,7 +29,7 @@ from semiortho import (
     right_witness,
 )
 from semiortho import selftest, symmetry
-from semiortho.operators import _bind_factors
+from semiortho.operators import _bind_product
 from semiortho.sampling import (
     lift_operator,
     operator_with_multiplicity,
@@ -541,11 +541,48 @@ def test_factored_witness_matches_fresh_bind(rng, n, deficient):
     assert tags == set(ConstructionTag)
 
 
+# Powers of ten that the rescaling scan multiplies A or T by.
+SCAN_POWERS = (-30, -13, -6, 6, 13, 24, 30)
+
+SCAN_FAMILIES = {
+    "generic": random_a_bounded,
+    "multiplicity": lambda rng, a: operator_with_multiplicity(rng, a, 2),
+    "isometry": random_a_isometry,
+    "rank_one": rank_one_operator,
+    "zero_norm": zero_a_norm_operator,
+}
+
+
+def _scale_free_verdicts(a, t):
+    """(zero_norm, multiplicity, isometry, right kind, left kind) of T."""
+    op = bind_operator(a, t)
+    return (op.zero_norm, op.top_coords.shape[1], is_a_isometry(a, op).ok,
+            classify_right(a, op, 0.3).kind, classify_left(a, op, 0.3).kind)
+
+
+@pytest.mark.parametrize("n", [4, 6, 64])
+@pytest.mark.parametrize("deficient", [False, True])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_verdicts_do_not_change_when_t_or_a_is_rescaled(rng, n, deficient, complex_field):
+    """Multiplying A or T by 10^k, |k| up to 30, changes no zero-norm test,
+    multiplicity, isometry flag or symmetry kind, for every operator family."""
+    a = random_psd(rng, n, rank=n - max(1, n // 4) if deficient else n,
+                   complex_field=complex_field)
+    for family, draw in SCAN_FAMILIES.items():
+        t = draw(rng, a)
+        expected = _scale_free_verdicts(a, t)
+        assert expected[0] == (family == "zero_norm")
+        for k in SCAN_POWERS:
+            c = 10.0 ** k
+            assert _scale_free_verdicts(psd_decompose(c * a.matrix), t) == expected, (family, "A", k)
+            assert _scale_free_verdicts(a, c * t) == expected, (family, "T", k)
+
+
 def test_factored_bind_requires_orthonormal_right_factor(rng):
     a = random_psd(rng, 6, rank=5)
     left = rng.standard_normal((5, 2))
     right = np.linalg.qr(rng.standard_normal((5, 2)))[0]
-    assert _bind_factors(a, left, right).tilde.shape == (5, 5)
+    assert _bind_product(a, left, right).tilde.shape == (5, 5)
     for bad in (right * (1.0 + 1e-9), right + 1e-9 * right[:, ::-1], 2.0 * right):
         with pytest.raises(WitnessConstructionError):
-            _bind_factors(a, left, bad)
+            _bind_product(a, left, bad)
