@@ -11,6 +11,7 @@ plain Euclidean one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -188,7 +189,20 @@ class PsdOperator:
 
     def reduce(self, t: np.ndarray) -> np.ndarray:
         """W* T W-, the r x r matrix of T in range coordinates."""
-        return self._w.conj().T @ t @ self._w_inv
+        return self.reduce_parts(t)[0]
+
+    def reduce_parts(self, t: np.ndarray) -> tuple[np.ndarray, float]:
+        """(W* T W-, ||W* T||_F / (sqrt(lam_max) ||T||_F)): the matrix of
+        :meth:`reduce` and the relative size of W* T, which it forms first
+        and which vanishes exactly when ||T||_A does (||T x||_A = ||W* T x||,
+        and an A-bounded T maps N(A) into N(A)); 0 for T = 0. sqrt(lam_max)
+        is ||W||_2, or on the Cholesky path at least ||W||_2 / sqrt(n)."""
+        image = self._w.conj().T @ t
+        # squared Frobenius norms by vdot, which flattens without the
+        # overhead of np.linalg.norm on these small arrays
+        size = float(np.vdot(image, image).real)
+        ratio = math.sqrt(size / (self.lam_max * float(np.vdot(t, t).real))) if size else 0.0
+        return image @ self._w_inv, ratio
 
     def lift(self, left: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
         """(W- left)(W right)^H: the operator, zero on N(A), whose range-coordinate

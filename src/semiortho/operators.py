@@ -34,8 +34,11 @@ class ABoundedOperator:
     ``top_coords`` (r x m) the right-singular vectors of the top singular-value
     cluster, a copy that does not keep the other r - m columns alive, which
     span the attainment subspace (all of R(A), the r x r identity, when the
-    norm is zero and for an A-isometry); and ``zero_norm`` whether ||T||_A
-    vanishes up to the rounding noise of the reduction, tested once per bind.
+    norm is zero and for an A-isometry); ``zero_norm`` whether ||T||_A
+    vanishes up to the rounding noise of the reduction, tested once per bind;
+    and ``gram_eigh`` the ascending eigensystem (w, V) of tilde* tilde where
+    the bind took one full ``eigh`` of it, else None, kept for the direct
+    route's first Newton step.
     """
 
     psd: PsdOperator
@@ -45,6 +48,7 @@ class ABoundedOperator:
     sigma: np.ndarray
     top_coords: np.ndarray
     zero_norm: bool
+    gram_eigh: tuple[np.ndarray, np.ndarray] | None
 
     @property
     def is_complex(self) -> bool:
@@ -84,17 +88,18 @@ def tilde_reduce(a: PsdOperator, t: np.ndarray) -> np.ndarray:
     The reduction is linear in T and preserves the operator A-norm:
     sigma_max of the result equals ||T||_A.
     """
-    return _reduce(a, a.check_matrix(t))
+    return _reduce(a, a.check_matrix(t))[0]
 
 
-def _reduce(a: PsdOperator, t: np.ndarray) -> np.ndarray:
-    """``tilde_reduce`` of a matrix that ``a.check_matrix`` has validated."""
+def _reduce(a: PsdOperator, t: np.ndarray) -> tuple[np.ndarray, float]:
+    """``PsdOperator.reduce_parts`` of a matrix that ``a.check_matrix`` has
+    validated, once it is found A-bounded."""
     chk = _bounded_check(a, t)
     if not chk.ok:
         raise NotABoundedError(
             f"operator does not map N(A) into N(A): residual {chk.residual:.3e}"
         )
-    return a.reduce(t)
+    return a.reduce_parts(t)
 
 
 # Reductions remembered per decomposition. A timed benchmark operation binds
@@ -126,46 +131,51 @@ def bind_operator(a: PsdOperator, t: Operand) -> ABoundedOperator:
     for key, fields in a._binds:
         if key.dtype == t.dtype and np.array_equal(key, t):
             return ABoundedOperator(psd=a, matrix=t, **fields)
-    fields = _singular_system(a, t, _reduce(a, t))
+    tilde, image_ratio = _reduce(a, t)
+    fields = _singular_system(a, tilde, zero_image=image_ratio <= _ZERO_IMAGE)
     # two statements that never raise, so threads sharing ``a`` need no lock
     a._binds.append((t.copy(), fields))
     del a._binds[:-_BIND_MEMO_SIZE]
     return ABoundedOperator(psd=a, matrix=t, **fields)
 
 
-def _singular_system(a: PsdOperator, t: np.ndarray, left: np.ndarray,
-                     right: np.ndarray | None = None) -> dict:
-    """Cached fields of the reduction left @ right^H of the validated matrix
-    ``t``, ``right`` (r x k) with orthonormal columns or the identity when
-    None: the squared singular values are the eigenvalues of the Gram matrix
-    G = left^H left, padded with zeros to length r, and the top cluster's
-    right-singular vectors are its top eigenvectors.
+def _singular_system(a: PsdOperator, left: np.ndarray, right: np.ndarray | None = None,
+                     zero_image: bool = False) -> dict:
+    """Cached fields of the reduction left @ right^H, ``right`` (r x k) with
+    orthonormal columns or the identity when None: the squared singular
+    values are the eigenvalues of the Gram matrix G = left^H left, padded
+    with zeros to length r, and the top cluster's right-singular vectors are
+    its top eigenvectors.
 
-    ||T||_A is zero when sigma_max(T~) <= 1e-12 ||T||_F, a test that no
-    rescaling of T or A changes; then every A-unit vector attains it, and the
-    attainment coordinates are the r x r identity, as they are for any
-    cluster that fills R(A). Both are decided from the eigenvalues, before
-    any vector work.
+    ||T||_A is zero where the bind found W* T at rounding level
+    (``zero_image``; see ``_ZERO_IMAGE``), or where the computed norm is
+    exactly 0, the one way a product of witness factors, formed without W,
+    can vanish. Then every A-unit vector attains it, and the attainment
+    coordinates are the r x r identity, as they are for any cluster that
+    fills R(A). Both are decided before any vector work.
 
     A reduction of rank r >= ``_PARTIAL_MIN_RANK`` takes the eigenvalues
     alone (``eigvalsh``), and any cluster short of R(A) comes from
     ``_top_block``, with a full ``eigh`` where that cannot certify it.
-    Smaller reductions, and the k x k Gram matrices of witness factors, take
-    one ``eigh``.
+    Smaller reductions take one ``eigh``, which ``gram_eigh`` keeps, as
+    LAPACK returns it; the k x k Gram matrices of witness factors take one
+    ``eigh`` and keep nothing.
     """
     gram = left.conj().T @ left
     k = gram.shape[0]
     partial = right is None and k >= _PARTIAL_MIN_RANK
-    v = None
+    v = gram_eigh = None
     if partial:
         w = np.linalg.eigvalsh(gram)[::-1]
     else:
         w, v = np.linalg.eigh(gram)
+        if right is None:
+            gram_eigh = (w, v)
         w, v = w[::-1], v[:, ::-1]
     sigma = np.zeros(left.shape[0])
     sigma[:k] = np.sqrt(np.clip(w, 0.0, None))
     norm = float(sigma[0]) if sigma.size else 0.0
-    zero_norm = norm <= 1e-12 * float(np.linalg.norm(t))
+    zero_norm = zero_image or norm == 0.0
     m = int(np.count_nonzero(sigma >= norm * (1.0 - a.tol.cluster_tol)))
     tilde = left if right is None else left @ right.conj().T
     if zero_norm or m == sigma.size:
@@ -179,10 +189,28 @@ def _singular_system(a: PsdOperator, t: np.ndarray, left: np.ndarray,
         if right is not None:
             top = right @ top
     # bound operators are immutable, and memo hits share these arrays
-    for array in (tilde, sigma, top):
+    for array in (tilde, sigma, top, *(gram_eigh or ())):
         array.flags.writeable = False
     return {"tilde": tilde, "norm": norm, "sigma": sigma, "top_coords": top,
-            "zero_norm": zero_norm}
+            "zero_norm": zero_norm, "gram_eigh": gram_eigh}
+
+
+# Largest ||W* T||_F / (sqrt(lam_max) ||T||_F) at which a bind takes ||T||_A
+# for zero (``PsdOperator.reduce_parts``). W* T vanishes exactly when ||T||_A
+# does, and for a T with range in the computed N(A) its computed value is
+# rounding, below gamma_n ||W||_F ||T||_F (|W*| |T| entrywise; Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., Sec. 3.5), about
+# n^1.5 u of the denominator, as ||W||_F <= sqrt(n lam_max): at most 4.1e-16
+# of ||W||_F ||T||_F on 200 such T per rho for n = 6 and
+# A = Q diag(1, 0.7, 0.4, rho, 0, 0) Q* with rho = 1e-6 ... 1e-10. A nonzero
+# A-norm gives ||W* T|| >= sqrt(lam_r) ||T||_A, as
+# ||T||_A = ||(W* T) W-||_2 <= ||W* T||_2 / sqrt(lam_r): the test is
+# sigma_max(T~) against 1e-12 ||T||_F grown by the condition number
+# sqrt(lam_max / lam_r) of W, the factor by which T~ = (W* T) W- magnifies
+# the rounding of W* T. (Testing sigma_max(T~) against 1e-12 ||T||_F alone
+# missed 41, 140 and 163 of 200 such T at rho = 1e-8, 1e-9 and 5e-10.)
+# Rescaling T or A changes neither side.
+_ZERO_IMAGE = 1e-12
 
 
 # Rank from which a bind takes its eigenvalues from ``eigvalsh`` and its top
@@ -272,8 +300,7 @@ def _bind_product(a: PsdOperator, left: np.ndarray, right: np.ndarray) -> ABound
     defect = float(np.max(np.abs(right.conj().T @ right - np.eye(right.shape[1]))))
     if defect > 1e-12:
         raise WitnessConstructionError(f"right factor not orthonormal (defect {defect:.2e})")
-    matrix = a.lift(left, right)
-    return ABoundedOperator(psd=a, matrix=matrix, **_singular_system(a, matrix, left, right))
+    return ABoundedOperator(psd=a, matrix=a.lift(left, right), **_singular_system(a, left, right))
 
 
 def operator_norm_a(a: PsdOperator, t: np.ndarray) -> float:

@@ -58,13 +58,16 @@ def _field_is_complex(*objs: ABoundedOperator) -> bool:
 # On 600 complex 3x3 to 6x6 pairs whose T attains its norm on 2 to 4
 # dimensions, drawn as the op_route_equivalence_complex_multiplicity suite
 # draws them from default_rng(2026), the theta route took at most 99 cuts
-# (mean 28.9) and the direct route at most 111 (mean 32.6); on the bench's 200
+# (mean 29.4) and the direct route at most 110 (mean 29.3): where the top
+# eigenvalue of M* M is multiple, g is not smooth, no Newton step is taken and
+# a one-vector dual bound is not tight. On the bench's 200
 # near_boundary_complex probes of seeds 1 and 2 the direct route took at most
-# 73 (mean 5.9). The rest is slack, and a call stays under 200 eigensolves.
+# 2 (mean 0.9). The rest is slack, and a call stays under 200 eigensolves.
 _MAX_CUTS = 150
 # Relative gap below which the top eigenvalue of M* M counts as multiple: g is
 # not smooth there, so the route takes no Newton step.
 _SIMPLE_GAP = 1e-12
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 
 
 def _eigensystem(m: np.ndarray, s_tilde: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -75,38 +78,101 @@ def _eigensystem(m: np.ndarray, s_tilde: np.ndarray) -> tuple[np.ndarray, ...]:
     return m, w, vecs, m @ v, s_tilde @ v
 
 
+def _rounding(r: int, norm_t: float, norm_s: float, reach: float) -> float:
+    """4 (r + 1) u (||T|| + reach ||S||)^2: the rounding of g, or of the dual
+    bound, for products of length r whose factors have norms up to
+    ||T|| + reach ||S|| (see ``_dual_bound``). One eigensolve of M* M
+    resolves sigma_max(M)^2 to about r u ||M||^2 in the same model, with
+    ||M|| <= ||T|| + |lambda| ||S||, so reach = |lambda| bounds the rounding
+    of g(lambda) with room to spare."""
+    return 4.0 * (r + 1) * _UNIT_ROUNDOFF * (norm_t + reach * norm_s) ** 2
+
+
+def _dual_bound(
+    norm_t: float, norm_s: float, penalty: float, radius: float, lam: Scalar,
+    mv: np.ndarray, sv: np.ndarray, q: complex,
+) -> float:
+    """A lower bound on min g from the query's unit vector v, given M v,
+    S~ v and q = <S~ v, M v> at the query lambda, M = T~ + lambda S~.
+
+    For every mu, sigma_max(T~ + mu S~)^2 >= ||(T~ + mu S~) v||^2
+    = a + 2 Re(mu conj(c)) + |mu|^2 s, with a = ||T~ v||^2, c = <S~ v, T~ v>
+    and s = ||S~ v||^2; T~ v = M v - lambda S~ v gives
+    a = ||M v||^2 - 2 Re(conj(lambda) q) + |lambda|^2 s and c = q - lambda s.
+    So g(mu) >= a - ||T||^2 - (2 |c| - p) t + s t^2 at t = |mu| for
+    p = 2 eps ||T|| ||S||, with equality in the phase of mu that points
+    against c (c is real over R, where mu is). The least value over the disc
+    t <= R of the search is at t* = min((2|c| - p) / (2 s), R) where
+    2 |c| > p, and L = a - ||T||^2 - t* (2|c| - p - s t*) is the rank-one
+    case Z = v v* of the minimax dual of g (Sion). At a smooth minimizer
+    with v its top eigenvector the bound is tight: both sides agree at mu =
+    lambda with the same gradient (Lewis & Overton, Acta Numerica 1996), so
+    L = g(lambda*) - O(|h|^2) as the subgradient h goes to 0. It needs no
+    eigensolve: two dot products on the vectors in hand.
+
+    The rounding term: every product here has length r, and its error is at
+    most (r + 1) u, u the unit roundoff, times the norms of its factors in
+    the normwise model that also bounds how well one eigensolve resolves g
+    itself (forming M adds u to the r u of M v). With ||M|| <= ||T|| +
+    |lambda| ||S|| and ||S~ v|| <= ||S||, the errors are at most 3 d
+    (||T|| + 2 |lambda| ||S||)^2 in a, 3 d ||S|| (||T|| + 2 |lambda| ||S||)
+    in c and 3 d ||S||^2 in s, for d = (r + 1) u; a unit vector that is unit
+    only to within d adds d (||T|| + t* ||S||)^2. To first order the least
+    value moves by the error of the objective at t*, a + 2 t* |c| + t*^2 s,
+    so all of it is within rho = 4 d (||T|| + (2 |lambda| + t*) ||S||)^2
+    (``_rounding``), and L - rho is returned. The scalars scale as
+    a ~ ||T||^2, c ~ ||T|| ||S||, s ~ ||S||^2 and t ~ ||T|| / ||S||, so L and
+    rho both scale with ||T||^2, as g(lambda; k T, S) = k^2 g(lambda / k; T, S)
+    does, and neither moves when S is rescaled.
+    """
+    s = float(np.vdot(sv, sv).real)
+    c = q - lam * s
+    gap = float(np.vdot(mv, mv).real) - 2.0 * (lam.conjugate() * q).real + abs(lam) ** 2 * s - norm_t**2
+    slope = 2.0 * abs(c) - penalty
+    t = 0.0
+    if slope > 0.0:
+        t = radius if slope >= 2.0 * s * radius else slope / (2.0 * s)
+    return gap - t * (slope - s * t) - _rounding(sv.size, norm_t, norm_s, 2.0 * abs(lam) + t)
+
+
 def _objective(
     op_t: ABoundedOperator, op_s: ABoundedOperator, eps: float, lam: Scalar
-) -> tuple[float, complex, Callable[[], tuple[np.ndarray, ...]]]:
-    """g(lambda), a subgradient of g written d/dRe + i d/dIm, and a function
+) -> tuple[float, complex, Callable[[], tuple[np.ndarray, ...]], tuple]:
+    """g(lambda), a subgradient of g written d/dRe + i d/dIm, a function
     returning what a Newton step needs: the eigensystem (w, V) of M* M, M
-    and the products M v and S~ v at its top eigenvector v.
+    and the products M v and S~ v at its top eigenvector v, and the
+    arguments of ``_dual_bound`` at v after the norms, penalty and radius:
+    (lambda, M v, S~ v, <S~ v, M v>).
 
     The smooth part sigma_max(M)^2 >= ||M v||^2, M = T~ + lambda S~, has
     subgradient 2 <M v, S~ v> (Lewis & Overton, Acta Numerica 1996). Of the
     disc that is the subdifferential of 2 eps ||T|| ||S|| |lambda| at 0, the
     element that shortens the subgradient most is taken, so a zero
     subgradient proves lambda = 0 optimal. At lambda = 0, M = T~: g(0) = 0
-    by definition and v is the top singular vector held by the bind of T, so
-    the eigensystem is formed only if a Newton step asks for it.
+    by definition and v is the top singular vector held by the bind of T,
+    whose eigensystem of T~* T~ the Newton step reads (the bind kept it
+    below ``operators._PARTIAL_MIN_RANK``; above, it is formed if asked for).
     """
     penalty = 2.0 * eps * op_t.norm * op_s.norm
-    m = op_t.tilde + lam * op_s.tilde
     if lam == 0:
-        v = op_t.top_coords[:, 0]
+        m, v = op_t.tilde, op_t.top_coords[:, 0]
         val, mv, sv = 0.0, m @ v, op_s.tilde @ v
-        eig = partial(_eigensystem, m, op_s.tilde)
+        if op_t.gram_eigh is None:
+            eig = partial(_eigensystem, m, op_s.tilde)
+        else:
+            eig = lambda: (m, *op_t.gram_eigh, mv, sv)
     else:
-        system = _eigensystem(m, op_s.tilde)
+        system = _eigensystem(op_t.tilde + lam * op_s.tilde, op_s.tilde)
         _, w, _, mv, sv = system
         val = float(w[-1]) - op_t.norm**2 + penalty * abs(lam)
         eig = lambda: system
-    grad = 2.0 * complex(np.vdot(sv, mv))
+    q = complex(np.vdot(sv, mv))
+    grad = 2.0 * q
     if lam != 0:
         grad += penalty * lam / abs(lam)
     elif grad != 0:
         grad *= max(0.0, 1.0 - penalty / abs(grad))
-    return val, grad, eig
+    return val, grad, eig, (lam, mv, sv, q)
 
 
 def _newton_step(
@@ -176,15 +242,18 @@ def _ellipsoid_min(
     """Certified minimum of a convex f with f(0) = 0 over the centred disc of
     squared radius ``radius_sq`` (an interval for dim = 1), as (U, L, point).
 
-    ``oracle(x, y)`` returns f there, a subgradient as d/dx + i d/dy, an upper
-    bound on min f (f itself, or better), a lower bound on min f that the
-    oracle proves by itself (-inf where it proves none), the point reported
-    with the upper bound and the state that ``newton(point, subgradient,
-    state)`` takes to return a Newton step (dx, dy) or None. A deep-cut
-    ellipsoid method keeps every minimizer in its ellipsoid E, so
-    f(x) + min over E of <h, y - x> bounds min f from below at each query x
-    with subgradient h. The query is the centre of E, or the Newton point of
-    the last query where that lies in E and the last Newton step lowered f.
+    ``oracle(x, y)`` returns f there (or less, by at most its rounding), a
+    subgradient as d/dx + i d/dy, an upper bound on min f (f itself, or
+    better), a function returning a lower bound on min f that the oracle
+    proves by itself (-inf where it proves none), the point reported with
+    the upper bound and the state that ``newton(point, subgradient, state)``
+    takes to return a Newton step (dx, dy) or None. A deep-cut ellipsoid
+    method keeps every minimizer in its ellipsoid E, so f(x) + min over E of
+    <h, y - x> bounds min f from below at each query x with subgradient h;
+    the oracle's own bound is asked for only where that one leaves the
+    search unsettled, so a query that settles pays nothing for it. The query
+    is the centre of E, or the Newton point of the last query where that
+    lies in E and the last Newton step lowered f.
     U <= 0 is the least upper bound (point None for f(0)) and L <= U the best
     lower bound. The search stops once U - L <= tol / 4 and the bounds do not
     straddle ``floor``, or, with ``exit_on_holds``, once L >= floor, or when
@@ -198,21 +267,27 @@ def _ellipsoid_min(
     newton_from = None  # f at the point the query was a Newton step from
     best = None
     upper, lower = 0.0, -math.inf  # f(0) = 0 exactly
+
+    def settled(lo: float) -> bool:
+        closed = upper - lo <= tol / 4.0 and (lo >= floor or upper < floor)
+        return closed or (exit_on_holds and lo >= floor)
+
     for _ in range(_MAX_CUTS):
         val, grad, bound, proven, point, state = oracle(x, y)
         if bound < upper:
             upper, best = bound, point
-        lower = max(lower, proven)
         hx, hy = grad.real, grad.imag
         phx, phy = pxx * hx + pxy * hy, pxy * hx + pyy * hy
         hph = hx * phx + hy * phy
-        if hph <= 0.0 and (hx or hy):
-            break  # the ellipsoid has collapsed in rounding; it proves nothing more
+        # a collapsed ellipsoid (in rounding) proves nothing more
+        collapsed = hph <= 0.0 and (hx or hy)
         width = math.sqrt(max(hph, 0.0))
         slope = hx * (ex - x) + hy * (ey - y)  # <h, e - x>
-        lower = max(lower, val + slope - width)
-        settled = upper - lower <= tol / 4.0 and (lower >= floor or upper < floor)
-        if settled or (exit_on_holds and lower >= floor):
+        if not collapsed:
+            lower = max(lower, val + slope - width)
+        if not settled(lower):
+            lower = max(lower, proven())
+        if collapsed or settled(lower):
             break
         # deep cut <h, z - x> <= upper - f(x), which every minimizer z meets,
         # written about the centre e
@@ -233,7 +308,7 @@ def _ellipsoid_min(
                     scale * (pyy - shrink * phy * phy),
                 )
         step = None
-        if newton is not None and (newton_from is None or val < newton_from):
+        if newton is not None and (newton_from is None or bound < newton_from):
             step = newton(point, grad, state)
         del state  # frees the oracle's eigensystem before the next eigensolve
         if step is not None:
@@ -244,7 +319,7 @@ def _ellipsoid_min(
             else:
                 inside = pyy * dx * dx - 2.0 * pxy * dx * dy + pxx * dy * dy <= pxx * pyy - pxy * pxy
             if inside:
-                x, y, newton_from = nx, ny, val
+                x, y, newton_from = nx, ny, bound
                 continue
         x, y, newton_from = ex, ey, None
     return upper, min(lower, upper), best
@@ -261,15 +336,24 @@ def op_orth_direct(
     certifies min g on that disc (an interval for the real field). Its first
     query is lambda = 0, the kink of the |lambda| term, read from the bind of
     T with no eigensolve; where it does not settle the verdict, the search
-    takes the proximal Newton step from there, which keeps |lambda| exact,
-    and elsewhere Newton steps, wherever the top eigenvalue of M* M is simple
-    and the curvature along the step is positive. At a "fails" minimizer g is smooth in the
-    generic case, so a minimizer next to the kink is reached in a few steps
-    and they converge quadratically. The margin is the least g seen, at the
-    witness lambda, and ``margin_lower`` the best lower bound. The search
-    stops once margin_lower >= -tol proves "holds", or once a margin below
-    -tol proves "fails" and the bound pins it to tol / 4; if the cut budget
-    runs out first, the verdict rests on the margin alone.
+    takes the proximal Newton step from there, which keeps |lambda| exact
+    and reads the eigensystem the bind kept, and elsewhere Newton steps,
+    wherever the top eigenvalue of M* M is simple and the curvature along
+    the step is positive. At a "fails" minimizer g is smooth in the generic
+    case, so a minimizer next to the kink is reached in a few steps and they
+    converge quadratically.
+
+    Each query has two lower bounds on min g: the cut bound over the
+    ellipsoid, and the dual bound at the query's own top eigenvector
+    (``_dual_bound``), which costs no eigensolve and is taken only where the
+    cut bound leaves the search unsettled. The dual bound is tight at a
+    smooth minimizer, so a "fails" is pinned at the query that reaches it,
+    and a shallow dip next to the kink is bounded at lambda = 0 itself. The
+    margin is the least g seen, at the witness lambda, and ``margin_lower``
+    the best lower bound, less the rounding of g. The search stops once
+    margin_lower >= -tol proves "holds", or once a margin below -tol proves
+    "fails" and the bound pins it to tol / 4; if the cut budget runs out
+    first, the verdict rests on the margin alone.
     """
     eps = validate_epsilon(eps)
     op_t = bind_operator(a, t)
@@ -279,15 +363,21 @@ def op_orth_direct(
         return _verdict(0.0, Method.DIRECT_MINIMIZATION, tol, Witness(lam=0.0), margin_lower=0.0)
 
     dim = 2 if _field_is_complex(op_t, op_s) else 1
-    newton = partial(_newton_step, op_s, 2.0 * eps * op_t.norm * op_s.norm)
+    penalty = 2.0 * eps * op_t.norm * op_s.norm
+    newton = partial(_newton_step, op_s, penalty)
+    radius = 2.0 * (1.0 + eps) * op_t.norm / op_s.norm
 
     def oracle(x: float, y: float):
         lam: Scalar = complex(x, y) if dim == 2 else x
-        val, grad, eig = _objective(op_t, op_s, eps, lam)
-        return val, grad, val, -math.inf, lam, eig
+        val, grad, eig, at_v = _objective(op_t, op_s, eps, lam)
+        # g(0) = 0 exactly; elsewhere the cuts take g less its rounding
+        cut = val
+        if lam != 0:
+            cut -= _rounding(op_t.tilde.shape[0], op_t.norm, op_s.norm, abs(lam))
+        dual = lambda: _dual_bound(op_t.norm, op_s.norm, penalty, radius, *at_v)
+        return cut, grad, val, dual, lam, eig
 
-    radius_sq = (2.0 * (1.0 + eps) * op_t.norm / op_s.norm) ** 2
-    upper, lower, best_lam = _ellipsoid_min(oracle, newton, dim, radius_sq, tol, -tol, True)
+    upper, lower, best_lam = _ellipsoid_min(oracle, newton, dim, radius * radius, tol, -tol, True)
     return _verdict(
         upper, Method.DIRECT_MINIMIZATION, tol,
         Witness(lam=0.0 if best_lam is None else best_lam), margin_lower=lower,
@@ -407,7 +497,7 @@ def op_orth_theta_sweep_complex(
             if z != 0:
                 bisect.insort(phases, cmath.phase(z))
             # 0 inside the hull of the z seen lies in W(F), so h >= 0 = h(0)
-            proven = 0.0 if _surrounds_origin(phases) else -math.inf
+            proven = lambda: 0.0 if _surrounds_origin(phases) else -math.inf
             val, mod = float(w[-1]), abs(d)
             bound = val / mod if mod > 0.0 else 0.0
             if mod > 1.0:

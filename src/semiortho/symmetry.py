@@ -220,8 +220,19 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
       and w picked by ``_unit_orthogonal``;
     * m = 1 otherwise: the same with x_1 the coordinate vector e_k whose
       projection off x has the largest image, projected off x and normalized,
-      and w = T x_1 / beta, orthogonal to Tx automatically (x is a top
-      singular vector).
+      and w the unit vector along T x_1 with its Tx component removed, of
+      length beta.
+
+    Why remove that component: x is a top right-singular vector, so
+    <T x, T x_1> = <T* T x, x_1> = ||T||^2 <x, x_1> = 0. Computed, it is
+    rounding of about u ||T||^2, u the unit roundoff, whatever the second
+    singular value; T x_1 / ||T x_1|| would divide that by beta and miss
+    orthogonality by u / beta (above 1e-8 for beta near 1e-8). Removed, w is
+    orthogonal to Tx to rounding, T x_1 = <T x, T x_1> T x + beta w in the
+    normalized T, and the guarantees below hold with beta the length of what
+    remains, up to a term no larger than |<T x, T x_1>|, which is rounding. |<T x, T x_1>| itself must stay at rounding
+    (``_ORTHO_ASSERT_TOL``): a larger value means x is not a resolved top
+    singular vector.
 
     Column k of T - (Tx) x^H is the image of e_k projected off x, so T kills
     the orthocomplement of x when no column exceeds 1e-9. No branch takes a
@@ -266,14 +277,15 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
         partner[k] += 1.0
         partner /= np.linalg.norm(partner)
         w = tilde_n @ partner
-        beta = float(np.linalg.norm(w))
-        w /= beta
-        cross = abs(np.vdot(w, image_x))
-        if cross > _ORTHO_ASSERT_TOL:
+        cross = np.vdot(image_x, w)
+        if abs(cross) > _ORTHO_ASSERT_TOL:
             raise WitnessConstructionError(
-                f"secondary image not orthogonal to Tx (|<w,Tx>| = {cross:.2e}); "
+                f"secondary image not orthogonal to Tx (|<Tx,Tx_1>| = {abs(cross):.2e}); "
                 "attainment cluster is ill-resolved"
             )
+        w = w - cross * image_x
+        beta = float(np.linalg.norm(w))
+        w /= beta
 
     params = left_parameters(eps)
     e1, s1 = params.eps1, math.sqrt(1.0 - params.eps1**2)

@@ -9,6 +9,7 @@ import pytest
 from semiortho import cli
 from semiortho.cli import EXIT_DISAGREE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_PROPERTY
 from semiortho import selftest as selftest_mod
+from semiortho.sampling import random_orthonormal
 
 from conftest import write_instance
 
@@ -405,6 +406,23 @@ def test_classify_left_reference(tmp_path):
     assert cls["kind"] == "not_left_symmetric"
     assert cls["witness_verified"] is True
     assert cls["parameters"]["eps1"] == pytest.approx((1 + 1 / 3) / 2)
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_classify_left_near_rank_one(tmp_path, k):
+    """Valid operators T = U diag(1, 10^-k, 0, 0) V^T on A = I exit 0 with a
+    verified witness. At 10^-8, two of these five used to exit 3: the left
+    witness failed its own orthogonality check on rounding."""
+    rng = np.random.default_rng(3)
+    out = tmp_path / "r.json"
+    for i in range(5):
+        u, v = random_orthonormal(rng, 4), random_orthonormal(rng, 4)
+        t = (u * np.array([1.0, 10.0**-k, 0.0, 0.0])) @ v.T
+        inst = write_instance(tmp_path / f"i{i}.json", field="real", A=np.eye(4).tolist(),
+                              T=t.tolist(), epsilon=float(rng.uniform(0.05, 0.9)))
+        assert cli.main(["classify", inst, "--side", "left", "--json-out", str(out)]) == EXIT_OK
+        cls = _read(out)["classification"]
+        assert cls["kind"] == "not_left_symmetric" and cls["witness_verified"] is True
 
 
 # ----------------------------- selftest -----------------------------------------

@@ -240,6 +240,46 @@ def test_zero_norm_attainment_coords_are_identity(rng):
     assert not op.top_coords.flags.writeable
 
 
+@pytest.mark.parametrize("rho", [1e-8, 1e-9, 5e-10])
+def test_zero_norm_decided_from_range_image(rho):
+    """A with a wide kept spectrum (1, 0.7, 0.4, rho) and two null directions:
+    T~ = (W* T) W- magnifies the rounding of W* T by about 1 / sqrt(rho), so a
+    test on sigma_max(T~) against ||T||_F missed 41, 140 and 163 of these 200
+    zero-A-norm T at rho = 1e-8, 1e-9 and 5e-10. The test on W* T misses none,
+    and a random A-bounded T on the same A is never taken for zero."""
+    rng = np.random.default_rng(5)
+    misses = 0
+    for _ in range(200):
+        q = random_orthonormal(rng, 6)
+        a = psd_decompose(q @ np.diag([1.0, 0.7, 0.4, rho, 0.0, 0.0]) @ q.T)
+        assert a.rank == 4
+        misses += not bind_operator(a, zero_a_norm_operator(rng, a)).zero_norm
+    assert misses == 0
+    for _ in range(20):
+        q = random_orthonormal(rng, 6)
+        a = psd_decompose(q @ np.diag([1.0, 0.7, 0.4, rho, 0.0, 0.0]) @ q.T)
+        t = random_a_bounded(rng, a)
+        for scale in (1e-30, 1.0, 1e30):
+            assert not bind_operator(psd_decompose(a.matrix * scale), t / scale).zero_norm
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_bind_keeps_its_gram_eigensystem(rng, complex_field):
+    """Below the partial rank a bind keeps the one eigh it made of T~* T~,
+    read-only and bit-identical to a fresh one; above it keeps none."""
+    for n, kept in ((6, True), (64, False)):
+        a = random_psd(rng, n, complex_field=complex_field)
+        op = bind_operator(a, random_a_bounded(rng, a))
+        if not kept:
+            assert op.gram_eigh is None
+            continue
+        w, v = op.gram_eigh
+        fresh_w, fresh_v = np.linalg.eigh(op.tilde.conj().T @ op.tilde)
+        assert np.array_equal(w, fresh_w) and np.array_equal(v, fresh_v)
+        assert not (w.flags.writeable or v.flags.writeable)
+        assert np.array_equal(op.top_coords[:, 0], v[:, -1])
+
+
 # ----------------------------- sup form (statistical) --------------------------
 
 

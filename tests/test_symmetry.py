@@ -314,6 +314,25 @@ def test_zero_norm_left_symmetric(rng):
     assert report.evidence <= 1e-10
 
 
+@pytest.mark.parametrize("beta", [10.0**-k for k in range(4, 13)] + [2e-9])
+def test_left_witness_near_rank_one(beta):
+    """T = U diag(1, beta, 0, 0) V^T on A = I: case II (beta above 1e-9)
+    divides T x_1 by beta, which magnified the rounding of <T x, T x_1> to
+    u / beta and made 41 of these 100 draws raise at beta = 1e-8 and 81 at
+    2e-9. With the Tx component removed, every witness builds and verifies."""
+    a = psd_decompose(np.eye(4))
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        u, v = random_orthonormal(rng, 4), random_orthonormal(rng, 4)
+        t = (u * np.array([1.0, beta, 0.0, 0.0])) @ v.T
+        eps = float(rng.uniform(0.05, 0.9))
+        report = classify_left(a, t, eps)
+        assert report.construction.tag is (
+            ConstructionTag.LEFT_CASE_II if beta > 1e-9 else ConstructionTag.LEFT_CASE_I
+        )
+        assert _verify_left(a, t, report.witness.matrix, eps)
+
+
 def test_identity_not_left_symmetric():
     a = psd_decompose(np.eye(3))
     report = classify_left(a, np.eye(3), 0.2)
