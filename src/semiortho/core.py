@@ -26,15 +26,16 @@ class Tolerances:
 
     hermitian_tol   relative max-entry asymmetry accepted before symmetrizing
     rank_tol        eigenvalue clipping threshold, relative to the largest one
-    orth_tol        absolute slack for exact-orthogonality predicates
-    verdict_margin_tol  slack that turns a signed margin into a verdict
+    verdict_margin_tol  slack that turns a signed margin into a verdict: an
+                    absolute band on the operator routes, and
+                    verdict_margin_tol ||x||_A ||y||_A on the vector
+                    predicates, which do not change when x, y or A is rescaled
     cluster_tol     relative width of the top singular-value cluster, which
                     decides attainment and A-isometry
     """
 
     hermitian_tol: float = 1e-10
     rank_tol: float = 1e-10
-    orth_tol: float = 1e-8
     verdict_margin_tol: float = 1e-9
     cluster_tol: float = 1e-8
 

@@ -30,10 +30,33 @@ from .operators import (
     bind_operator,
     is_a_isometry,
 )
-from .orthogonality import op_orth_direct
+from .orthogonality import _UNIT_ROUNDOFF, op_orth_direct
 from .vectors import OrthoVerdict, validate_epsilon
 
+# Largest defect accepted in the orthonormality that a witness's proof needs:
+# the entries of I - Y*Y for the right witness's unit images Y, and the cosine
+# |<Tx, Tx_1>| between unit images in the left witness's case II. Both are
+# dimensionless, so rescaling T or A leaves them unchanged and no scale enters
+# the threshold; a fixed value is right. In exact arithmetic both vanish, since
+# the columns are right-singular vectors; rounding of the Gram eigensolve
+# leaves O(r u), r = rank A, u the unit roundoff (mixing inside the cluster
+# costs u, not the cluster's width: an angle u / g between vectors whose
+# squared singular values differ by g). Measured on the seed-41/42 bench
+# mixes, 800 near-tie operators and 900 near-rank-one ones (sigma_2 / sigma_1
+# = 10^-k, k = 4..12): at most 4.7 r u, 3.8e-15 for the defect and 3.2e-14 for
+# the cosine. 1e-8 is far above that for any r below 10^6, so it fires only
+# on vectors that are not singular vectors.
 _ORTHO_ASSERT_TOL = 1e-8
+
+# Rounding allowance of the left witness's forward check |<Tx, Sx>| <= eps.
+# Exactly, value_ts = |eps1 a - sqrt(1 - eps1^2) alpha b| <= eps: with the
+# midpoint alpha it is 0 where alpha_hi = (a eps1 + eps) / (root_eps1 b), and
+# (a eps1 + eps - root_eps1 b) / 2 < eps where alpha_hi is clipped to 1 (as
+# alpha_lo < 1). Every factor lies in [0, 1], and alpha's divisor root_eps1 b
+# cancels in alpha root_eps1 b, so the dozen roundings of the parameters and of
+# value_ts each move it by at most about u: 16 u bounds the excess with room
+# to spare (the computed excess is at most 0 on 2e5 epsilons in [0, 1)).
+_FORWARD_ROUNDING = 16.0 * _UNIT_ROUNDOFF
 
 
 class ConstructionTag(str, enum.Enum):
@@ -292,7 +315,7 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
     params = replace(params, beta=beta)
 
     value_ts = abs(e1 * params.a - s1 * params.alpha * params.b)
-    if value_ts > eps + 1e-9:
+    if value_ts > eps + _FORWARD_ROUNDING:
         raise WitnessConstructionError(
             f"forward guarantee violated: |<Tx,Sx>| = {value_ts} > eps = {eps}"
         )

@@ -49,9 +49,13 @@ class Witness:
 class OrthoVerdict:
     """Boolean verdict of one route with its numeric slack.
 
-    ``holds`` is True exactly when ``margin >= -verdict_margin_tol``, except
-    on the vector direct route, which decides on its linear-unit violation;
-    ``boundary`` flags verdicts within the tolerance band of the boundary.
+    ``holds`` is True exactly when the quantity decided on is >= -band, and
+    ``boundary`` flags it within the band. On the operator routes that
+    quantity is the margin and the band is the absolute
+    ``verdict_margin_tol``. On the vector predicates it is the linear slack
+    eps ||x||_A ||y||_A - |<x, y>_A| (the margin of the inner-product route,
+    not the direct route's squared one), and the band is
+    verdict_margin_tol ||x||_A ||y||_A, 0 where x or y is A-null.
     ``assumptions`` names the standing assumptions a route relies on, and
     ``margin_lower`` is a certified lower bound on the margin where the route
     proves one (the operator direct and complex attainment routes), else None.
@@ -75,13 +79,10 @@ def validate_epsilon(eps: float) -> float:
 
 
 def inner_a(a: PsdOperator, x: np.ndarray, y: np.ndarray) -> Scalar:
-    """Semi-inner product <x, y>_A = <Ax, y>, conjugate-linear in y."""
+    """Semi-inner product <x, y>_A = <Ax, y>, conjugate-linear in y; complex
+    where A, x or y is."""
     x = a.check_vector(x)
-    y = a.check_vector(y)
-    value = np.vdot(y, a.matrix @ x)
-    if a.is_complex or np.iscomplexobj(x) or np.iscomplexobj(y):
-        return complex(value)
-    return float(value.real)
+    return np.vdot(a.check_vector(y), a.matrix @ x).item()
 
 
 def norm_a(a: PsdOperator, x: np.ndarray) -> float:
@@ -90,11 +91,35 @@ def norm_a(a: PsdOperator, x: np.ndarray) -> float:
     return math.sqrt(max(float(np.real(np.vdot(x, a.matrix @ x))), 0.0))
 
 
+def _image(a: PsdOperator, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(x, Ax, ||x||_A^2) from one check of x and one product with A, with
+    ||x||_A^2 set to 0 where x is A-null: ||x||_A^2 <= rank_tol lam_max ||x||^2,
+    a test unchanged when x or A is rescaled."""
+    x = a.check_vector(x)
+    ax = a.matrix @ x
+    sq = max(float(np.real(np.vdot(x, ax))), 0.0)
+    return x, ax, sq if sq > a.tol.rank_tol * a.lam_max * float(np.real(np.vdot(x, x))) else 0.0
+
+
 def is_a_null(a: PsdOperator, x: np.ndarray) -> bool:
     """Whether x lies in N(A) up to the rank tolerance."""
-    x = a.check_vector(x)
-    euclid_sq = float(np.real(np.vdot(x, x)))
-    return norm_a(a, x) ** 2 <= a.tol.rank_tol * a.lam_max * euclid_sq
+    return _image(a, x)[2] == 0.0
+
+
+def _slack(
+    a: PsdOperator, x: np.ndarray, y: np.ndarray, eps: float
+) -> tuple[float, float, Scalar, float]:
+    """The one rule of every vector predicate, from one ``_image`` of x and y:
+    (eps ||x||_A ||y||_A - |<x, y>_A|, verdict_margin_tol ||x||_A ||y||_A,
+    <x, y>_A, ||y||_A). The predicate holds iff the slack is >= -band. Both
+    scale alike with x, y and A, so no verdict changes when they are
+    rescaled. An A-null argument has norm and inner product exactly 0 (as
+    they are up to rounding), so its slack and band are 0 and it holds."""
+    x, ax, sq_x = _image(a, x)
+    y, _, sq_y = _image(a, y)
+    ip = np.vdot(y, ax).item() if sq_x and sq_y else 0.0
+    nx, ny = math.sqrt(sq_x), math.sqrt(sq_y)
+    return eps * nx * ny - abs(ip), a.tol.verdict_margin_tol * nx * ny, ip, ny
 
 
 def _verdict(
@@ -106,35 +131,36 @@ def _verdict(
     margin_lower: Optional[float] = None,
     decided_on: Optional[float] = None,
 ) -> OrthoVerdict:
-    """The verdict that ``decided_on`` (the margin unless given) >= -tol."""
+    """The verdict that ``decided_on`` (the margin unless given) >= -tol, on
+    the boundary where |decided_on| <= tol."""
     margin = float(margin)
+    decided = margin if decided_on is None else float(decided_on)
     return OrthoVerdict(
-        holds=(margin if decided_on is None else decided_on) >= -tol,
+        holds=decided >= -tol,
         margin=margin,
         method=method,
         witness=witness,
-        boundary=abs(margin) <= tol,
+        boundary=abs(decided) <= tol,
         assumptions=assumptions,
         margin_lower=None if margin_lower is None else float(margin_lower),
     )
 
 
 def is_a_orthogonal(a: PsdOperator, x: np.ndarray, y: np.ndarray) -> OrthoVerdict:
-    """Exact A-orthogonality <x, y>_A = 0, up to orth_tol scaling."""
-    bound = a.tol.orth_tol * (1.0 + norm_a(a, x) * norm_a(a, y))
-    margin = bound - abs(inner_a(a, x, y))
-    return _verdict(margin, Method.DEFINITION, a.tol.verdict_margin_tol)
+    """Exact A-orthogonality <x, y>_A = 0: :func:`is_eps_orthogonal` at eps = 0,
+    with margin -|<x, y>_A|."""
+    return is_eps_orthogonal(a, x, y, 0.0)
 
 
 def is_eps_orthogonal(a: PsdOperator, x: np.ndarray, y: np.ndarray, eps: float) -> OrthoVerdict:
     """Approximate orthogonality by the inner-product route.
 
-    Holds iff |<x, y>_A| <= eps ||x||_A ||y||_A (up to the verdict margin
-    tolerance); symmetric in x and y.
+    Holds iff |<x, y>_A| <= eps ||x||_A ||y||_A, up to the band
+    verdict_margin_tol ||x||_A ||y||_A, or where x or y is A-null; the margin
+    is the slack of ``_slack``. Symmetric in x and y.
     """
-    eps = validate_epsilon(eps)
-    margin = eps * norm_a(a, x) * norm_a(a, y) - abs(inner_a(a, x, y))
-    return _verdict(margin, Method.DEFINITION, a.tol.verdict_margin_tol)
+    slack, band, _, _ = _slack(a, x, y, validate_epsilon(eps))
+    return _verdict(slack, Method.DEFINITION, band)
 
 
 def is_chmielinski_orthogonal_vec(
@@ -146,29 +172,20 @@ def is_chmielinski_orthogonal_vec(
     f(lambda) = ||x + lambda y||_A^2 - ||x||_A^2 + 2 eps ||x||_A ||lambda y||_A.
     On the ray lambda = t d, t >= 0, |d| = 1, f is the quadratic
     t^2 ||y||_A^2 + 2 t (Re(d <y, x>_A) + eps ||x||_A ||y||_A), steepest along
-    d = -conj(<y, x>_A) / |<y, x>_A| in either field. There its linear
-    coefficient is -c for the violation c = |<y, x>_A| - eps ||x||_A ||y||_A,
-    so the dip is -max(0, c)^2 / ||y||_A^2, at lambda = max(0, c) / ||y||_A^2 d.
-    Must agree with :func:`is_eps_orthogonal` on every input.
+    d = -<x, y>_A / |<x, y>_A| in either field. There its linear coefficient
+    is -c for the violation c = |<x, y>_A| - eps ||x||_A ||y||_A, so the dip
+    is -max(0, c)^2 / ||y||_A^2, at lambda = max(0, c) / ||y||_A^2 d.
+    The verdict is decided on c, the negated slack of ``_slack``, with its
+    band, so this route's decision boundary is the inner-product route's
+    rather than a squared band. Must agree with :func:`is_eps_orthogonal` on
+    every input.
     """
-    eps = validate_epsilon(eps)
-    tol = a.tol.verdict_margin_tol
-    if is_a_null(a, x) or is_a_null(a, y):
-        return _verdict(0.0, Method.DIRECT_MINIMIZATION, tol, Witness(lam=0.0))
-
-    nx = norm_a(a, x)
-    ny = norm_a(a, y)
-    ip_yx = inner_a(a, y, x)
-    violation = abs(ip_yx) - eps * nx * ny
+    slack, band, ip, ny = _slack(a, x, y, validate_epsilon(eps))
     margin, lam = 0.0, 0.0
-    if violation > 0.0:
-        margin = -(violation**2) / ny**2
-        lam = violation / ny**2 * (-ip_yx.conjugate() / abs(ip_yx))
-    # Deciding the verdict by c keeps this route's decision boundary identical
-    # to the inner-product route's instead of squaring the tolerance band.
-    return _verdict(
-        margin, Method.DIRECT_MINIMIZATION, tol, Witness(lam=lam), decided_on=-violation
-    )
+    if slack < 0.0:
+        margin = -(slack**2) / ny**2
+        lam = slack / ny**2 * (ip / abs(ip))
+    return _verdict(margin, Method.DIRECT_MINIMIZATION, band, Witness(lam=lam), decided_on=slack)
 
 
 def orthogonal_decomposition(a: PsdOperator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -178,12 +195,11 @@ def orthogonal_decomposition(a: PsdOperator, x: np.ndarray, y: np.ndarray) -> np
     Whenever x is eps-approximately orthogonal to y, this z also satisfies
     ||z - y||_A <= eps ||y||_A.
     """
-    x = a.check_vector(x)
+    x, ax, sq_x = _image(a, x)
     y = a.check_vector(y)
-    if is_a_null(a, x):
+    if not sq_x:
         return y.copy()
-    coeff = -np.conj(inner_a(a, x, y)) / norm_a(a, x) ** 2
-    return coeff * x + y
+    return -np.conj(np.vdot(y, ax)) / sq_x * x + y
 
 
 class ConeTag(str, enum.Enum):
@@ -203,7 +219,9 @@ def cone_membership(
     real-field statement. The sign of s = Re(alpha <y, x>_A) decides: the
     norm never dips for t >= 0 iff s >= 0, and never dips for t <= 0 iff
     s <= 0, so one of the two always holds and both hold exactly on
-    A-orthogonality along alpha.
+    A-orthogonality along alpha: here where |s| is within the band of
+    :func:`is_a_orthogonal`, or x or y is A-null, so over R at alpha = 1 the
+    tag is BOTH exactly when :func:`is_a_orthogonal` holds.
     """
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > 1e-12:
@@ -211,9 +229,9 @@ def cone_membership(
     arg = float(np.angle(alpha))
     if not 0.0 <= arg < math.pi:
         raise ValueError(f"arg(alpha) must lie in [0, pi), got {arg}")
-    s = float(np.real(alpha * inner_a(a, y, x)))
-    scale = a.tol.orth_tol * (1.0 + norm_a(a, x) * norm_a(a, y))
-    if abs(s) <= scale:
+    _, band, ip, _ = _slack(a, x, y, 0.0)
+    s = float(np.real(alpha * np.conj(ip)))  # Re(alpha <y, x>_A)
+    if abs(s) <= band:
         return ConeTag.BOTH
     return ConeTag.PLUS_ONLY if s > 0.0 else ConeTag.MINUS_ONLY
 

@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+# Powers of ten that the rescaling scans multiply A, an operator or a vector by.
+SCAN_POWERS = (-30, -13, -6, 6, 13, 24, 30)
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

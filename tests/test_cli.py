@@ -106,6 +106,24 @@ def test_check_vec_orthogonal(tmp_path):
     assert report["routes_agree"] is True
 
 
+def test_check_vec_small_vectors_fail(tmp_path):
+    """<x, y>_A = ||x||_A ||y||_A / sqrt(2) exceeds eps = 0.5 at every scale:
+    at x, y of size 1e-5 both routes still say "fails"."""
+    inst = write_instance(
+        tmp_path / "i.json",
+        field="real",
+        A=[[1.0, 0.0], [0.0, 1.0]],
+        x=[1e-5, 0.0],
+        y=[1e-5, 1e-5],
+        epsilon=0.5,
+    )
+    out = tmp_path / "r.json"
+    assert cli.main(["check", inst, "--mode", "vec", "--json-out", str(out)]) == EXIT_OK
+    report = _read(out)
+    assert [v["holds"] for v in report["verdicts"]] == [False, False]
+    assert report["routes_agree"] is True
+
+
 def test_check_complex_instance(tmp_path):
     inst = write_instance(
         tmp_path / "i.json",
@@ -249,7 +267,7 @@ def test_non_finite_instances_rejected(tmp_path, capsys):
         {"tolerances": {"rank_tol": "1e-3", "cluster_tol": True}},
         {"tolerances": {"cluster_tol": True}},
         {"tolerances": {"verdict_margin_tol": None}},
-        {"tolerances": {"orth_tol": 10**400}},
+        {"tolerances": {"rank_tol": 10**400}},
         {"schema": True},
         {"schema": 1.0},
     ],
@@ -348,6 +366,14 @@ def test_isometry_tol_is_unknown(tmp_path, capsys):
     inst = write_instance(tmp_path / "i.json", **dict(REF, tolerances={"isometry_tol": 1e-8}))
     assert cli.main(["norm", inst]) == EXIT_PARSE
     assert "isometry_tol" in capsys.readouterr().err
+
+
+def test_orth_tol_is_unknown(tmp_path, capsys):
+    """The vector predicates share the relative verdict band; the removed
+    orth_tol is an unknown field."""
+    inst = write_instance(tmp_path / "i.json", **dict(REF, tolerances={"orth_tol": 1e-8}))
+    assert cli.main(["norm", inst]) == EXIT_PARSE
+    assert "orth_tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("side, construction", [("right", "right_proof"), ("left", "left_case_ii")])

@@ -17,6 +17,7 @@ from semiortho import (
     bind_operator,
     direct_objective,
     inner_a,
+    is_a_null,
     is_a_orthogonal,
     is_chmielinski_orthogonal_vec,
     is_eps_orthogonal,
@@ -820,12 +821,19 @@ def test_every_decider_returns_one_verdict_type(rng, name):
             v = decide(a, first, second, eps)
             tol = a.tol.verdict_margin_tol
             assert isinstance(v, OrthoVerdict)
-            assert v.boundary == (abs(v.margin) <= tol)
-            if name == "is_chmielinski_orthogonal_vec":
-                # decided on the linear-unit violation, not on the squared margin
-                violation = abs(inner_a(a, second, first)) - eps * norm_a(a, first) * norm_a(a, second)
-                assert v.holds == (violation <= tol)
+            if kind == "vec":
+                # one relative rule, on the linear slack (not on the direct
+                # route's squared margin); an A-null argument holds
+                if is_a_null(a, first) or is_a_null(a, second):
+                    assert v.holds and v.boundary and v.margin == 0.0
+                else:
+                    scale = norm_a(a, first) * norm_a(a, second)
+                    slack = (0.0 if name == "is_a_orthogonal" else eps) * scale
+                    slack -= abs(inner_a(a, first, second))
+                    assert v.holds == (slack >= -tol * scale)
+                    assert v.boundary == (abs(slack) <= tol * scale)
             else:
+                assert v.boundary == (abs(v.margin) <= tol)
                 assert v.holds == (v.margin >= -tol)
             seen.add(v.holds)
     assert seen == {True, False}

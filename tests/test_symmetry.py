@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,8 @@ from semiortho.sampling import (
     rank_one_operator,
     zero_a_norm_operator,
 )
+
+from conftest import SCAN_POWERS
 
 A_REF = psd_decompose(np.diag([1.0, 2.0]))
 T_REF = np.diag([2.0, 1.0])
@@ -560,9 +563,6 @@ def test_factored_witness_matches_fresh_bind(rng, n, deficient):
     assert tags == set(ConstructionTag)
 
 
-# Powers of ten that the rescaling scan multiplies A or T by.
-SCAN_POWERS = (-30, -13, -6, 6, 13, 24, 30)
-
 SCAN_FAMILIES = {
     "generic": random_a_bounded,
     "multiplicity": lambda rng, a: operator_with_multiplicity(rng, a, 2),
@@ -605,3 +605,89 @@ def test_factored_bind_requires_orthonormal_right_factor(rng):
     for bad in (right * (1.0 + 1e-9), right + 1e-9 * right[:, ::-1], 2.0 * right):
         with pytest.raises(WitnessConstructionError):
             _bind_product(a, left, bad)
+
+
+# ----------------------------- witness thresholds ------------------------------
+
+
+def _images_defect(op):
+    """The right witness's Gram defect of its unit images, as it computes it."""
+    m = op.top_coords.shape[1]
+    images = op.tilde @ op.top_coords / op.sigma[:m]
+    return float(np.max(np.abs(images.conj().T @ images - np.eye(m))))
+
+
+def test_right_witness_gram_defect_boundary():
+    """Turning a two-fold cluster's singular vectors by phi makes the images'
+    Gram defect about 2 g phi (relative gap g): the witness is built just
+    below _ORTHO_ASSERT_TOL and refused just above it."""
+    a = psd_decompose(np.eye(4), Tolerances(cluster_tol=1e-5))
+    g = 1e-6
+    op = bind_operator(a, np.diag([1.0, 1.0 - g, 0.5, 0.3]))
+    assert op.top_coords.shape[1] == 2 and _images_defect(op) <= 1e-15
+    tol = symmetry._ORTHO_ASSERT_TOL
+    for factor, builds in ((0.5, True), (2.0, False)):
+        phi = factor * tol / (2.0 * g)
+        turn = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        turned = dataclasses.replace(op, top_coords=op.top_coords @ turn)
+        assert (_images_defect(turned) <= tol) == builds
+        if builds:
+            assert right_witness(a, turned, 0.3).tag is ConstructionTag.RIGHT_PROOF
+        else:
+            with pytest.raises(WitnessConstructionError, match="not orthonormal"):
+                right_witness(a, turned, 0.3)
+
+
+def _case_ii_cross(op):
+    """The left witness's case II cosine |<Tx, Tx_1>|, as it computes it."""
+    tilde_n, x = op.tilde / op.norm, op.top_coords[:, 0]
+    image_x = tilde_n @ x
+    k = int(np.argmax(np.linalg.norm(tilde_n - np.outer(image_x, x.conj()), axis=0)))
+    partner = -np.conj(x[k]) * x
+    partner[k] += 1.0
+    return abs(np.vdot(image_x, tilde_n @ (partner / np.linalg.norm(partner))))
+
+
+def test_left_witness_cross_term_boundary():
+    """Tilting the attaining vector off the top singular vector by phi makes
+    the case II cosine grow linearly in phi: the witness is built just below
+    _ORTHO_ASSERT_TOL and refused just above it."""
+    a = psd_decompose(np.eye(3))
+    turn = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, math.sqrt(2.0)]]) / math.sqrt(2.0)
+    op = bind_operator(a, np.diag([1.0, 0.6, 0.3]) @ turn)
+    x, other = op.top_coords[:, 0], np.linalg.svd(op.tilde)[2][1]
+
+    def tilt(phi):
+        unit = (x + phi * other) / math.hypot(1.0, phi)
+        return dataclasses.replace(op, top_coords=unit[:, None])
+
+    assert _case_ii_cross(op) <= 1e-15
+    tol = symmetry._ORTHO_ASSERT_TOL
+    slope = _case_ii_cross(tilt(1e-6)) / 1e-6
+    for factor, builds in ((0.5, True), (2.0, False)):
+        tilted = tilt(factor * tol / slope)
+        assert (_case_ii_cross(tilted) <= tol) == builds
+        if builds:
+            assert left_witness(a, tilted, 0.3).tag is ConstructionTag.LEFT_CASE_II
+        else:
+            with pytest.raises(WitnessConstructionError, match="not orthogonal to Tx"):
+                left_witness(a, tilted, 0.3)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3, 0.9, 0.99])
+def test_left_witness_forward_check_boundary(monkeypatch, eps):
+    """At alpha_lo, the end of the admissible interval, |<Tx, Sx>| = eps up to
+    rounding and the forward check accepts; 64 u beyond it, it refuses."""
+    a = psd_decompose(np.eye(3))
+    t = np.diag([1.0, 0.5, 0.2])
+    params = left_parameters(eps)
+    root_eps1 = math.sqrt(1.0 - params.eps1**2)
+    for shift, builds in ((0.0, True), (64.0 * np.finfo(np.float64).eps / 2.0, False)):
+        alpha = params.alpha_lo - shift / (root_eps1 * params.b)
+        moved = dataclasses.replace(params, alpha=alpha)
+        monkeypatch.setattr(symmetry, "left_parameters", lambda e: moved)
+        if builds:
+            assert left_witness(a, t, eps).params.alpha == alpha
+        else:
+            with pytest.raises(WitnessConstructionError, match="forward guarantee"):
+                left_witness(a, t, eps)

@@ -27,6 +27,8 @@ from semiortho import (
 )
 from semiortho.sampling import forced_inner_pair, random_psd, random_vector
 
+from conftest import SCAN_POWERS
+
 A_REF = psd_decompose(np.diag([1.0, 2.0]))
 
 
@@ -246,6 +248,86 @@ def test_cone_membership_grid_oracle(rng):
             assert np.all(norms[sub >= 0] >= base - 1e-9)
         if tag in (ConeTag.MINUS_ONLY, ConeTag.BOTH):
             assert np.all(norms[sub <= 0] >= base - 1e-9)
+
+
+def test_cone_both_exactly_when_a_orthogonal(rng):
+    """Over R at alpha = 1 the two decide one statement with one band, also
+    for |<x, y>_A| near verdict_margin_tol ||x||_A ||y||_A."""
+    seen = set()
+    for k in range(600):
+        a, x, _ = _vec_instance(rng)
+        if is_a_null(a, x):
+            continue
+        size = norm_a(a, x) * 10.0 ** rng.uniform(-3.0, 3.0) * 10.0 ** rng.uniform(-10.0, -7.5)
+        x, y = forced_inner_pair(rng, a, float(rng.choice([-1.0, 1.0])) * size)
+        holds = is_a_orthogonal(a, x, y).holds
+        assert (cone_membership(a, x, y) == ConeTag.BOTH) == holds
+        seen.add(holds)
+    assert seen == {True, False}
+
+
+# ----------------------------- rescaling ---------------------------------------
+
+SCAN_EPS = (0.3, 0.7)
+
+
+def _vector_verdicts(a, x, y):
+    """(holds, boundary) of every vector predicate on (x, y), both epsilon
+    routes at each SCAN_EPS, and the cone tags along 1 and i."""
+    verdicts = [is_a_orthogonal(a, x, y)]
+    for eps in SCAN_EPS:
+        verdicts += [is_eps_orthogonal(a, x, y, eps), is_chmielinski_orthogonal_vec(a, x, y, eps)]
+    tags = (cone_membership(a, x, y), cone_membership(a, x, y, 1j))
+    return [(v.holds, v.boundary) for v in verdicts], tags
+
+
+def _scan_pairs(rng, a):
+    """A random pair, an A-orthogonal one, pairs 1e-6 inside and outside the
+    boundary at SCAN_EPS[0], and A-null or zero arguments."""
+    cplx = a.is_complex
+    x, y = random_vector(rng, a.dim, cplx), random_vector(rng, a.dim, cplx)
+    z = orthogonal_decomposition(a, x, y)
+    pairs = [(x, y), (x, z), (z, x), (x, np.zeros_like(y))]
+    for rho in SCAN_EPS[0] * np.array([1.0 - 1e-6, 1.0 + 1e-6]):
+        # |<x, z + t x>_A| = rho ||x||_A ||z + t x||_A
+        t = rho * norm_a(a, z) / (norm_a(a, x) * math.sqrt(1.0 - rho**2))
+        pairs.append((x, z + t * x))
+    if a.null_dim:
+        null = null_basis(a) @ random_vector(rng, a.null_dim, cplx)
+        pairs += [(null, y), (x, null)]
+    return pairs
+
+
+@pytest.mark.parametrize("deficient", [False, True])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_vector_verdicts_do_not_change_when_x_y_or_a_is_rescaled(rng, deficient, complex_field):
+    """Multiplying x, y or A by 10^k, |k| up to 30, changes no verdict,
+    boundary flag or cone tag of the vector predicates."""
+    n = 5
+    a = random_psd(rng, n, rank=n - 2 if deficient else n, complex_field=complex_field)
+    pairs = _scan_pairs(rng, a)
+    expected = [_vector_verdicts(a, x, y) for x, y in pairs]
+    assert [e[0][1][0] for e in expected[4:6]] == [True, False]  # both sides of the boundary
+    for k in SCAN_POWERS:
+        c = 10.0**k
+        scaled_a = psd_decompose(c * a.matrix)
+        for (x, y), want in zip(pairs, expected):
+            assert _vector_verdicts(scaled_a, x, y) == want, ("A", k)
+            assert _vector_verdicts(a, c * x, y) == want, ("x", k)
+            assert _vector_verdicts(a, x, c * y) == want, ("y", k)
+
+
+@pytest.mark.parametrize("k", SCAN_POWERS)
+def test_identity_example_is_scale_free(k):
+    """A = I, x = (1, 0), y = (1, 1) at eps = 0.5: |<x, y>| = ||x|| ||y|| / sqrt(2),
+    so not orthogonal, not eps-orthogonal and plus_only, at every scale."""
+    c = 10.0**k
+    x, y = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+    for a, x, y in ((psd_decompose(c * np.eye(2)), x, y), (psd_decompose(np.eye(2)), c * x, c * y)):
+        assert not is_a_orthogonal(a, x, y).holds
+        assert not is_eps_orthogonal(a, x, y, 0.5).holds
+        assert not is_chmielinski_orthogonal_vec(a, x, y, 0.5).holds
+        assert cone_membership(a, x, y) == ConeTag.PLUS_ONLY
 
 
 # ----------------------------- directional derivative ------------------------
