@@ -13,10 +13,11 @@ routes are provably equivalent, so this is an internal-defect alarm).
 
 Instance files are JSON objects with a ``schema`` field (currently 1),
 ``field`` ("real" or "complex"), matrices ``A``/``T``/``S`` as row-major
-nested arrays, vectors ``x``/``y``, ``epsilon`` in [0, 1), and optional
-``tolerances`` overrides. Complex entries are written as two-element
-[re, im] arrays. Reports mirror the same conventions and are byte-identical
-for identical inputs and seeds, except for the ``timing_s`` field.
+nested arrays, vectors ``x``/``y``, ``epsilon`` in [0, 1), and an optional
+``tolerances`` object, whose one field is ``rank_tol``. Complex entries are
+written as two-element [re, im] arrays. Reports mirror the same conventions
+and are byte-identical for identical inputs and seeds, except for the
+``timing_s`` field.
 """
 
 from __future__ import annotations
@@ -148,8 +149,7 @@ def load_instance(path: str) -> dict:
     overrides = raw.get("tolerances", {})
     if not isinstance(overrides, dict):
         raise InstanceError("tolerances must be an object")
-    known = set(Tolerances.__dataclass_fields__)
-    unknown = set(overrides) - known
+    unknown = set(overrides) - set(Tolerances.__dataclass_fields__)
     if unknown:
         raise InstanceError(f"unknown tolerance fields: {sorted(unknown)}")
     if not all(map(_is_number, overrides.values())):

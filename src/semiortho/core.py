@@ -20,29 +20,58 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteError, NotHermitianError, NotPositiveError
 
 
+# Largest asymmetry max|A_ij - conj(A_ji)|, relative to max|A_ij|, that
+# ``_hermitian_part`` takes for rounding and removes by replacing A with
+# (A + A*) / 2, the nearest Hermitian matrix in the Frobenius norm. A matrix
+# formed in floating point, such as Q diag(lam) Q*, is Hermitian to within
+# its products' rounding, at most n u max|A_ij| (u the unit roundoff): below
+# 1e-10 for every n under 9e5, and measured at 2e-16 or less for n = 4 to
+# 1024, real and complex. An input further from Hermitian is not an
+# operator's matrix up to rounding, and raises. The test is relative, so
+# rescaling A does not change it.
+HERMITIAN_TOL = 1e-10
+
+# Relative width of the top singular-value cluster: sigma_i is in it, and its
+# right-singular vector attains ||T||_A, when sigma_i >= (1 - CLUSTER_TOL)
+# sigma_1. The one test decides attainment and A-isometry. It must cover the
+# rounding of T~ = W* T W-, which W's condition number sqrt(lam_1 / lam_r)
+# magnifies twice: the computed 1 - sigma_r / sigma_1 of exact A-isometries
+# (r = 4 to 256, 4 to 20 draws each) is at most 8.1e-15 for lam_1 / lam_r
+# below 10, 3.5e-13 at 1e4, 2.4e-9 at 1e8 and 2.1e-7 at 1e10, so 1e-8 keeps
+# them whole up to a condition of about 1e8, not up to the 1e10 that rank_tol
+# admits. It is also near sqrt(u) = 1.05e-8, at which the span of a cluster
+# set off by its width is resolved to u / width, the width itself
+# (``orthogonality._SUBSET_SINE_TOL``). It is not yet tied to the verdict
+# band.
+CLUSTER_TOL = 1e-8
+
+# The band that turns a signed margin into a verdict: a route holds when the
+# quantity it decides on is >= -band. On the operator routes the band is
+# this value, absolute; on the vector predicates it is VERDICT_MARGIN_TOL
+# ||x||_A ||y||_A, which does not change when x, y or A is rescaled. It lies
+# far above the rounding of a direct-route margin, 4 (r + 1) u ||T||_A^2
+# (``orthogonality._rounding``; 1.1e-13 at r = 256 and ||T||_A = 1). Since
+# min g is about -d^2 ||T||_A^2 at a linear distance d from the boundary,
+# pairs closer than sqrt(1e-9) / ||T||_A to it (3.2e-5 at ||T||_A = 1) hold.
+# The value is not derived, and as the operator band is absolute, a verdict
+# within it can change when T, S or A is rescaled.
+VERDICT_MARGIN_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances used across the package.
+    """The one modelling choice the package adds to (eps, A): ``rank_tol``,
+    the eigenvalue clipping threshold relative to the largest eigenvalue,
+    which decides which eigenvalues of A count as zero, and with them N(A)
+    and A-null vectors. Every other threshold is a module constant whose
+    value its comment explains (``HERMITIAN_TOL``, ``CLUSTER_TOL`` and
+    ``VERDICT_MARGIN_TOL`` here)."""
 
-    hermitian_tol   relative max-entry asymmetry accepted before symmetrizing
-    rank_tol        eigenvalue clipping threshold, relative to the largest one
-    verdict_margin_tol  slack that turns a signed margin into a verdict: an
-                    absolute band on the operator routes, and
-                    verdict_margin_tol ||x||_A ||y||_A on the vector
-                    predicates, which do not change when x, y or A is rescaled
-    cluster_tol     relative width of the top singular-value cluster, which
-                    decides attainment and A-isometry
-    """
-
-    hermitian_tol: float = 1e-10
     rank_tol: float = 1e-10
-    verdict_margin_tol: float = 1e-9
-    cluster_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            if not 0.0 <= getattr(self, name) < float("inf"):
-                raise ValueError(f"tolerance {name} must be finite and nonnegative")
+        if not 0.0 <= self.rank_tol < float("inf"):
+            raise ValueError("tolerance rank_tol must be finite and nonnegative")
 
 
 DEFAULT_TOL = Tolerances()
@@ -57,7 +86,7 @@ def _as_square_matrix(m: np.ndarray) -> np.ndarray:
     return m.astype(np.float64, copy=False)
 
 
-def _hermitian_part(matrix: np.ndarray, tol: float) -> np.ndarray:
+def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
     """Validate near-Hermitian input and return its exactly Hermitian part;
     the asymmetry is measured against the largest entry, at every scale."""
     m = _as_square_matrix(matrix)
@@ -65,9 +94,9 @@ def _hermitian_part(matrix: np.ndarray, tol: float) -> np.ndarray:
     if not np.isfinite(scale):
         raise NonFiniteError("matrix has a non-finite entry")
     asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if asym > tol * scale:
+    if asym > HERMITIAN_TOL * scale:
         raise NotHermitianError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} > {tol:.1e} * {scale:.3e}"
+            f"matrix is not Hermitian: max asymmetry {asym:.3e} > {HERMITIAN_TOL:.1e} * {scale:.3e}"
         )
     return (m + m.conj().T) / 2.0
 
@@ -88,15 +117,13 @@ def _clip(w: np.ndarray, rank_tol: float) -> tuple[np.ndarray, float]:
     return np.where(w > clip, w, 0.0), clip
 
 
-def hermitian_eig(
-    matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
     Returns (eigenvalues, eigenvectors) with unitary eigenvector columns
     matching the eigenvalue order, so matrix = V diag(w) V*.
     """
-    return _eigh_descending(_hermitian_part(matrix, tol.hermitian_tol))
+    return _eigh_descending(_hermitian_part(matrix))
 
 
 @dataclass(frozen=True)
@@ -116,6 +143,9 @@ class PsdOperator:
         Clipped spectrum, descending, all >= 0.
     eigenvectors : ndarray
         Unitary matrix whose columns match ``eigenvalues``.
+    tol : Tolerances
+        The ``rank_tol`` that clipped the spectrum; it also decides which
+        vectors are A-null and which operators are A-bounded.
     u_plus : ndarray
         Eigenvectors of the positive block (n x r).
     projector : ndarray
@@ -341,7 +371,7 @@ def psd_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PsdOpera
     rank, where no nonzero vector lies within rank_tol * lambda_max of N(A)
     and the check has no N(A) to test.
     """
-    m = _hermitian_part(matrix, tol.hermitian_tol)
+    m = _hermitian_part(matrix)
     if m.shape[0] >= _CHOLESKY_MIN_DIM:
         factors = _certified_factor(m, tol.rank_tol)
         if factors is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PsdOperator, null_basis
+from .core import CLUSTER_TOL, PsdOperator, null_basis
 from .errors import NonFiniteError, NotABoundedError, WitnessConstructionError, ZeroANormError
 
 
@@ -176,7 +176,7 @@ def _singular_system(a: PsdOperator, left: np.ndarray, right: np.ndarray | None 
     sigma[:k] = np.sqrt(np.clip(w, 0.0, None))
     norm = float(sigma[0]) if sigma.size else 0.0
     zero_norm = zero_image or norm == 0.0
-    m = int(np.count_nonzero(sigma >= norm * (1.0 - a.tol.cluster_tol)))
+    m = int(np.count_nonzero(sigma >= norm * (1.0 - CLUSTER_TOL)))
     tilde = left if right is None else left @ right.conj().T
     if zero_norm or m == sigma.size:
         top = np.eye(left.shape[0], dtype=tilde.dtype)
@@ -273,10 +273,25 @@ def _top_block(gram: np.ndarray, w: np.ndarray, m: int) -> np.ndarray | None:
     return None
 
 
+# Least length, relative to its own, that a column keeps in ``_orthonormalize``
+# once projected off the columns before it. Two passes of Gram-Schmidt leave
+# it orthogonal to them to working precision while that length is well above
+# rounding (twice is enough: Giraud, Langou and Rozloznik, Comput. Math. Appl.
+# 50, 2005), and the direction kept is accurate to about u / length, 1.1e-10
+# at 1e-6 (u the unit roundoff). A shorter remainder is a column that inverse
+# iteration has drawn onto the others, with no direction worth refining, and
+# ``_top_block`` then leaves the cluster to a full ``eigh``. The value is
+# dimensionless, and it only picks between ``_top_block``'s block, which its
+# residual bound certifies, and that fallback: it moves time, not results.
+# The least length met on the seed-41/42 symmetry mixes was 5.1e-3 (30
+# blocks of two or more columns).
+_DEPENDENT_LENGTH = 1e-6
+
+
 def _orthonormalize(x: np.ndarray) -> np.ndarray | None:
     """Orthonormal columns spanning those of ``x``, by two passes of
     Gram-Schmidt per column, or None where a column is dependent on the ones
-    before it to within 1e-6 of its length."""
+    before it to within ``_DEPENDENT_LENGTH`` of its length."""
     q = np.empty_like(x)
     for j in range(x.shape[1]):
         length = float(np.linalg.norm(x[:, j]))
@@ -286,19 +301,31 @@ def _orthonormalize(x: np.ndarray) -> np.ndarray | None:
         for _ in range(2):
             v = v - q[:, :j] @ (q[:, :j].conj().T @ v)
         length = float(np.linalg.norm(v))
-        if not length > 1e-6:
+        if not length > _DEPENDENT_LENGTH:
             return None
         q[:, j] = v / length
     return q
 
 
+# Largest entry of R* R - I accepted for the right factor R of
+# ``_bind_product``. The bind takes the singular values of L R* from L alone,
+# as is exact for orthonormal R; a defect E scales their squares by factors
+# within ||E||_2 <= k max|E_ij| of 1 (Ostrowski), k the number of columns (at
+# most m + 1 on the witnesses). So at 1e-12 the stored singular values are
+# those of the lifted witness to a relative k 1e-12, far inside CLUSTER_TOL
+# for any k below 10^3. The witnesses' factors are orthonormal to rounding:
+# at most 1.6e-15 over the 564 built on the seed-41/42 symmetry mixes. The
+# defect is dimensionless, so a fixed value is right.
+_FACTOR_DEFECT = 1e-12
+
+
 def _bind_product(a: PsdOperator, left: np.ndarray, right: np.ndarray) -> ABoundedOperator:
     """Bind the operator whose reduction is left @ right^H, for nonzero r x k
-    factors, ``right`` with orthonormal columns (within 1e-12 per entry): its
+    factors, ``right`` with orthonormal columns (within ``_FACTOR_DEFECT``): its
     lift (W- left)(W right)^H costs O(n r k) and is zero on N(A), its singular
     system takes a k x k eigensolve, and the memo of ``a`` does not keep it."""
     defect = float(np.max(np.abs(right.conj().T @ right - np.eye(right.shape[1]))))
-    if defect > 1e-12:
+    if defect > _FACTOR_DEFECT:
         raise WitnessConstructionError(f"right factor not orthonormal (defect {defect:.2e})")
     return ABoundedOperator(psd=a, matrix=a.lift(left, right), **_singular_system(a, left, right))
 
@@ -345,7 +372,7 @@ class IsometryCheck:
 
 def is_a_isometry(a: PsdOperator, t: Operand) -> IsometryCheck:
     """Whether every A-unit vector attains ||T||_A: whether the attainment
-    cluster of the bind fills R(A), i.e. sigma_min >= (1 - cluster_tol)
+    cluster of the bind fills R(A), i.e. sigma_min >= (1 - CLUSTER_TOL)
     sigma_max, the one test that also decides attainment. The reported
     deviation is (sigma_max^2 - sigma_min^2) / sigma_max^2. The zero operator
     counts as an A-isometry of norm 0, with deviation 0.

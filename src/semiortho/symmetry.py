@@ -59,6 +59,23 @@ _ORTHO_ASSERT_TOL = 1e-8
 _FORWARD_ROUNDING = 16.0 * _UNIT_ROUNDOFF
 
 
+# Largest column of T~ / ||T|| - (T x) x^H, the normalized T on the
+# orthocomplement of its attaining vector x, at which ``left_witness`` takes T
+# for rank one (case I) and leaves that part out. Either case is valid on
+# both sides of the switch, so it only picks one. Case I's guarantees move by
+# at most sqrt(r) times the largest column (r = rank A; only the reverse
+# product <S z_1, T z_1> sees the part left out), against a reverse margin
+# a eps1 - eps = 0.207 (1 - eps) from ``left_parameters``. Case II divides by
+# beta, the length of that part's image off T x, and holds while beta is
+# above rounding. Measured on A = I_4, T = U diag(1, beta, 0, 0) V* with
+# random orthogonal U and V, 100 draws per beta = 10^-k, k = 4 ... 12: every
+# witness builds and verifies with the switch at 1e-9 (case II up to k = 8),
+# and also with it moved to 1e-3 (all case I) or 1e-15 (all case II). So a
+# fixed value is right; 1e-9 is kept. The column is relative to ||T||, so
+# rescaling T or A does not move it.
+_RANK_ONE_COLUMN = 1e-9
+
+
 class ConstructionTag(str, enum.Enum):
     RIGHT_PROOF = "right_proof"
     LEFT_MULTI_PAIR = "left_multi_pair"
@@ -191,7 +208,7 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
     Steps, in range coordinates: take the attainment basis x_1..x_m and one
     unit x_{m+1} orthogonal to it; take the images y_i = T x_i / sigma_i, the
     left singular vectors, which stay orthonormal when the cluster's singular
-    values differ within cluster_tol; pick a unit w_0 orthogonal to them, of
+    values differ within CLUSTER_TOL; pick a unit w_0 orthogonal to them, of
     the phase that makes <w_0, T x_{m+1}> >= 0; send x_i to -y_i for i <= m,
     x_{m+1} to w_0, the rest to zero: bind the factors
     L = [-y_1..-y_m, w_0], R = [x_1..x_{m+1}] with an (m+1) x (m+1) eigensolve.
@@ -258,8 +275,8 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
     singular vector.
 
     Column k of T - (Tx) x^H is the image of e_k projected off x, so T kills
-    the orthocomplement of x when no column exceeds 1e-9. No branch takes a
-    QR.
+    the orthocomplement of x when no column exceeds ``_RANK_ONE_COLUMN``. No
+    branch takes a QR.
 
     S is bound from its factors: L = [T z_2], R = [z_2] in the first branch,
     L = [a Tx + b w, alpha (b Tx - a w)], R = [z_1, z_2] in the others.
@@ -289,7 +306,7 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
     norms = np.linalg.norm(tilde_n - np.outer(image_x, x.conj()), axis=0)
     k = int(np.argmax(norms))
 
-    if norms[k] <= 1e-9:
+    if norms[k] <= _RANK_ONE_COLUMN:
         tag = ConstructionTag.LEFT_CASE_I
         partner = _unit_orthogonal(coords)
         w = _unit_orthogonal(image_x[:, None])

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import PsdOperator
+from .core import VERDICT_MARGIN_TOL, PsdOperator
 from .errors import EpsilonRangeError, NotAUnitError
 
 Scalar = Union[float, complex]
@@ -52,10 +52,10 @@ class OrthoVerdict:
     ``holds`` is True exactly when the quantity decided on is >= -band, and
     ``boundary`` flags it within the band. On the operator routes that
     quantity is the margin and the band is the absolute
-    ``verdict_margin_tol``. On the vector predicates it is the linear slack
+    ``VERDICT_MARGIN_TOL``. On the vector predicates it is the linear slack
     eps ||x||_A ||y||_A - |<x, y>_A| (the margin of the inner-product route,
     not the direct route's squared one), and the band is
-    verdict_margin_tol ||x||_A ||y||_A, 0 where x or y is A-null.
+    VERDICT_MARGIN_TOL ||x||_A ||y||_A, 0 where x or y is A-null.
     ``assumptions`` names the standing assumptions a route relies on, and
     ``margin_lower`` is a certified lower bound on the margin where the route
     proves one (the operator direct and complex attainment routes), else None.
@@ -110,7 +110,7 @@ def _slack(
     a: PsdOperator, x: np.ndarray, y: np.ndarray, eps: float
 ) -> tuple[float, float, Scalar, float]:
     """The one rule of every vector predicate, from one ``_image`` of x and y:
-    (eps ||x||_A ||y||_A - |<x, y>_A|, verdict_margin_tol ||x||_A ||y||_A,
+    (eps ||x||_A ||y||_A - |<x, y>_A|, VERDICT_MARGIN_TOL ||x||_A ||y||_A,
     <x, y>_A, ||y||_A). The predicate holds iff the slack is >= -band. Both
     scale alike with x, y and A, so no verdict changes when they are
     rescaled. An A-null argument has norm and inner product exactly 0 (as
@@ -119,7 +119,7 @@ def _slack(
     y, _, sq_y = _image(a, y)
     ip = np.vdot(y, ax).item() if sq_x and sq_y else 0.0
     nx, ny = math.sqrt(sq_x), math.sqrt(sq_y)
-    return eps * nx * ny - abs(ip), a.tol.verdict_margin_tol * nx * ny, ip, ny
+    return eps * nx * ny - abs(ip), VERDICT_MARGIN_TOL * nx * ny, ip, ny
 
 
 def _verdict(
@@ -156,7 +156,7 @@ def is_eps_orthogonal(a: PsdOperator, x: np.ndarray, y: np.ndarray, eps: float) 
     """Approximate orthogonality by the inner-product route.
 
     Holds iff |<x, y>_A| <= eps ||x||_A ||y||_A, up to the band
-    verdict_margin_tol ||x||_A ||y||_A, or where x or y is A-null; the margin
+    VERDICT_MARGIN_TOL ||x||_A ||y||_A, or where x or y is A-null; the margin
     is the slack of ``_slack``. Symmetric in x and y.
     """
     slack, band, _, _ = _slack(a, x, y, validate_epsilon(eps))

@@ -264,9 +264,9 @@ def test_non_finite_instances_rejected(tmp_path, capsys):
         {"epsilon": False},
         {"epsilon": "0.3"},
         {"epsilon": 10**400},
-        {"tolerances": {"rank_tol": "1e-3", "cluster_tol": True}},
-        {"tolerances": {"cluster_tol": True}},
-        {"tolerances": {"verdict_margin_tol": None}},
+        {"tolerances": {"rank_tol": "1e-3"}},
+        {"tolerances": {"rank_tol": True}},
+        {"tolerances": {"rank_tol": None}},
         {"tolerances": {"rank_tol": 10**400}},
         {"schema": True},
         {"schema": 1.0},
@@ -333,21 +333,15 @@ EYE3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 @pytest.mark.parametrize(
-    "last, tolerances, kind",
-    [
-        (1.0 - 8e-9, None, "right_symmetric"),
-        (1.0 - 3e-8, None, "not_right_symmetric"),
-        (1.0 - 3e-8, {"cluster_tol": 1e-6}, "right_symmetric"),
-    ],
-    ids=["inside_cluster", "outside_cluster", "wide_cluster_tol"],
+    "last, kind",
+    [(1.0 - 8e-9, "right_symmetric"), (1.0 - 3e-8, "not_right_symmetric")],
+    ids=["inside_cluster", "outside_cluster"],
 )
-def test_classify_right_near_isometry(tmp_path, last, tolerances, kind):
+def test_classify_right_near_isometry(tmp_path, last, kind):
     """The attainment cluster alone decides isometry: norm and classify agree
-    with exit 0 where sigma_min / sigma_max is within cluster_tol of 1, and
-    the instance's cluster_tol moves the decision."""
+    with exit 0 where sigma_min / sigma_max is within CLUSTER_TOL (1e-8) of 1,
+    and on either side of it."""
     fields = dict(field="real", A=EYE3, T=np.diag([1.0, 1.0, last]).tolist(), epsilon=0.3)
-    if tolerances is not None:
-        fields["tolerances"] = tolerances
     inst = write_instance(tmp_path / "i.json", **fields)
     out = tmp_path / "r.json"
     assert cli.main(["norm", inst, "--json-out", str(out)]) == EXIT_OK
@@ -360,20 +354,30 @@ def test_classify_right_near_isometry(tmp_path, last, tolerances, kind):
     assert cls.get("witness_verified", True) is True
 
 
-def test_isometry_tol_is_unknown(tmp_path, capsys):
-    """cluster_tol is the one isometry knob; the removed isometry_tol is an
-    unknown field."""
-    inst = write_instance(tmp_path / "i.json", **dict(REF, tolerances={"isometry_tol": 1e-8}))
-    assert cli.main(["norm", inst]) == EXIT_PARSE
-    assert "isometry_tol" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "name", ["isometry_tol", "orth_tol", "hermitian_tol", "cluster_tol", "verdict_margin_tol"]
+)
+def test_removed_tolerance_is_unknown(tmp_path, capsys, name):
+    """rank_tol is the one tolerance an instance sets; the removed names,
+    now constants or gone, are unknown fields, and rank_tol alongside them
+    does not make them parse."""
+    for overrides in ({name: 1e-8}, {"rank_tol": 1e-10, name: 1e-8}):
+        inst = write_instance(tmp_path / "i.json", **dict(REF, tolerances=overrides))
+        assert cli.main(["norm", inst]) == EXIT_PARSE
+        assert name in capsys.readouterr().err
 
 
-def test_orth_tol_is_unknown(tmp_path, capsys):
-    """The vector predicates share the relative verdict band; the removed
-    orth_tol is an unknown field."""
-    inst = write_instance(tmp_path / "i.json", **dict(REF, tolerances={"orth_tol": 1e-8}))
-    assert cli.main(["norm", inst]) == EXIT_PARSE
-    assert "orth_tol" in capsys.readouterr().err
+@pytest.mark.parametrize("overrides, rank", [(None, 2), ({"rank_tol": 1e-6}, 1)])
+def test_rank_tol_override(tmp_path, overrides, rank):
+    """An instance's rank_tol decides which eigenvalues of A count as zero:
+    1e-8 is kept by the default 1e-10 and clipped by 1e-6."""
+    fields = dict(field="real", A=[[1.0, 0.0], [0.0, 1e-8]], T=[[1.0, 0.0], [0.0, 1.0]])
+    if overrides is not None:
+        fields["tolerances"] = overrides
+    inst, out = write_instance(tmp_path / "i.json", **fields), tmp_path / "r.json"
+    assert cli.main(["norm", inst, "--json-out", str(out)]) == EXIT_OK
+    derived = _read(out)["derived"]
+    assert (derived["rank_a"], derived["null_dim"]) == (rank, 2 - rank)
 
 
 @pytest.mark.parametrize("side, construction", [("right", "right_proof"), ("left", "left_case_ii")])

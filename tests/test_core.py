@@ -15,7 +15,7 @@ from semiortho import (
     psd_decompose,
     sqrt_psd,
 )
-from semiortho.core import _CHOLESKY_MIN_DIM, _lower_inverse
+from semiortho.core import _CHOLESKY_MIN_DIM, HERMITIAN_TOL, _lower_inverse
 from semiortho.sampling import gaussian, random_hermitian, random_orthonormal, random_psd
 
 
@@ -57,9 +57,21 @@ def test_hermitian_eig_rejects_bad_input():
         psd_decompose(np.eye(2)).check_matrix(np.eye(3))
 
 
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+def test_hermitian_tol_boundary(factor, accepted):
+    """An asymmetry of half HERMITIAN_TOL times the largest entry is taken
+    for rounding and symmetrized; twice it raises."""
+    m = np.array([[2.0, 0.0], [2.0 * factor * HERMITIAN_TOL, 1.0]])
+    if accepted:
+        assert np.array_equal(psd_decompose(m).matrix, (m + m.T) / 2.0)
+    else:
+        with pytest.raises(NotHermitianError):
+            psd_decompose(m)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-300])
 def test_hermitian_tol_is_relative_at_every_scale(scale):
-    """hermitian_tol is relative to the largest entry, however small the
+    """HERMITIAN_TOL is relative to the largest entry, however small the
     entries are: an asymmetry of half of it is rejected, not symmetrized,
     and the symmetric part is accepted as it is."""
     m = scale * np.array([[2.0, 0.0], [1.0, 2.0]])

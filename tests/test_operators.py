@@ -25,6 +25,7 @@ from semiortho import (
     psd_decompose,
     tilde_reduce,
 )
+from semiortho.operators import _DEPENDENT_LENGTH, _orthonormalize
 from semiortho.sampling import (
     gaussian,
     operator_with_multiplicity,
@@ -227,9 +228,6 @@ def test_isometry_is_the_attainment_cluster():
     outside = np.diag([1.0, 1.0, 1.0 - 3e-8])
     assert not is_a_isometry(eye, outside).ok
     assert norm_attainment_set(eye, outside).multiplicity == 2
-    wide = psd_decompose(np.eye(3), Tolerances(cluster_tol=1e-6))
-    assert is_a_isometry(wide, outside).ok
-    assert norm_attainment_set(wide, outside).multiplicity == 3
 
 
 def test_zero_norm_attainment_coords_are_identity(rng):
@@ -375,7 +373,7 @@ def test_partial_bind_multiple_cluster(rng, eigh_calls, r, complex_field):
 
 @pytest.mark.parametrize("r, complex_field", PARTIAL_CASES)
 def test_partial_bind_near_tie_falls_back(rng, eigh_calls, r, complex_field):
-    """A top gap of 1e-6, outside cluster_tol but too narrow for the residual
+    """A top gap of 1e-6, outside CLUSTER_TOL but too narrow for the residual
     test, takes the full eigh, so the cluster matches it exactly."""
     a = psd_decompose(np.diag(rng.uniform(0.5, 2.0, r)).astype(complex if complex_field else float))
     for m in (1, 2):
@@ -426,6 +424,18 @@ def test_partial_bind_falls_back_when_iteration_fails(rng, eigh_calls, monkeypat
     assert eigh_calls == [(64, 64)]
     assert op.top_coords.shape == (64, m)
     assert _span_sine(op.top_coords, _full_eigh(op, m)[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("factor, kept", [(0.5, False), (2.0, True)])
+def test_orthonormalize_dependence_boundary(factor, kept):
+    """A column that keeps half of _DEPENDENT_LENGTH of its length once
+    projected off the column before it is refused (the bind then takes a
+    full eigh); one that keeps twice that is kept, orthonormal to the first."""
+    delta = factor * _DEPENDENT_LENGTH
+    q = _orthonormalize(np.array([[1.0, 1.0], [0.0, delta], [0.0, 0.0]]))
+    assert (q is not None) is kept
+    if kept:
+        assert np.max(np.abs(q - np.eye(3)[:, :2])) <= 1e-15
 
 
 @pytest.mark.parametrize("r, complex_field", PARTIAL_CASES)

@@ -31,7 +31,14 @@ from semiortho import (
     orthogonal_decomposition,
     psd_decompose,
 )
-from semiortho.orthogonality import _SUBSET_SINE_TOL, _eigensystem, _objective
+from semiortho.core import VERDICT_MARGIN_TOL
+from semiortho.orthogonality import (
+    _SIMPLE_GAP,
+    _SUBSET_SINE_TOL,
+    _eigensystem,
+    _newton_step,
+    _objective,
+)
 from semiortho.sampling import (
     eps_orthogonal_probe,
     operator_with_multiplicity,
@@ -256,7 +263,7 @@ def test_direct_certificate_brackets_grid_oracle(rng):
     for a, t, s, eps in _certificate_instances(rng):
         v = op_orth_direct(a, t, s, eps)
         grid_min = _polar_grid_min(a, t, s, eps)
-        tol = a.tol.verdict_margin_tol
+        tol = VERDICT_MARGIN_TOL
         assert v.margin_lower <= v.margin
         assert v.margin_lower <= grid_min + 1e-12
         assert v.margin <= grid_min + tol / 4.0
@@ -291,7 +298,7 @@ def test_direct_holds_verdicts_are_certified():
         checked += 1
         v = op_orth_direct(a, t, s, eps)
         if v.holds:
-            assert v.margin_lower >= -a.tol.verdict_margin_tol
+            assert v.margin_lower >= -VERDICT_MARGIN_TOL
 
 
 def test_direct_eigensolves_per_call_capped(rng, eigh_calls):
@@ -318,6 +325,24 @@ def test_attainment_route_reuses_direct_binds(rng, eigh_calls):
         assert len(eigh_calls) == 0
 
 
+@pytest.mark.parametrize("factor, stepped", [(0.5, False), (2.0, True)])
+@pytest.mark.parametrize("lam", [0.5, 0.5 + 0.25j])
+def test_newton_step_simple_gap_boundary(factor, stepped, lam):
+    """The top eigenvalue of M* M counts as simple, and a Newton step is
+    proposed, where its relative gap to the next is twice _SIMPLE_GAP; at half
+    of it the eigenvalue counts as multiple and no step is taken."""
+    op_s = bind_operator(psd_decompose(np.eye(2)), np.array([[0.3, 1.0], [1.0, 0.2]]))
+    gap = factor * _SIMPLE_GAP
+    m = np.diag([1.0, math.sqrt(1.0 - gap)])
+    w, vecs = np.array([1.0 - gap, 1.0]), np.eye(2)[:, ::-1]  # ascending, as eigh
+    v = vecs[:, -1]
+    eig = lambda: (m, w, vecs, m @ v, op_s.tilde @ v)
+    step = _newton_step(op_s, 0.1, lam, complex(0.4), eig)
+    assert (step is not None) is stepped
+    if stepped:
+        assert all(math.isfinite(d) for d in step)
+
+
 def test_direct_newton_steps_on_failing_pairs(rng, eigh_calls):
     """Complex pairs that fail by at least 0.01 of ||T||_A ||S||_A: the
     minimizer is smooth there, Newton steps reach it, and the dual bound at
@@ -335,7 +360,7 @@ def test_direct_newton_steps_on_failing_pairs(rng, eigh_calls):
             eigh_calls.clear()
             v = op_orth_direct(a, t, s, eps)
             counts.append(len(eigh_calls))
-            assert not v.holds and v.margin - v.margin_lower <= a.tol.verdict_margin_tol / 4.0
+            assert not v.holds and v.margin - v.margin_lower <= VERDICT_MARGIN_TOL / 4.0
         assert np.mean(counts) <= 4 and max(counts) <= 20
 
 
@@ -360,7 +385,7 @@ def test_direct_proximal_start_near_boundary_complex(rng, eigh_calls):
         counts.append(len(eigh_calls))
         assert v.margin_lower <= v.margin
         if v.holds:
-            assert v.margin_lower >= -a.tol.verdict_margin_tol
+            assert v.margin_lower >= -VERDICT_MARGIN_TOL
     assert np.mean(counts) <= 2 and max(counts) <= 20
 
 
@@ -382,7 +407,7 @@ def test_direct_proximal_start_real_failing(rng, eigh_calls):
             eigh_calls.clear()
             v = op_orth_direct(a, t, s, eps)
             counts.append(len(eigh_calls))
-            assert not v.holds and v.margin - v.margin_lower <= a.tol.verdict_margin_tol / 4.0
+            assert not v.holds and v.margin - v.margin_lower <= VERDICT_MARGIN_TOL / 4.0
         assert np.mean(counts) <= 7.5
 
 
@@ -403,7 +428,7 @@ def test_direct_multiple_top_eigenvalue_falls_back(rng, eigh_calls, complex_fiel
                 assert v.holds == cross(a, t, s, eps).holds
                 if s is t:
                     assert not v.holds
-                tol = a.tol.verdict_margin_tol
+                tol = VERDICT_MARGIN_TOL
                 assert v.margin_lower <= v.margin <= _polar_grid_min(a, t, s, eps) + tol / 4.0
 
 
@@ -596,7 +621,7 @@ def test_theta_route_certified_for_multiple_attainment(rng, eigh_calls, m):
     for _ in range(3):
         for name, (form, interior) in _form_families(rng, m).items():
             a, t, s = _form_instance(rng, form)
-            tol = a.tol.verdict_margin_tol
+            tol = VERDICT_MARGIN_TOL
             for eps in (0.0, 0.3, 0.8):
                 band = eps * operator_norm_a(a, s)  # ||T||_A = 1
                 reference = band + min(0.0, _support_min(form))
@@ -819,7 +844,7 @@ def test_every_decider_returns_one_verdict_type(rng, name):
     for complex_field in fields:
         for a, first, second, eps in _decider_cases(kind, complex_field, rng):
             v = decide(a, first, second, eps)
-            tol = a.tol.verdict_margin_tol
+            tol = VERDICT_MARGIN_TOL
             assert isinstance(v, OrthoVerdict)
             if kind == "vec":
                 # one relative rule, on the linear slack (not on the direct

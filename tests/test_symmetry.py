@@ -13,7 +13,6 @@ from semiortho import (
     IsometryError,
     RankTooSmallError,
     SymmetryKind,
-    Tolerances,
     WitnessConstructionError,
     ZeroANormError,
     bind_operator,
@@ -29,7 +28,8 @@ from semiortho import (
     psd_decompose,
     right_witness,
 )
-from semiortho import selftest, symmetry
+from semiortho import operators, selftest, symmetry
+from semiortho.core import CLUSTER_TOL
 from semiortho.operators import _bind_product
 from semiortho.sampling import (
     lift_operator,
@@ -243,8 +243,8 @@ def test_right_witness_scale_invariance(rng):
 
 def test_right_classification_near_isometry():
     """One cluster decides: sigma_min / sigma_max = 1 - 8e-9 is within
-    cluster_tol (1e-8) of 1, so T is right symmetric; 1 - 3e-8 is not, and its
-    witness verifies; a cluster_tol of 1e-6 makes that T right symmetric."""
+    CLUSTER_TOL (1e-8) of 1, so T is right symmetric; 1 - 3e-8 is not, and its
+    witness verifies."""
     eye = psd_decompose(np.eye(3))
     inside = classify_right(eye, np.diag([1.0, 1.0, 1.0 - 8e-9]), 0.3)
     assert inside.kind is SymmetryKind.RIGHT_SYMMETRIC and inside.witness is None
@@ -253,10 +253,6 @@ def test_right_classification_near_isometry():
     assert outside.kind is SymmetryKind.NOT_RIGHT_SYMMETRIC
     fwd, bwd = outside.verify(eye, t)
     assert fwd.holds and not bwd.holds
-    wide = psd_decompose(np.eye(3), Tolerances(cluster_tol=1e-6))
-    assert classify_right(wide, t, 0.3).kind is SymmetryKind.RIGHT_SYMMETRIC
-    with pytest.raises(IsometryError):
-        right_witness(wide, t, 0.3)
 
 
 @pytest.mark.parametrize("r", [4, 64])
@@ -597,6 +593,24 @@ def test_verdicts_do_not_change_when_t_or_a_is_rescaled(rng, n, deficient, compl
             assert _scale_free_verdicts(a, c * t) == expected, (family, "T", k)
 
 
+@pytest.mark.parametrize("factor, builds", [(0.5, True), (2.0, False)])
+def test_factored_bind_defect_boundary(factor, builds):
+    """A right factor whose R* R - I has an entry of half _FACTOR_DEFECT is
+    bound, with the singular values of the left factor; at twice it the bind
+    refuses."""
+    a = psd_decompose(np.eye(4))
+    right = np.eye(4)[:, :2]
+    right[0, 0] = math.sqrt(1.0 + factor * operators._FACTOR_DEFECT)
+    defect = float(np.max(np.abs(right.T @ right - np.eye(2))))
+    assert defect == pytest.approx(factor * operators._FACTOR_DEFECT, rel=1e-3)
+    left = np.diag([2.0, 1.0, 0.0, 0.0])[:, :2]
+    if builds:
+        assert np.array_equal(_bind_product(a, left, right).sigma[:2], [2.0, 1.0])
+    else:
+        with pytest.raises(WitnessConstructionError, match="not orthonormal"):
+            _bind_product(a, left, right)
+
+
 def test_factored_bind_requires_orthonormal_right_factor(rng):
     a = random_psd(rng, 6, rank=5)
     left = rng.standard_normal((5, 2))
@@ -619,17 +633,27 @@ def _images_defect(op):
 
 def test_right_witness_gram_defect_boundary():
     """Turning a two-fold cluster's singular vectors by phi makes the images'
-    Gram defect about 2 g phi (relative gap g): the witness is built just
-    below _ORTHO_ASSERT_TOL and refused just above it."""
-    a = psd_decompose(np.eye(4), Tolerances(cluster_tol=1e-5))
-    g = 1e-6
+    Gram defect max(g sin 2 phi, 2 g sin^2 phi) to first order in the relative
+    gap g, which rises to 2 g at phi = pi / 2; with g just inside CLUSTER_TOL
+    the witness is built at 0.5 _ORTHO_ASSERT_TOL and refused at 1.9 times it."""
+    a = psd_decompose(np.eye(4))
+    g = 0.99 * CLUSTER_TOL
     op = bind_operator(a, np.diag([1.0, 1.0 - g, 0.5, 0.3]))
     assert op.top_coords.shape[1] == 2 and _images_defect(op) <= 1e-15
     tol = symmetry._ORTHO_ASSERT_TOL
-    for factor, builds in ((0.5, True), (2.0, False)):
-        phi = factor * tol / (2.0 * g)
-        turn = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-        turned = dataclasses.replace(op, top_coords=op.top_coords @ turn)
+
+    def turn(phi):
+        rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        return dataclasses.replace(op, top_coords=op.top_coords @ rot)
+
+    for factor, builds in ((0.5, True), (1.9, False)):
+        # the defect rises monotonically on [0, pi / 2]: bisect for factor * tol
+        lo, hi = 0.0, math.pi / 2.0
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if _images_defect(turn(mid)) < factor * tol else (lo, mid)
+        turned = turn(hi)
+        assert _images_defect(turned) == pytest.approx(factor * tol, rel=1e-3)
         assert (_images_defect(turned) <= tol) == builds
         if builds:
             assert right_witness(a, turned, 0.3).tag is ConstructionTag.RIGHT_PROOF
@@ -672,6 +696,22 @@ def test_left_witness_cross_term_boundary():
         else:
             with pytest.raises(WitnessConstructionError, match="not orthogonal to Tx"):
                 left_witness(a, tilted, 0.3)
+
+
+@pytest.mark.parametrize(
+    "factor, tag", [(0.5, ConstructionTag.LEFT_CASE_I), (2.0, ConstructionTag.LEFT_CASE_II)]
+)
+@pytest.mark.parametrize("eps", [0.0, 0.3, 0.99])
+def test_left_witness_case_switch_boundary(factor, tag, eps):
+    """T = diag(1, beta, 0) has x = e_1 and one column beta off it: at half
+    _RANK_ONE_COLUMN the left witness takes T for rank one (case I), at twice
+    it case II, and both witnesses verify."""
+    a = psd_decompose(np.eye(3))
+    t = np.diag([1.0, factor * symmetry._RANK_ONE_COLUMN, 0.0])
+    report = classify_left(a, t, eps)
+    assert report.construction.tag is tag
+    fwd, rev = report.verify(a, t)
+    assert fwd.holds and not rev.holds
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.3, 0.9, 0.99])

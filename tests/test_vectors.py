@@ -252,7 +252,7 @@ def test_cone_membership_grid_oracle(rng):
 
 def test_cone_both_exactly_when_a_orthogonal(rng):
     """Over R at alpha = 1 the two decide one statement with one band, also
-    for |<x, y>_A| near verdict_margin_tol ||x||_A ||y||_A."""
+    for |<x, y>_A| near VERDICT_MARGIN_TOL ||x||_A ||y||_A."""
     seen = set()
     for k in range(600):
         a, x, _ = _vec_instance(rng)
