@@ -164,24 +164,23 @@ def load_instance(path: str) -> dict:
 # ----------------------------- encoding -------------------------------------
 
 
-def _encode(value: Any) -> Any:
+def _leaf(value: Any) -> Any:
+    """``json.dumps``'s ``default``: the JSON form of a value it cannot encode.
+    An array becomes nested lists and a complex number [re, im]; a numpy
+    scalar becomes the Python number it holds."""
     if isinstance(value, np.ndarray):
-        return [_encode(v) for v in value.tolist()]
+        if value.dtype.kind == "c":
+            value = np.stack((value.real, value.imag), axis=-1)
+        return value.tolist()
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(_encode(obj), sort_keys=True, indent=2)
+    return json.dumps(obj, sort_keys=True, indent=2, default=_leaf)
 
 
 def _digest(raw: dict) -> str:
@@ -193,13 +192,13 @@ def _verdict_dict(route: str, v: OrthoVerdict) -> dict:
     if v.witness is not None:
         witness = {}
         if v.witness.lam is not None:
-            witness["lam"] = _encode(complex(v.witness.lam))
+            witness["lam"] = complex(v.witness.lam)
         if v.witness.theta is not None:
             # schema 1 writes the theta route's attaining vector twice
             witness["theta"] = v.witness.theta
-            witness["x_theta"] = witness["y_theta"] = _encode(v.witness.vector)
+            witness["x_theta"] = witness["y_theta"] = v.witness.vector
         elif v.witness.vector is not None:
-            witness["vector"] = _encode(v.witness.vector)
+            witness["vector"] = v.witness.vector
     entry = {
         "route": route,
         "holds": v.holds,
@@ -257,8 +256,8 @@ def cmd_norm(ns: argparse.Namespace) -> tuple[int, dict]:
         "dim": a.dim,
         "null_dim": a.null_dim,
         "attainment_multiplicity": att.multiplicity,
-        "attainment_basis": _encode(att.attain_basis.T),
-        "null_basis": _encode(att.null_basis.T),
+        "attainment_basis": att.attain_basis.T,
+        "null_basis": att.null_basis.T,
         "isometry": iso.ok,
         "isometry_deviation": iso.deviation,
     }
@@ -345,7 +344,7 @@ def cmd_classify(ns: argparse.Namespace) -> tuple[int, dict]:
     if sym.witness is not None:
         fwd, bwd = sym.verify(a, t)
         verified = fwd.holds and not bwd.holds
-        entry["witness"] = _encode(sym.witness.matrix)
+        entry["witness"] = sym.witness.matrix
         entry["witness_verified"] = verified
         entry["witness_margins"] = {"forward": fwd.margin, "reverse": bwd.margin}
         if sym.construction is not None:

@@ -157,9 +157,9 @@ def _singular_system(a: PsdOperator, left: np.ndarray, right: np.ndarray | None 
     A reduction of rank r >= ``_PARTIAL_MIN_RANK`` takes the eigenvalues
     alone (``eigvalsh``), and any cluster short of R(A) comes from
     ``_top_block``, with a full ``eigh`` where that cannot certify it.
-    Smaller reductions take one ``eigh``, which ``gram_eigh`` keeps, as
-    LAPACK returns it; the k x k Gram matrices of witness factors take one
-    ``eigh`` and keep nothing.
+    Smaller reductions take one ``eigh``. ``gram_eigh`` keeps any full
+    ``eigh`` of a bind, as LAPACK returns it; the k x k Gram matrices of
+    witness factors take one ``eigh`` and keep nothing.
     """
     gram = left.conj().T @ left
     k = gram.shape[0]
@@ -184,7 +184,8 @@ def _singular_system(a: PsdOperator, left: np.ndarray, right: np.ndarray | None 
         top = _top_block(gram, w, m) if partial else None
         if top is None:
             if v is None:
-                v = np.linalg.eigh(gram)[1][:, ::-1]
+                gram_eigh = tuple(np.linalg.eigh(gram))
+                v = gram_eigh[1][:, ::-1]
             top = v[:, :m].copy(order="F")
         if right is not None:
             top = right @ top

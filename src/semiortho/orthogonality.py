@@ -63,6 +63,13 @@ def _field_is_complex(*objs: ABoundedOperator) -> bool:
 # a one-vector dual bound is not tight. On the bench's 200
 # near_boundary_complex probes of seeds 1 and 2 the direct route took at most
 # 2 (mean 0.9). The rest is slack, and a call stays under 200 eigensolves.
+# A call that fails can still spend the whole budget: its stop rule closes the
+# bounds to an absolute VERDICT_MARGIN_TOL / 4 = 2.5e-10, which the rounding
+# of g can keep out of reach once ||T||_A is in the tens. Verifying right
+# witnesses at eps = 0.3 (n = 64 and 256, both fields, ||T||_A = 16 to 44),
+# the reverse call T perp U failed by 24 to 40 and its bound gap stalled at
+# 2.1e-10 to 5.3e-10; it took 31 to 150 eigensolves, the whole budget on the
+# complex n = 256 instance (ROADMAP item 2).
 _MAX_CUTS = 150
 # Relative gap below which the top eigenvalue of M* M counts as multiple: g is
 # not smooth there, so the route takes no Newton step. The step's Hessian

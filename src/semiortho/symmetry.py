@@ -173,7 +173,10 @@ def left_parameters(eps: float) -> LeftParams:
         )
     alpha_lo = (a * eps1 - eps) / (root_eps1 * b)
     alpha_hi = min(1.0, (a * eps1 + eps) / (root_eps1 * b))
-    if alpha_hi < alpha_lo - 1e-12:
+    # exact: both bounds divide by one positive number, and their numerators
+    # are ordered since eps >= 0, so rounding keeps alpha_lo <= the uncapped
+    # alpha_hi, and only the cap at 1 could invert the interval
+    if alpha_hi < alpha_lo:
         raise WitnessConstructionError(
             f"alpha interval inverted: ({alpha_lo}, {alpha_hi})"
         )

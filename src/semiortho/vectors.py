@@ -202,6 +202,27 @@ def orthogonal_decomposition(a: PsdOperator, x: np.ndarray, y: np.ndarray) -> np
     return -np.conj(np.vdot(y, ax)) / sq_x * x + y
 
 
+# Largest | |alpha| - 1 | that ``cone_membership`` accepts as unimodular. A
+# unit scalar computed in double, as exp(i theta) or z / |z|, is within a few
+# u of the unit circle (at most 2.2e-16 on 1e5 draws of each). The tag
+# compares s = Re(alpha <y, x>_A) with its band, and a factor within 1e-12 of
+# 1 on alpha changes that only where |s| lies within a relative 1e-12 of the
+# band. So the test keeps the documented contract: it refuses a scalar that
+# is not unit, and admits every rounding of one that is.
+_UNIMODULAR_TOL = 1e-12
+
+# Largest | ||x||_A - 1 | that ``directional_derivative`` accepts as A-unit.
+# The derivative Re <x, y>_A is linear in x, so an x off by delta moves it by
+# a relative delta. The recomputed ||x||_A of x / ||x||_A is off by an amount
+# that grows like u lam_max / ||x||_A^2 (the cancellation in <Ax, x>):
+# measured at n = 16, 200 draws with x along the least eigenvector of A, at
+# most 2.0e-15, 1.4e-9 and 1.35e-7 at lam_max / lam_min = 1e2, 1e8 and 1e10.
+# So 1e-8, about sqrt(u), admits a normalized x up to a cancellation of about
+# 1e8; at the 1e10 that rank_tol admits, an x along the least kept eigenvalue
+# is refused.
+_UNIT_NORM_TOL = 1e-8
+
+
 class ConeTag(str, enum.Enum):
     """Position of y relative to the norm-increasing cones of x along alpha."""
 
@@ -224,7 +245,7 @@ def cone_membership(
     tag is BOTH exactly when :func:`is_a_orthogonal` holds.
     """
     alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-12:
+    if abs(abs(alpha) - 1.0) > _UNIMODULAR_TOL:
         raise ValueError(f"alpha must be unimodular, got |alpha| = {abs(alpha)}")
     arg = float(np.angle(alpha))
     if not 0.0 <= arg < math.pi:
@@ -239,9 +260,9 @@ def cone_membership(
 def directional_derivative(a: PsdOperator, x: np.ndarray, y: np.ndarray) -> float:
     """One-sided derivative of lambda -> ||x + lambda y||_A at 0 for A-unit x.
 
-    Equals Re <x, y>_A; x must satisfy ||x||_A = 1 within 1e-8.
+    Equals Re <x, y>_A; x must satisfy ||x||_A = 1 within ``_UNIT_NORM_TOL``.
     """
     nx = norm_a(a, x)
-    if abs(nx - 1.0) > 1e-8:
+    if abs(nx - 1.0) > _UNIT_NORM_TOL:
         raise NotAUnitError(f"x must be A-unit, got ||x||_A = {nx}")
     return float(np.real(inner_a(a, x, y)))

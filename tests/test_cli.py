@@ -553,16 +553,105 @@ def test_check_random_fixture_batch(tmp_path, rng):
 # ----------------------------- report contracts ---------------------------------
 
 
+def _without_timing(path):
+    """A report's bytes less its ``timing_s`` line, the one line that may differ."""
+    return b"".join(
+        line for line in path.read_bytes().splitlines(True) if not line.lstrip().startswith(b'"timing_s"')
+    )
+
+
 def test_report_determinism(tmp_path):
-    inst = write_instance(tmp_path / "i.json", **REF)
-    outs = []
-    for name in ("a.json", "b.json"):
-        out = tmp_path / name
-        assert cli.main(["check", inst, "--route", "auto", "--json-out", str(out)]) == EXIT_OK
-        data = _read(out)
-        data.pop("timing_s")
-        outs.append(json.dumps(data, sort_keys=True))
-    assert outs[0] == outs[1]
+    """Two runs of a command on one instance write the same bytes apart from
+    the timing_s line: norm, check --mode op over R and over C (whose theta
+    witness writes x_theta and y_theta), check --mode vec and classify on
+    both sides."""
+    a_mat, t, s = THETA_INSTANCES["m1"]
+    complex_inst = {"field": "complex", "A": _pairs(a_mat), "T": _pairs(t), "S": _pairs(s), "epsilon": 0.25}
+    commands = [
+        (REF, ["norm"]),
+        (REF, ["check", "--mode", "op"]),
+        (complex_inst, ["check", "--mode", "op"]),
+        (dict(REF, x=[1.0, 0.5], y=[0.3, -1.0]), ["check", "--mode", "vec"]),
+        (REF, ["classify", "--side", "right"]),
+        (REF, ["classify", "--side", "left"]),
+    ]
+    for k, (fields, command) in enumerate(commands):
+        inst = write_instance(tmp_path / f"i{k}.json", **fields)
+        outs = [tmp_path / f"r{k}{run}.json" for run in "ab"]
+        for out in outs:
+            assert cli.main([*command, inst, "--json-out", str(out)]) == EXIT_OK
+        assert outs[0].read_bytes().count(b'"timing_s"') == 1
+        assert _without_timing(outs[0]) == _without_timing(outs[1])
+    assert b'"x_theta"' in (tmp_path / "r2a.json").read_bytes()
+
+
+def _encode_reference(value):
+    """The recursive copy that canonical_json made before encoding, kept as
+    the reference its bytes must match."""
+    if isinstance(value, np.ndarray):
+        return [_encode_reference(v) for v in value.tolist()]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, (list, tuple)):
+        return [_encode_reference(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode_reference(v) for k, v in value.items()}
+    return value
+
+
+def test_canonical_json_matches_the_recursive_encoder(rng):
+    real = rng.normal(size=(3, 4))
+    cplx = real + 1j * rng.normal(size=(3, 4))
+    from semiortho import null_basis, psd_decompose
+
+    full_rank = psd_decompose(np.diag([1.0, 2.0]))
+    values = {
+        "real_1d": real[0],
+        "real_2d": real,
+        "real_transposed": real.T,
+        "real_strided": real[::2, 1:],
+        "complex_1d": cplx[1],
+        "complex_2d": cplx,
+        "complex_transposed": cplx.T,
+        "null_basis": null_basis(full_rank),
+        "null_basis_transposed": null_basis(full_rank).T,
+        "complex_empty": np.zeros((3, 0), dtype=complex),
+        "bools": np.array([True, False]),
+        "negative_zero_array": np.array([-0.0, 0.0]),
+        "complex": complex(1.5, -0.0),
+        "numpy_complex": np.complex128(-2.0 + 0.25j),
+        "bool_": np.bool_(True),
+        "int64": np.int64(-7),
+        "float64": np.float64(0.1),
+        "negative_zero": -0.0,
+        "tuple": (1, 2.5, np.int64(3), complex(0.0, 1.0)),
+        "nested": {"b": {"c": cplx.T, "a": (np.bool_(False), None)}, "a": [np.float64(2.0), "s"]},
+    }
+    for key, value in values.items():
+        assert cli.canonical_json(value) == json.dumps(
+            _encode_reference(value), sort_keys=True, indent=2
+        ), key
+    assert cli.canonical_json(values) == json.dumps(_encode_reference(values), sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli.canonical_json({"x": object()})
+
+
+def test_inputs_digest_is_the_sha256_of_the_sorted_indented_instance(tmp_path):
+    import hashlib
+
+    a_mat, t, s = THETA_INSTANCES["m1"]
+    for k, fields in enumerate((REF, {"field": "complex", "A": _pairs(a_mat), "T": _pairs(t)})):
+        inst = write_instance(tmp_path / f"i{k}.json", **fields)
+        raw = json.loads((tmp_path / f"i{k}.json").read_text())
+        expected = hashlib.sha256(json.dumps(raw, sort_keys=True, indent=2).encode("utf-8")).hexdigest()
+        assert cli._digest(raw) == expected
+        out = tmp_path / f"r{k}.json"
+        assert cli.main(["norm", inst, "--json-out", str(out)]) == EXIT_OK
+        assert _read(out)["inputs_digest"] == expected
 
 
 def test_witness_roundtrip_direct(tmp_path):

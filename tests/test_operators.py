@@ -264,7 +264,8 @@ def test_zero_norm_decided_from_range_image(rho):
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_bind_keeps_its_gram_eigensystem(rng, complex_field):
     """Below the partial rank a bind keeps the one eigh it made of T~* T~,
-    read-only and bit-identical to a fresh one; above it keeps none."""
+    read-only and bit-identical to a fresh one; above it keeps none where
+    inverse iteration certifies the top cluster."""
     for n, kept in ((6, True), (64, False)):
         a = random_psd(rng, n, complex_field=complex_field)
         op = bind_operator(a, random_a_bounded(rng, a))
@@ -406,7 +407,8 @@ def test_partial_bind_rejects_a_lower_eigenvector(eigh_calls):
 def test_partial_bind_falls_back_when_iteration_fails(rng, eigh_calls, monkeypatch, m, fault):
     """Where the shifted solve raises, or returns a block with an infinite
     column or dependent columns, inverse iteration certifies nothing and the
-    bind takes one full eigh, whose top span it keeps."""
+    bind takes one full eigh, whose top span it keeps, and whose eigensystem
+    it keeps as ``gram_eigh``, read-only and bit-identical to a fresh one."""
     a = random_psd(rng, 64)
     t = operator_with_multiplicity(rng, a, m)
     solve = np.linalg.solve
@@ -424,6 +426,10 @@ def test_partial_bind_falls_back_when_iteration_fails(rng, eigh_calls, monkeypat
     assert eigh_calls == [(64, 64)]
     assert op.top_coords.shape == (64, m)
     assert _span_sine(op.top_coords, _full_eigh(op, m)[1]) <= 1e-12
+    w, v = op.gram_eigh
+    fresh_w, fresh_v = np.linalg.eigh(op.tilde.conj().T @ op.tilde)
+    assert np.array_equal(w, fresh_w) and np.array_equal(v, fresh_v)
+    assert not (w.flags.writeable or v.flags.writeable)
 
 
 @pytest.mark.parametrize("factor, kept", [(0.5, False), (2.0, True)])

@@ -26,6 +26,7 @@ from semiortho import (
     validate_epsilon,
 )
 from semiortho.sampling import forced_inner_pair, random_psd, random_vector
+from semiortho.vectors import _UNIMODULAR_TOL, _UNIT_NORM_TOL
 
 from conftest import SCAN_POWERS
 
@@ -236,6 +237,20 @@ def test_cone_membership_alpha_validation():
         cone_membership(A_REF, np.ones(2), np.ones(2), -1.0)  # arg = pi excluded
 
 
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+def test_cone_membership_unimodular_boundary(factor, accepted):
+    """|alpha| off 1 by half of _UNIMODULAR_TOL is accepted, above or below
+    the unit circle; off by twice it is refused."""
+    x, y = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+    for sign in (1.0, -1.0):
+        alpha = (1.0 + sign * factor * _UNIMODULAR_TOL) * np.exp(0.5j)
+        if accepted:
+            assert cone_membership(A_REF, x, y, alpha) == ConeTag.PLUS_ONLY
+        else:
+            with pytest.raises(ValueError, match="unimodular"):
+                cone_membership(A_REF, x, y, alpha)
+
+
 def test_cone_membership_grid_oracle(rng):
     ts = np.linspace(-10.0, 10.0, 10_000)
     for _ in range(10):
@@ -345,6 +360,20 @@ def test_directional_derivative_self_and_orthogonal(rng):
 def test_directional_derivative_requires_unit():
     with pytest.raises(NotAUnitError):
         directional_derivative(A_REF, np.array([5.0, 5.0]), np.ones(2))
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+def test_directional_derivative_unit_boundary(factor, accepted):
+    """||x||_A off 1 by half of _UNIT_NORM_TOL is accepted, above or below;
+    off by twice it raises NotAUnitError."""
+    y = np.array([0.5, 0.25])
+    for sign in (1.0, -1.0):
+        x = np.array([1.0 + sign * factor * _UNIT_NORM_TOL, 0.0])
+        if accepted:
+            assert directional_derivative(A_REF, x, y) == pytest.approx(0.5, rel=1e-7)
+        else:
+            with pytest.raises(NotAUnitError):
+                directional_derivative(A_REF, x, y)
 
 
 def test_directional_derivative_finite_difference(rng):
