@@ -281,12 +281,12 @@ def _vec_routes(a, x, y, eps, route: str) -> list[tuple[str, OrthoVerdict]]:
 def _op_routes(a, t, s, eps, route: str) -> list[tuple[str, OrthoVerdict]]:
     runs = []
     t, s = bind_operator(a, t), bind_operator(a, s)
-    zero_t, complex_field = t.zero_norm, t.is_complex or s.is_complex
+    complex_field = t.is_complex or s.is_complex
     if route in ("direct", "auto"):
         runs.append(("direct", op_orth_direct(a, t, s, eps)))
-    if route == "attain" or (route == "auto" and not complex_field and not zero_t):
+    if route == "attain" or (route == "auto" and not complex_field):
         runs.append(("attain", op_orth_attainment_real(a, t, s, eps)))
-    if route == "theta" or (route == "auto" and complex_field and not zero_t):
+    if route == "theta" or (route == "auto" and complex_field):
         runs.append(("theta", op_orth_theta_sweep_complex(a, t, s, eps)))
     return runs
 

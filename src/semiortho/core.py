@@ -57,6 +57,10 @@ CLUSTER_TOL = 1e-8
 # within it can change when T, S or A is rescaled.
 VERDICT_MARGIN_TOL = 1e-9
 
+# The unit roundoff u of IEEE double precision, half the machine epsilon: a
+# basic operation's relative rounding error is at most u.
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -310,8 +314,8 @@ def _certified_factor(m: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.nd
     ``np.linalg.cholesky`` returns L with L L* = A + E, where
     |E| <= gamma_{n+1} |L| |L*| (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., Thm 10.3), so ||E||_2 <= gamma_{n+1} ||L||_F^2, and
-    by Weyl lambda_min(A) >= sigma_min(L)^2 - ||E||_2. Let
-    g = 4 (n + 1) eps_mach, twice gamma_{n+1}, which also covers the larger
+    by Weyl lambda_min(A) >= sigma_min(L)^2 - ||E||_2. Let g = 8 (n + 1) u,
+    u the unit roundoff: twice gamma_{n+1}, which also covers the larger
     constants of complex arithmetic (ibid. Sec. 3.6) and the rounding of the
     norms below; the bound on the threshold side is
         floor = rank_tol ||A||_F + g ||L||_F^2,   rank_tol ||A||_F >= rank_tol lambda_max.
@@ -335,7 +339,7 @@ def _certified_factor(m: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.nd
         return None
     # a norm that overflows makes the test fail, and eigh takes A
     with np.errstate(over="ignore"):
-        g = 4.0 * (m.shape[0] + 1) * float(np.finfo(np.float64).eps)
+        g = 8.0 * (m.shape[0] + 1) * _UNIT_ROUNDOFF
         size = float(np.linalg.norm(low))
         floor = rank_tol * float(np.linalg.norm(m)) + g * size * size
         pivot = float(np.min(low.diagonal().real))

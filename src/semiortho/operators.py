@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CLUSTER_TOL, PsdOperator, null_basis
-from .errors import NonFiniteError, NotABoundedError, WitnessConstructionError, ZeroANormError
+from .core import _UNIT_ROUNDOFF, CLUSTER_TOL, PsdOperator, null_basis
+from .errors import NonFiniteError, NotABoundedError, WitnessConstructionError
 
 
 @dataclass(frozen=True)
@@ -232,20 +232,20 @@ def _top_block(gram: np.ndarray, w: np.ndarray, m: int) -> np.ndarray | None:
     eigenvalues ``w`` are given in descending order, by inverse iteration, or
     None where it cannot certify them.
 
-    The shift w_1 (1 + 4 eps_mach) lies just above the spectrum, so one solve
-    of (G - shift) X = X_0 damps every eigenvector outside the cluster by
-    about its gap over 4 eps_mach. X_0 holds the m columns of G with the
-    largest diagonal, so the result is deterministic. Each solve is followed
-    by two-pass Gram-Schmidt and an m x m Rayleigh-Ritz step. The block Q is
-    accepted once its Ritz values theta lie above the midpoint of w_m and
-    w_{m+1}, nearer the cluster than the rest, and the residual
-    R = G Q - Q diag(theta) has ||R||_F <= 1e-12 (theta_m - w_{m+1}): by the
-    Davis-Kahan sin theta theorem (SIAM J. Numer. Anal. 7 (1970)) the sine of
-    the largest angle from span Q to the top eigenspace is then at most
-    1e-12. At most two solves are made.
+    The shift w_1 (1 + 8 u), u the unit roundoff, lies just above the
+    spectrum, so one solve of (G - shift) X = X_0 damps every eigenvector
+    outside the cluster by about its gap over 8 u. X_0 holds the m columns
+    of G with the largest diagonal, so the result is deterministic. Each
+    solve is followed by two-pass Gram-Schmidt and an m x m Rayleigh-Ritz
+    step. The block Q is accepted once its Ritz values theta lie above the
+    midpoint of w_m and w_{m+1}, nearer the cluster than the rest, and the
+    residual R = G Q - Q diag(theta) has ||R||_F <= 1e-12 (theta_m - w_{m+1}):
+    by the Davis-Kahan sin theta theorem (SIAM J. Numer. Anal. 7 (1970)) the
+    sine of the largest angle from span Q to the top eigenspace is then at
+    most 1e-12. At most two solves are made.
     """
     k = gram.shape[0]
-    shift = float(w[0]) * (1.0 + 4.0 * np.finfo(np.float64).eps)
+    shift = float(w[0]) * (1.0 + 8.0 * _UNIT_ROUNDOFF)
     midpoint = (float(w[m - 1]) + float(w[m])) / 2.0
     block = gram[:, np.argsort(-gram.diagonal().real, kind="stable")[:m]]
     shifted = gram.copy()
@@ -382,8 +382,3 @@ def is_a_isometry(a: PsdOperator, t: Operand) -> IsometryCheck:
     sig = op.sigma
     deviation = 0.0 if op.zero_norm else float((sig[0] ** 2 - sig[-1] ** 2) / sig[0] ** 2)
     return IsometryCheck(ok=op.top_coords.shape[1] == sig.size, deviation=deviation)
-
-
-def require_positive_norm(op: ABoundedOperator) -> None:
-    if op.zero_norm:
-        raise ZeroANormError("operator has zero A-norm; use the direct route")

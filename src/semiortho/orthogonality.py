@@ -23,7 +23,11 @@ Every route returns the vector deciders' :class:`~semiortho.vectors.OrthoVerdict
 built by the same rule, with a :class:`~semiortho.vectors.Witness` that
 reproduces its margin: lambda* on the direct route, the lifted attaining
 vector on the attainment routes, and with it the worst phase theta on the
-complex one.
+complex one. Every route applies one zero-norm rule: where ||T||_A or
+||S||_A is 0 the relation holds trivially, with margin exactly 0 (and
+margin_lower 0 where the route reports one), witnessed by lambda* = 0 on the
+direct route and by T's first lifted attainment vector, with theta = 0 over
+C, on the others.
 """
 
 from __future__ import annotations
@@ -37,14 +41,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import VERDICT_MARGIN_TOL, PsdOperator
+from .core import _UNIT_ROUNDOFF, VERDICT_MARGIN_TOL, PsdOperator
 from .errors import AttainmentSubsetError, ComplexFieldError, RealFieldError
-from .operators import (
-    ABoundedOperator,
-    Operand,
-    bind_operator,
-    require_positive_norm,
-)
+from .operators import ABoundedOperator, Operand, bind_operator
 from .vectors import Method, OrthoVerdict, Scalar, Witness, _verdict, validate_epsilon
 
 FINITE_DIM_NOTE = "finite-dimensional attainment; B_H(A) cap R(A) bounded holds automatically"
@@ -83,7 +82,6 @@ _MAX_CUTS = 150
 # and the verdict rests on the cut and dual bounds, so the value moves the
 # number of eigensolves, not what they certify.
 _SIMPLE_GAP = 1e-12
-_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 
 
 def _eigensystem(m: np.ndarray, s_tilde: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -234,8 +232,6 @@ def _newton_step(
     hyy = diag - 4.0 * cross.real
     hxy = -4.0 * cross.imag
     if lam == 0:
-        if grad == 0:
-            return None
         ux, uy = grad.real / abs(grad), grad.imag / abs(grad)
         curv = hxx * ux * ux + 2.0 * hxy * ux * uy + hyy * uy * uy
         return (-grad.real / curv, -grad.imag / curv) if curv > 0.0 else None
@@ -273,7 +269,10 @@ def _ellipsoid_min(
     U <= 0 is the least upper bound (point None for f(0)) and L <= U the best
     lower bound. The search stops once U - L <= tol / 4 and the bounds do not
     straddle ``floor``, or, with ``exit_on_holds``, once L >= floor, or when
-    the cut budget runs out.
+    the cut budget runs out. It also stops where no cut is left to make: at a
+    query whose subgradient is 0, which proves it a minimizer, so that f
+    there is the lower bound, and once the ellipsoid has collapsed in
+    rounding.
     """
     # E = {e + P^{1/2} z : |z| <= 1} with e = (ex, ey) and P = [[pxx, pxy], [pxy, pyy]];
     # dim = 1 keeps ey = pxy = pyy = 0
@@ -295,15 +294,16 @@ def _ellipsoid_min(
         hx, hy = grad.real, grad.imag
         phx, phy = pxx * hx + pxy * hy, pxy * hx + pyy * hy
         hph = hx * phx + hy * phy
-        # a collapsed ellipsoid (in rounding) proves nothing more
-        collapsed = hph <= 0.0 and (hx or hy)
         width = math.sqrt(max(hph, 0.0))
         slope = hx * (ex - x) + hy * (ey - y)  # <h, e - x>
-        if not collapsed:
+        # a zero subgradient proves the query a minimizer, so its cut value
+        # bounds min f; a collapsed ellipsoid (in rounding) proves nothing more.
+        # Either way no cut is left to make.
+        if hph > 0.0 or grad == 0:
             lower = max(lower, val + slope - width)
         if not settled(lower):
             lower = max(lower, proven())
-        if collapsed or settled(lower):
+        if hph <= 0.0 or settled(lower):
             break
         # deep cut <h, z - x> <= upper - f(x), which every minimizer z meets,
         # written about the centre e
@@ -368,8 +368,10 @@ def op_orth_direct(
     margin is the least g seen, at the witness lambda, and ``margin_lower``
     the best lower bound, less the rounding of g. The search stops once
     margin_lower >= -tol proves "holds", or once a margin below -tol proves
-    "fails" and the bound pins it to tol / 4; if the cut budget runs out
-    first, the verdict rests on the margin alone.
+    "fails" and the bound pins it to tol / 4, or at a query whose subgradient
+    is 0, which is a minimizer; if the cut budget runs out first, the verdict
+    rests on the margin alone. Where ||T||_A or ||S||_A is 0 it holds with
+    margin and margin_lower 0 at lambda* = 0.
     """
     eps = validate_epsilon(eps)
     op_t = bind_operator(a, t)
@@ -411,13 +413,6 @@ def direct_objective(a: PsdOperator, t: Operand, s: Operand, eps: float, lam: Sc
     return _objective(op_t, op_s, eps, lam)[0]
 
 
-def _attainment_form(op_t: ABoundedOperator, op_s: ABoundedOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates C of M_A^T cap R(A) and the m x m form M with
-    c* M c = <T v, S v>_A for v = W- C c."""
-    coords = op_t.top_coords
-    return coords, (op_s.tilde @ coords).conj().T @ (op_t.tilde @ coords)
-
-
 def _least_modulus(form: np.ndarray) -> tuple[float, np.ndarray]:
     """Least |c* H c| over unit c for the Hermitian part H of ``form``, with
     a unit c that attains it: 0, from a combination of the bottom and top
@@ -434,30 +429,6 @@ def _least_modulus(form: np.ndarray) -> tuple[float, np.ndarray]:
     return 0.0, math.sqrt(hi / (hi - lo)) * vecs[:, 0] + math.sqrt(-lo / (hi - lo)) * vecs[:, -1]
 
 
-def op_orth_attainment_real(
-    a: PsdOperator, t: Operand, s: Operand, eps: float
-) -> OrthoVerdict:
-    """Real-field single-vector criterion on the attainment subspace.
-
-    The range of <Tx, Sx>_A over the attainment sphere is the eigenvalue
-    interval of the symmetrized form, so the minimum modulus is zero when the
-    interval straddles zero and the nearer endpoint otherwise.
-    """
-    eps = validate_epsilon(eps)
-    op_t = bind_operator(a, t)
-    op_s = bind_operator(a, s)
-    if _field_is_complex(op_t, op_s):
-        raise ComplexFieldError("attainment criterion is real-field only; use the theta sweep")
-    require_positive_norm(op_t)
-    coords, form = _attainment_form(op_t, op_s)
-    minval, c_star = _least_modulus(form)
-    margin = eps * op_t.norm * op_s.norm - minval
-    witness = Witness(vector=a.from_coords(coords @ c_star))
-    return _verdict(
-        margin, Method.ATTAINMENT, VERDICT_MARGIN_TOL, witness, (FINITE_DIM_NOTE,)
-    )
-
-
 def _surrounds_origin(phases: list[float]) -> bool:
     """Whether 0 lies strictly inside the convex hull of points with these
     sorted arguments: no gap between neighbouring arguments reaches pi."""
@@ -467,37 +438,36 @@ def _surrounds_origin(phases: list[float]) -> bool:
     return max(max(gaps), phases[0] + 2.0 * math.pi - phases[-1]) < math.pi
 
 
-def op_orth_theta_sweep_complex(
-    a: PsdOperator, t: Operand, s: Operand, eps: float
+def _attainment_route(
+    a: PsdOperator, t: Operand, s: Operand, eps: float, complex_field: bool
 ) -> OrthoVerdict:
-    """Complex-field attainment criterion: T perp S iff the numerical range
-    W(F) of the attainment form F comes within E = eps ||T||_A ||S||_A of 0.
+    """The attainment route of the field that ``complex_field`` names, the
+    eigenvalue interval over R and the theta sweep over C, on the form F with
+    c* F c = <T v, S v>_A for v = W- C c, C the coordinates of
+    M_A^T cap R(A). Input of the other field raises.
 
-    The margin is E - dist(0, W(F)). For a one-dimensional attainment
-    subspace F is a scalar f and the margin is E - |f|. Otherwise the
-    ellipsoid minimizer certifies the least value over the unit disc of the
-    support function h(d) = lambda_max((conj(d) F + d F*) / 2), which is
-    -dist(0, W(F)); the penalty ||F||_F max(0, |d| - 1) keeps queries outside
-    the disc from going below it, and as h is positively homogeneous each
-    query d also proves min h <= h(d) / |d|. The bounds close to tol / 4, or
-    the search stops at once when 0 lies strictly inside the convex hull of
-    the points v* F v of W(F) that the queries meet: that proves
-    dist(0, W(F)) = 0, and margin = margin_lower = E.
-    The witness is a phase theta and a lifted attaining vector x with
-    E - |Re(e^{-i theta} <T x, S x>_A)| equal to the margin (theta = 0
-    and Re <T x, S x>_A = 0 where 0 lies in W(F)).
-    """
+    Where ||T||_A or ||S||_A is 0 the relation holds trivially, and the
+    route answers as the direct route does: margin 0 (and margin_lower 0 over
+    C), with T's first lifted attainment vector as witness (theta = 0 over C;
+    the zero vector where R(A) = {0})."""
     eps = validate_epsilon(eps)
     op_t = bind_operator(a, t)
     op_s = bind_operator(a, s)
-    if not _field_is_complex(op_t, op_s):
-        raise RealFieldError("theta sweep is complex-field only; use the attainment criterion")
-    require_positive_norm(op_t)
-    coords, form = _attainment_form(op_t, op_s)
+    if _field_is_complex(op_t, op_s) != complex_field:
+        if complex_field:
+            raise RealFieldError("theta sweep is complex-field only; use the attainment criterion")
+        raise ComplexFieldError("attainment criterion is real-field only; use the theta sweep")
+    coords = op_t.top_coords
+    form = (op_s.tilde @ coords).conj().T @ (op_t.tilde @ coords)
     band = eps * op_t.norm * op_s.norm
     tol = VERDICT_MARGIN_TOL
-
-    if form.shape[0] == 1:
+    if op_t.zero_norm or op_s.zero_norm:
+        margin = lower = 0.0
+        best = (0j, np.eye(coords.shape[1], 1)[:, 0])
+    elif not complex_field:
+        minval, c = _least_modulus(form)
+        margin, best = band - minval, (0j, c)
+    elif form.shape[0] == 1:
         f = complex(form[0, 0])
         margin = lower = band - abs(f)
         best = (f, np.ones(1))
@@ -522,10 +492,52 @@ def op_orth_theta_sweep_complex(
 
         upper, lower, best = _ellipsoid_min(oracle, None, 2, 1.0, tol, -tol - band, False)
         margin, lower = band + upper, band + lower
-    d, c = (0j, _least_modulus(form)[1]) if best is None else best
+        best = (0j, _least_modulus(form)[1]) if best is None else best
+    d, c = best
     x = a.from_coords(coords @ c)
+    if not complex_field:
+        return _verdict(margin, Method.ATTAINMENT, tol, Witness(vector=x), (FINITE_DIM_NOTE,))
     witness = Witness(vector=x, theta=math.atan2(d.imag, d.real) % math.pi)
     return _verdict(margin, Method.THETA_SWEEP, tol, witness, (FINITE_DIM_NOTE,), margin_lower=lower)
+
+
+def op_orth_attainment_real(
+    a: PsdOperator, t: Operand, s: Operand, eps: float
+) -> OrthoVerdict:
+    """Real-field single-vector criterion on the attainment subspace.
+
+    The range of <Tx, Sx>_A over the attainment sphere is the eigenvalue
+    interval of the symmetrized form, so the minimum modulus is zero when the
+    interval straddles zero and the nearer endpoint otherwise. Where ||T||_A
+    or ||S||_A is 0 it holds with margin 0. Complex input raises
+    :class:`ComplexFieldError`.
+    """
+    return _attainment_route(a, t, s, eps, complex_field=False)
+
+
+def op_orth_theta_sweep_complex(
+    a: PsdOperator, t: Operand, s: Operand, eps: float
+) -> OrthoVerdict:
+    """Complex-field attainment criterion: T perp S iff the numerical range
+    W(F) of the attainment form F comes within E = eps ||T||_A ||S||_A of 0.
+
+    The margin is E - dist(0, W(F)). For a one-dimensional attainment
+    subspace F is a scalar f and the margin is E - |f|. Otherwise the
+    ellipsoid minimizer certifies the least value over the unit disc of the
+    support function h(d) = lambda_max((conj(d) F + d F*) / 2), which is
+    -dist(0, W(F)); the penalty ||F||_F max(0, |d| - 1) keeps queries outside
+    the disc from going below it, and as h is positively homogeneous each
+    query d also proves min h <= h(d) / |d|. The bounds close to tol / 4, or
+    the search stops at once when 0 lies strictly inside the convex hull of
+    the points v* F v of W(F) that the queries meet: that proves
+    dist(0, W(F)) = 0, and margin = margin_lower = E.
+    The witness is a phase theta and a lifted attaining vector x with
+    E - |Re(e^{-i theta} <T x, S x>_A)| equal to the margin (theta = 0
+    and Re <T x, S x>_A = 0 where 0 lies in W(F)). Where ||T||_A or ||S||_A
+    is 0 it holds with margin and margin_lower 0 and theta = 0. Real input
+    raises :class:`RealFieldError`.
+    """
+    return _attainment_route(a, t, s, eps, complex_field=True)
 
 
 # Largest principal-angle sine between attainment spans that still counts as
@@ -566,11 +578,12 @@ def op_orth_pointwise(
     """Vector-level criterion Tx perp Sx minimized over M_A^T, valid when
     M_A^T is a subset of M_A^S: there ||Tx||_A ||Sx||_A = ||T||_A ||S||_A, so
     the least |<Tx, Sx>_A| is dist(0, W(F)), which the field's attainment
-    route decides (eigenvalue interval over R, theta sweep over C)."""
+    route decides (eigenvalue interval over R, theta sweep over C), zero
+    norms included. Where the subset fails it raises
+    :class:`AttainmentSubsetError`."""
     eps = validate_epsilon(eps)
     op_t = bind_operator(a, t)
     op_s = bind_operator(a, s)
-    require_positive_norm(op_t)
     if not attainment_subset(a, op_t, op_s):
         raise AttainmentSubsetError("M_A^T is not contained in M_A^S")
     route = op_orth_theta_sweep_complex if _field_is_complex(op_t, op_s) else op_orth_attainment_real

@@ -2,9 +2,13 @@
 
 An A-bounded operator T is right symmetric for the approximate operator
 orthogonality exactly when it is an A-isometry, and left symmetric exactly
-when ||T||_A = 0. Both "only if" directions are constructive: this module
-builds the counterexample operator, working in range coordinates where the
-A-seminorm is Euclidean and lifting the result back with zero action on N(A).
+when ||T||_A = 0 or dim R(A) <= 1. In a range of dimension 1, T~ = t and
+S~ = s are scalars, and for t, s != 0 the choice lambda = -mu t / s gives
+g(lambda) = |t|^2 mu (mu - 2 (1 - eps)) < 0 for 0 < mu < 2 (1 - eps): there
+T perp S holds only where ||T||_A or ||S||_A is 0, and then both ways. Both
+"only if" directions are constructive: this module builds the
+counterexample operator, working in range coordinates where the A-seminorm
+is Euclidean and lifting the result back with zero action on N(A).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import PsdOperator
+from .core import _UNIT_ROUNDOFF, PsdOperator
 from .errors import (
     IsometryError,
     RankTooSmallError,
@@ -30,7 +34,7 @@ from .operators import (
     bind_operator,
     is_a_isometry,
 )
-from .orthogonality import _UNIT_ROUNDOFF, op_orth_direct
+from .orthogonality import op_orth_direct
 from .vectors import OrthoVerdict, validate_epsilon
 
 # Largest defect accepted in the orthonormality that a witness's proof needs:
@@ -352,14 +356,13 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
 
 
 def classify_right(a: PsdOperator, t: Operand, eps: float) -> SymmetryReport:
-    """Right symmetric iff A-isometry; otherwise attach the witness that
-    ``right_witness`` builds. The witness is not verified here: ``semiortho
-    classify`` and the ``sym_right_witness`` selftest suite verify it both
-    ways with the direct route."""
+    """Right symmetric iff A-isometry (so at every rank of A up to 1, where
+    every T is one); otherwise attach the witness that ``right_witness``
+    builds. The witness is not verified here: ``semiortho classify`` and the
+    ``sym_right_witness`` selftest suite verify it both ways with the direct
+    route."""
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
-    if a.rank < 1:
-        raise RankTooSmallError("right classification needs dim R(A) >= 1")
     iso = is_a_isometry(a, op)
     if iso.ok:
         return SymmetryReport(
@@ -374,15 +377,14 @@ def classify_right(a: PsdOperator, t: Operand, eps: float) -> SymmetryReport:
 
 
 def classify_left(a: PsdOperator, t: Operand, eps: float) -> SymmetryReport:
-    """Left symmetric iff ||T||_A = 0; otherwise attach the witness that
-    ``left_witness`` builds. The witness is not verified here: ``semiortho
-    classify`` and the ``sym_left_witness`` selftest suite verify it both
-    ways with the direct route."""
+    """Left symmetric iff ||T||_A = 0 or dim R(A) <= 1 (see the module
+    docstring); otherwise attach the witness that ``left_witness`` builds.
+    The witness is not verified here: ``semiortho classify`` and the
+    ``sym_left_witness`` selftest suite verify it both ways with the direct
+    route."""
     eps = validate_epsilon(eps)
     op = bind_operator(a, t)
-    if a.rank < 2:
-        raise RankTooSmallError("left classification needs dim R(A) >= 2")
-    if op.zero_norm:
+    if op.zero_norm or a.rank <= 1:
         return SymmetryReport(
             kind=SymmetryKind.LEFT_SYMMETRIC, epsilon=eps, evidence=op.norm
         )

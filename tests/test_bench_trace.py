@@ -5,27 +5,14 @@ tracer sees them."""
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _load(name: str, monkeypatch):
-    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_bench
 
 
 def test_traced_symmetry_covers_every_layer(monkeypatch):
-    tracing = _load("tracing", monkeypatch)
-    workloads = _load("workloads", monkeypatch)
+    tracing = load_bench("tracing", monkeypatch)
+    workloads = load_bench("workloads", monkeypatch)
     rng = np.random.default_rng(4)
     slots = [workloads._symmetry_slot(rng, family, 4, i) for i, family in enumerate(workloads.SYM_FAMILIES)]
     tracer = tracing.Tracer()
@@ -43,8 +30,8 @@ def test_traced_symmetry_covers_every_layer(monkeypatch):
 
 
 def test_traced_deciders_cover_every_layer(monkeypatch):
-    tracing = _load("tracing", monkeypatch)
-    workloads = _load("workloads", monkeypatch)
+    tracing = load_bench("tracing", monkeypatch)
+    workloads = load_bench("workloads", monkeypatch)
     so, smp = workloads.so, workloads.smp
     rng = np.random.default_rng(4)
     a = smp.random_psd(rng, 4)

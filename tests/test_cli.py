@@ -152,6 +152,41 @@ def test_check_epsilon_override(tmp_path):
     assert all(v["holds"] for v in _read(out)["verdicts"])
 
 
+def _complex_entries(m):
+    return [[[v, 0.0] for v in row] for row in m]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_check_zero_norm_instance(tmp_path, field):
+    """T maps R(A) into N(A), so ||T||_A = 0 and T perp S holds trivially:
+    every route says so with margin 0, and none exits 3."""
+    a = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+    t = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.5]]
+    s = [[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+    enc = _complex_entries if field == "complex" else (lambda m: m)
+    inst = write_instance(tmp_path / "i.json", field=field, A=enc(a), T=enc(t), S=enc(s), epsilon=0.3)
+    out = tmp_path / "r.json"
+    assert cli.main(["check", inst, "--mode", "op", "--route", "auto", "--json-out", str(out)]) == EXIT_OK
+    report = _read(out)
+    routes = ["direct", "theta" if field == "complex" else "attain"]
+    assert [v["route"] for v in report["verdicts"]] == routes and report["routes_agree"] is True
+    assert all(v["holds"] and v["margin"] == 0.0 for v in report["verdicts"])
+    assert cli.main(["check", inst, "--mode", "op", "--route", routes[1]]) == EXIT_OK
+
+
+def test_check_rescaled_pair_decides(tmp_path, zero_subgradient_pairs):
+    """With T x 10^3 the direct route's search meets a zero subgradient and
+    stops there; ``check`` used to print a traceback and exit 1."""
+    slot = zero_subgradient_pairs["real"]
+    inst = write_instance(
+        tmp_path / "i.json", field="real", A=slot.A.tolist(), T=(slot.T * 1e3).tolist(),
+        S=slot.S.tolist(), epsilon=slot.eps,
+    )
+    out = tmp_path / "r.json"
+    assert cli.main(["check", inst, "--mode", "op", "--json-out", str(out)]) == EXIT_OK
+    assert [v["holds"] for v in _read(out)["verdicts"]] == [False, False]
+
+
 def test_check_route_mode_mismatch(tmp_path):
     inst = write_instance(tmp_path / "i.json", **REF)
     assert cli.main(["check", inst, "--mode", "vec", "--route", "theta"]) == EXIT_PARSE
@@ -410,6 +445,18 @@ def test_classify_left_zero_norm(tmp_path):
     out = tmp_path / "r.json"
     assert cli.main(["classify", inst, "--side", "left", "--json-out", str(out)]) == EXIT_OK
     assert _read(out)["classification"]["kind"] == "left_symmetric"
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_classify_rank_one_is_symmetric(tmp_path, side):
+    """In a range of dimension 1 every T is an A-isometry and left
+    symmetric; ``classify --side left`` used to exit 3 there."""
+    inst = write_instance(
+        tmp_path / "i.json", field="real", A=[[1.0, 0.0], [0.0, 0.0]], T=[[2.0, 0.0], [0.0, 3.0]], epsilon=0.3
+    )
+    out = tmp_path / "r.json"
+    assert cli.main(["classify", inst, "--side", side, "--json-out", str(out)]) == EXIT_OK
+    assert _read(out)["classification"]["kind"] == f"{side}_symmetric"
 
 
 def test_classify_unverified_witness_is_property_failure(tmp_path, monkeypatch, capsys):

@@ -12,7 +12,6 @@ from semiortho import (
     Method,
     OrthoVerdict,
     RealFieldError,
-    ZeroANormError,
     attainment_subset,
     bind_operator,
     direct_objective,
@@ -49,6 +48,7 @@ from semiortho.sampling import (
     shared_attainment_pair,
     zero_a_norm_operator,
 )
+from semiortho.selftest import EPS_POOL
 
 A_REF = psd_decompose(np.diag([1.0, 2.0]))
 T_REF = np.diag([2.0, 1.0])
@@ -92,6 +92,41 @@ def test_direct_zero_t_holds(rng):
     assert op_orth_direct(a, z, s, 0.1).holds
     assert op_orth_direct(a, s, z, 0.1).holds
     assert direct_objective(a, z, s, 0.1, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_zero_subgradient_ends_the_search(zero_subgradient_pairs, field):
+    """A Newton step can land on a query whose subgradient is exactly 0,
+    which proves it a minimizer: the search stops there with g at that query,
+    less its rounding, as the lower bound. It used to divide by the zero
+    width of the cut instead and raise ZeroDivisionError, here at T x 10^3 to
+    10^5 over R and 10^3 and 10^4 over C. Both routes say "fails"."""
+    slot = zero_subgradient_pairs[field]
+    a = psd_decompose(slot.A)
+    route = op_orth_theta_sweep_complex if field == "complex" else op_orth_attainment_real
+    for k in range(2, 7):
+        t = slot.T * 10.0**k
+        direct = op_orth_direct(a, t, slot.S, slot.eps)
+        assert not direct.holds and not route(a, t, slot.S, slot.eps).holds
+        assert direct.margin_lower <= direct.margin
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_direct_route_decides_at_large_t_norms(complex_field):
+    """Generic pairs with ||T||_A from 3e2 to 1e6 and ||S||_A of order 1,
+    where the rounding of g keeps the absolute stop width out of reach and
+    the search ran on into a zero subgradient (9 of these 200 real pairs
+    and 6 of the 200 complex ones raised): every call decides, with
+    margin_lower <= margin."""
+    rng = np.random.default_rng(5)
+    for target in (3e2, 1e3, 1e4, 1e6):
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            a = random_psd(rng, n, complex_field=complex_field)
+            t = random_a_bounded(rng, a)
+            t = t * (target / operator_norm_a(a, t))
+            v = op_orth_direct(a, t, random_a_bounded(rng, a), float(rng.choice(EPS_POOL)))
+            assert v.margin_lower <= v.margin
 
 
 def test_direct_witness_reproduces_margin(rng):
@@ -479,14 +514,57 @@ def test_attainment_self_fails_below_one(rng):
         assert not op_orth_attainment_real(a, t, t, eps).holds
 
 
-def test_attainment_rejects_complex_and_zero(rng):
+def test_attainment_rejects_complex_and_holds_at_zero_norm(rng):
     a = random_psd(rng, 3, rank=3, complex_field=True)
     t = random_a_bounded(rng, a)
     with pytest.raises(ComplexFieldError):
         op_orth_attainment_real(a, t, t, 0.1)
     ar = random_psd(rng, 3, rank=2)
-    with pytest.raises(ZeroANormError):
-        op_orth_attainment_real(ar, zero_a_norm_operator(rng, ar), random_a_bounded(rng, ar), 0.1)
+    v = op_orth_attainment_real(ar, zero_a_norm_operator(rng, ar), random_a_bounded(rng, ar), 0.1)
+    assert v.holds and v.margin == 0.0
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("zero", ["T", "S"])
+def test_zero_norm_holds_on_every_route(rng, complex_field, zero):
+    """Where ||T||_A or ||S||_A is 0 the relation holds trivially, and every
+    route answers as the direct route does: holds, margin exactly 0
+    (margin_lower too where the route reports one), and T's first lifted
+    attainment vector as witness, with theta = 0 over C. The pointwise route
+    needs M_A^T inside M_A^S, which a zero T meets against an A-isometry."""
+    a = random_psd(rng, 4, rank=2, complex_field=complex_field)
+    route = op_orth_theta_sweep_complex if complex_field else op_orth_attainment_real
+    pointwise = 0
+    for other in (random_a_bounded(rng, a), random_a_isometry(rng, a)):
+        z = zero_a_norm_operator(rng, a)
+        t, s = (z, other) if zero == "T" else (other, z)
+        direct = op_orth_direct(a, t, s, 0.3)
+        assert direct.holds and direct.margin == 0.0
+        verdicts = [route(a, t, s, 0.3)]
+        if attainment_subset(a, t, s):
+            verdicts.append(op_orth_pointwise(a, t, s, 0.3))
+            pointwise += 1
+        first = norm_attainment_set(a, t).attain_basis[:, 0]
+        for v in verdicts:
+            assert v.holds == direct.holds and v.margin == 0.0
+            assert v.margin_lower == (0.0 if complex_field else None)
+            np.testing.assert_allclose(v.witness.vector, first, rtol=0.0, atol=1e-15)
+            assert v.witness.theta == (0.0 if complex_field else None)
+    assert pointwise == (1 if zero == "T" else 2)
+
+
+def test_zero_norm_on_a_zero_range():
+    """With A = 0 every operator has A-norm 0, and the attainment witness is
+    the zero vector, the one vector of R(A)."""
+    for complex_field in (False, True):
+        dtype = complex if complex_field else float
+        a = psd_decompose(np.zeros((2, 2), dtype=dtype))
+        t = np.eye(2, dtype=dtype)
+        route = op_orth_theta_sweep_complex if complex_field else op_orth_attainment_real
+        for decide in (op_orth_direct, route, op_orth_pointwise):
+            v = decide(a, t, 2.0 * t, 0.3)
+            assert v.holds and v.margin == 0.0
+        assert not np.any(route(a, t, t, 0.3).witness.vector)
 
 
 # ----------------------------- theta sweep -------------------------------------

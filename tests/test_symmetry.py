@@ -395,18 +395,38 @@ def test_left_witness_forward_value_stays_inside_band(rng):
         assert abs(value) <= eps + 1e-12
 
 
-def test_classify_right_rank_zero_rejected():
+def test_classify_right_rank_zero_is_right_symmetric():
+    """With A = 0 every operator has A-norm 0 and is an A-isometry, so it is
+    right symmetric, and left symmetric too."""
     a0 = psd_decompose(np.zeros((2, 2)))
-    with pytest.raises(RankTooSmallError):
-        classify_right(a0, np.eye(2), 0.3)
+    right = classify_right(a0, np.eye(2), 0.3)
+    assert right.kind is SymmetryKind.RIGHT_SYMMETRIC and right.evidence == 0.0
+    assert classify_left(a0, np.eye(2), 0.3).kind is SymmetryKind.LEFT_SYMMETRIC
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_classify_left_rank_one_is_left_symmetric(rng, complex_field):
+    """In a range of dimension 1, T~ = t and S~ = s are scalars, and for
+    t, s != 0 the scalar lambda = -mu t / s gives
+    g = |t|^2 mu (mu - 2 (1 - eps)) < 0 for 0 < mu < 2 (1 - eps). So T perp S
+    fails both ways for every pair of nonzero A-norm, T perp S implies
+    S perp T vacuously, and every T is left symmetric, with ||T||_A as the
+    evidence."""
+    for _ in range(20):
+        a = random_psd(rng, 3, rank=1, complex_field=complex_field)
+        t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+        report = classify_left(a, t, 0.3)
+        assert report.kind is SymmetryKind.LEFT_SYMMETRIC and report.witness is None
+        assert report.evidence == operator_norm_a(a, t) > 0.0
+        for eps in selftest.EPS_POOL:
+            assert not op_orth_direct(a, t, s, eps).holds
+            assert not op_orth_direct(a, s, t, eps).holds
 
 
 def test_left_witness_errors(rng):
     a1 = psd_decompose(np.diag([1.0, 0.0]))
     with pytest.raises(RankTooSmallError):
         left_witness(a1, np.diag([2.0, 0.0]), 0.3)
-    with pytest.raises(RankTooSmallError):
-        classify_left(a1, np.diag([2.0, 0.0]), 0.3)
     a = random_psd(rng, 4, rank=3)
     with pytest.raises(ZeroANormError):
         left_witness(a, np.zeros((4, 4)), 0.3)
