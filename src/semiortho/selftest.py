@@ -1,9 +1,13 @@
 """Property suites: every structural fact the library relies on, executable.
 
-Each suite draws random instances from a seeded generator and checks one
-family of invariants (route equivalence, homogeneity, witness verification,
-and so on). ``run_selftest`` executes the whole registry and reports one
-pass/fail row per suite together with serialized counterexamples.
+Each suite checks one family of invariants (route equivalence, homogeneity,
+witness verification, and so on) and is one trial: ``suite(rng, i)`` draws
+trial ``i``'s instance from the generator and returns a failure record, or
+None where the trial passes or is skipped. ``run_trials`` runs the trials of
+one suite on one generator and adds ``"trial": i`` to each record.
+``run_selftest`` gives each suite of ``SUITES`` a child generator keyed by
+its registry position and reports one pass/fail row per suite together with
+serialized counterexamples.
 
 Suites whose single trial has cubic cost cap the effective trial count; the
 cap is visible in the result table. The cheap invariant suites always honor
@@ -59,551 +63,442 @@ from .vectors import (
 EPS_POOL = (0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-def _dims(rng: np.random.Generator, lo: int = 2, hi: int = 6) -> tuple[int, int]:
-    n = int(rng.integers(lo, hi + 1))
-    rank = int(rng.integers(1, n + 1))
-    return n, rank
-
-
 def _pick_eps(rng: np.random.Generator) -> float:
     if rng.random() < 0.5:
         return float(rng.choice(EPS_POOL))
     return float(rng.uniform(0.0, 0.99))
 
 
-def _fail(trial: int, detail: str, **values: float) -> dict:
-    rec = {"trial": trial, "detail": detail}
-    rec.update({k: float(v) for k, v in values.items()})
-    return rec
+def _fail(detail: str, **values: float) -> dict:
+    return {"detail": detail, **{k: float(v) for k, v in values.items()}}
 
 
 # ----------------------------- suites ---------------------------------------
 
 
-def _suite_core_spectral(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        n = int(rng.integers(2, 9))
-        complex_field = bool(rng.random() < 0.5)
-        h = smp.random_hermitian(rng, n, complex_field)
-        w, v = hermitian_eig(h)
-        scale = 1.0 + float(np.max(np.abs(w)))
-        recon = float(np.max(np.abs(h - (v * w[None, :]) @ v.conj().T)))
-        unit = float(np.max(np.abs(v.conj().T @ v - np.eye(n))))
-        if recon > 1e-9 * scale or unit > 1e-9:
-            failures.append(_fail(i, "spectral round trip", recon=recon, unit=unit))
-            continue
+def _suite_core_spectral(rng: np.random.Generator, i: int) -> Optional[dict]:
+    n = int(rng.integers(2, 9))
+    complex_field = bool(rng.random() < 0.5)
+    h = smp.random_hermitian(rng, n, complex_field)
+    w, v = hermitian_eig(h)
+    scale = 1.0 + float(np.max(np.abs(w)))
+    recon = float(np.max(np.abs(h - (v * w[None, :]) @ v.conj().T)))
+    unit = float(np.max(np.abs(v.conj().T @ v - np.eye(n))))
+    if recon > 1e-9 * scale or unit > 1e-9:
+        return _fail("spectral round trip", recon=recon, unit=unit)
 
-        a = smp.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_field=complex_field)
-        p = a.projector
-        lam_scale = 1e-10 * (1.0 + a.lam_max)
-        proj = max(
-            float(np.max(np.abs(p @ p - p))),
-            float(np.max(np.abs(p - p.conj().T))),
-            float(np.max(np.abs(p @ a.matrix - a.matrix))),
-            float(np.max(np.abs(a.matrix @ p - a.matrix))),
-        )
-        if proj > lam_scale:
-            failures.append(_fail(i, "projection identity", defect=proj))
-            continue
+    a = smp.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_field=complex_field)
+    p = a.projector
+    lam_scale = 1e-10 * (1.0 + a.lam_max)
+    proj = max(
+        float(np.max(np.abs(p @ p - p))),
+        float(np.max(np.abs(p - p.conj().T))),
+        float(np.max(np.abs(p @ a.matrix - a.matrix))),
+        float(np.max(np.abs(a.matrix @ p - a.matrix))),
+    )
+    if proj > lam_scale:
+        return _fail("projection identity", defect=proj)
 
-        u = smp.gaussian(rng, (a.rank,), complex_field)
-        iso = abs(norm_a(a, a.from_coords(u)) - float(np.linalg.norm(u)))
-        if iso > 1e-10 * (1.0 + float(np.linalg.norm(u))):
-            failures.append(_fail(i, "coordinate isometry", defect=iso))
-            continue
+    u = smp.gaussian(rng, (a.rank,), complex_field)
+    iso = abs(norm_a(a, a.from_coords(u)) - float(np.linalg.norm(u)))
+    if iso > 1e-10 * (1.0 + float(np.linalg.norm(u))):
+        return _fail("coordinate isometry", defect=iso)
 
-        b = sqrt_psd(a)
-        root = float(np.max(np.abs(b @ b - a.matrix)))
-        if root > 1e-9 * (1.0 + a.lam_max):
-            failures.append(_fail(i, "psd square root", defect=root))
-            continue
+    b = sqrt_psd(a)
+    root = float(np.max(np.abs(b @ b - a.matrix)))
+    if root > 1e-9 * (1.0 + a.lam_max):
+        return _fail("psd square root", defect=root)
 
-        nb = null_basis(a)
-        if nb.shape[1]:
-            resid = float(np.max(np.linalg.norm(a.matrix @ nb, axis=0)))
-            if resid > a.tol.rank_tol * max(a.lam_max, 1.0):
-                failures.append(_fail(i, "null basis residual", resid=resid))
-                continue
+    nb = null_basis(a)
+    if nb.shape[1]:
+        resid = float(np.max(np.linalg.norm(a.matrix @ nb, axis=0)))
+        if resid > a.tol.rank_tol * max(a.lam_max, 1.0):
+            return _fail("null basis residual", resid=resid)
 
-        # clipping is monotone in the rank tolerance
-        tiny = 10.0 ** rng.uniform(-15, -8)
-        spectrum = np.diag([1.0, float(tiny)])
-        r_loose = psd_decompose(spectrum, Tolerances(rank_tol=1e-6)).rank
-        r_tight = psd_decompose(spectrum, Tolerances(rank_tol=1e-16)).rank
-        if r_loose > r_tight:
-            failures.append(_fail(i, "clipping monotonicity", loose=r_loose, tight=r_tight))
-    return failures
+    # clipping is monotone in the rank tolerance
+    tiny = 10.0 ** rng.uniform(-15, -8)
+    spectrum = np.diag([1.0, float(tiny)])
+    r_loose = psd_decompose(spectrum, Tolerances(rank_tol=1e-6)).rank
+    r_tight = psd_decompose(spectrum, Tolerances(rank_tol=1e-16)).rank
+    if r_loose > r_tight:
+        return _fail("clipping monotonicity", loose=r_loose, tight=r_tight)
+    return None
 
 
-def _vec_instance(rng: np.random.Generator, complex_field: Optional[bool] = None):
-    if complex_field is None:
-        complex_field = bool(rng.random() < 0.5)
-    n, rank = _dims(rng)
-    a = smp.random_psd(rng, n, rank=rank, complex_field=complex_field)
+def _vec_instance(rng: np.random.Generator):
+    complex_field = bool(rng.random() < 0.5)
+    n = int(rng.integers(2, 7))
+    a = smp.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_field=complex_field)
     x = smp.random_vector(rng, n, complex_field)
     y = smp.random_vector(rng, n, complex_field)
     return a, x, y
 
 
-def _suite_vec_symmetry(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        a, x, y = _vec_instance(rng)
-        eps = _pick_eps(rng)
-        fwd = is_eps_orthogonal(a, x, y, eps)
-        bwd = is_eps_orthogonal(a, y, x, eps)
-        if fwd.holds != bwd.holds:
-            failures.append(_fail(i, "eps orthogonality not symmetric", eps=eps))
-    return failures
+def _suite_vec_symmetry(rng: np.random.Generator, i: int) -> Optional[dict]:
+    a, x, y = _vec_instance(rng)
+    eps = _pick_eps(rng)
+    if is_eps_orthogonal(a, x, y, eps).holds != is_eps_orthogonal(a, y, x, eps).holds:
+        return _fail("eps orthogonality not symmetric", eps=eps)
+    return None
 
 
-def _suite_vec_homogeneity(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        a, x, y = _vec_instance(rng)
-        eps = _pick_eps(rng)
-        complex_field = a.is_complex
-        scale_x = float(rng.uniform(0.2, 5.0)) * float(rng.choice([-1.0, 1.0]))
-        scale_y = float(rng.uniform(0.2, 5.0)) * float(rng.choice([-1.0, 1.0]))
-        if complex_field:
-            scale_x = scale_x * np.exp(1j * rng.uniform(0, 2 * math.pi))
-            scale_y = scale_y * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        base = is_chmielinski_orthogonal_vec(a, x, y, eps)
-        scaled = is_chmielinski_orthogonal_vec(a, scale_x * x, scale_y * y, eps)
-        if base.holds != scaled.holds:
-            failures.append(
-                _fail(i, "homogeneity violated", eps=eps, m0=base.margin, m1=scaled.margin)
-            )
-    return failures
+def _suite_vec_homogeneity(rng: np.random.Generator, i: int) -> Optional[dict]:
+    a, x, y = _vec_instance(rng)
+    eps = _pick_eps(rng)
+    scale_x = float(rng.uniform(0.2, 5.0)) * float(rng.choice([-1.0, 1.0]))
+    scale_y = float(rng.uniform(0.2, 5.0)) * float(rng.choice([-1.0, 1.0]))
+    if a.is_complex:
+        scale_x = scale_x * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        scale_y = scale_y * np.exp(1j * rng.uniform(0, 2 * math.pi))
+    base = is_chmielinski_orthogonal_vec(a, x, y, eps)
+    scaled = is_chmielinski_orthogonal_vec(a, scale_x * x, scale_y * y, eps)
+    if base.holds != scaled.holds:
+        return _fail("homogeneity violated", eps=eps, m0=base.margin, m1=scaled.margin)
+    return None
 
 
-def _suite_vec_route_equivalence(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        a, x, y = _vec_instance(rng)
-        eps = _pick_eps(rng)
-        if rng.random() < 0.4:
-            # bias toward near-threshold instances
-            target = eps * norm_a(a, x) * 1.0 * float(rng.uniform(0.0, 1.5))
-            x, y = smp.forced_inner_pair(rng, a, target)
-        inner = is_eps_orthogonal(a, x, y, eps)
-        direct = is_chmielinski_orthogonal_vec(a, x, y, eps)
-        if inner.holds != direct.holds:
-            failures.append(
-                _fail(i, "vector routes disagree", eps=eps, inner=inner.margin, direct=direct.margin)
-            )
-    return failures
+def _suite_vec_route_equivalence(rng: np.random.Generator, i: int) -> Optional[dict]:
+    a, x, y = _vec_instance(rng)
+    eps = _pick_eps(rng)
+    if rng.random() < 0.4:
+        # bias toward near-threshold instances
+        target = eps * norm_a(a, x) * 1.0 * float(rng.uniform(0.0, 1.5))
+        x, y = smp.forced_inner_pair(rng, a, target)
+    inner = is_eps_orthogonal(a, x, y, eps)
+    direct = is_chmielinski_orthogonal_vec(a, x, y, eps)
+    if inner.holds != direct.holds:
+        return _fail("vector routes disagree", eps=eps, inner=inner.margin, direct=direct.margin)
+    return None
 
 
-def _suite_vec_characterization(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        a, x, y = _vec_instance(rng)
-        eps = _pick_eps(rng)
-        if rng.random() < 0.5:
-            nx, ny = norm_a(a, x), norm_a(a, y)
-            x, y = smp.forced_inner_pair(rng, a, eps * nx * ny * float(rng.uniform(0.0, 1.3)))
-        z = orthogonal_decomposition(a, x, y)
+def _suite_vec_characterization(rng: np.random.Generator, i: int) -> Optional[dict]:
+    a, x, y = _vec_instance(rng)
+    eps = _pick_eps(rng)
+    if rng.random() < 0.5:
         nx, ny = norm_a(a, x), norm_a(a, y)
-        ip_xz = abs(inner_a(a, x, z))
-        if ip_xz > 1e-10 * (1.0 + nx * norm_a(a, z)):
-            failures.append(_fail(i, "z not A-orthogonal to x", value=ip_xz))
-            continue
-        if is_eps_orthogonal(a, x, y, eps).holds:
-            drift = norm_a(a, z - y)
-            if drift > eps * ny + 1e-10 * (1.0 + ny):
-                failures.append(_fail(i, "forward tracking bound", drift=drift, bound=eps * ny))
-                continue
+        x, y = smp.forced_inner_pair(rng, a, eps * nx * ny * float(rng.uniform(0.0, 1.3)))
+    z = orthogonal_decomposition(a, x, y)
+    nx, ny = norm_a(a, x), norm_a(a, y)
+    ip_xz = abs(inner_a(a, x, z))
+    if ip_xz > 1e-10 * (1.0 + nx * norm_a(a, z)):
+        return _fail("z not A-orthogonal to x", value=ip_xz)
+    if is_eps_orthogonal(a, x, y, eps).holds:
+        drift = norm_a(a, z - y)
+        if drift > eps * ny + 1e-10 * (1.0 + ny):
+            return _fail("forward tracking bound", drift=drift, bound=eps * ny)
 
-        # reverse direction: any (z', y') built to satisfy (ii) must satisfy (i).
-        # quadratic forms have a sqrt(machine eps) noise floor, so skip draws
-        # whose z' is A-null to within that floor
-        z_perp = orthogonal_decomposition(a, x, smp.random_vector(rng, a.dim, a.is_complex))
-        nz = norm_a(a, z_perp)
-        if nz < 1e-5 * max(1.0, float(np.linalg.norm(z_perp))):
-            continue
-        d = smp.random_vector(rng, a.dim, a.is_complex)
-        nd = norm_a(a, d)
-        if nd < 1e-12:
-            continue
-        shift = 0.9 * eps * nz / (1.0 + eps)
-        y_built = z_perp + d * (shift / nd)
-        if not is_eps_orthogonal(a, x, y_built, eps).holds:
-            failures.append(_fail(i, "reverse direction", eps=eps))
-    return failures
+    # reverse direction: any (z', y') built to satisfy (ii) must satisfy (i).
+    # quadratic forms have a sqrt(machine eps) noise floor, so skip draws
+    # whose z' is A-null to within that floor
+    z_perp = orthogonal_decomposition(a, x, smp.random_vector(rng, a.dim, a.is_complex))
+    nz = norm_a(a, z_perp)
+    if nz < 1e-5 * max(1.0, float(np.linalg.norm(z_perp))):
+        return None
+    d = smp.random_vector(rng, a.dim, a.is_complex)
+    nd = norm_a(a, d)
+    if nd < 1e-12:
+        return None
+    shift = 0.9 * eps * nz / (1.0 + eps)
+    if not is_eps_orthogonal(a, x, z_perp + d * (shift / nd), eps).holds:
+        return _fail("reverse direction", eps=eps)
+    return None
 
 
-def _suite_vec_cone_dichotomy(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
+def _suite_vec_cone_dichotomy(rng: np.random.Generator, i: int) -> Optional[dict]:
+    a, x, y = _vec_instance(rng)
+    alpha = complex(np.exp(1j * rng.uniform(0.0, math.pi * 0.999))) if a.is_complex else 1.0
+    tag = cone_membership(a, x, y, alpha)
     ts = np.linspace(-10.0, 10.0, 10_000)
-    for i in range(trials):
-        a, x, y = _vec_instance(rng)
-        if a.is_complex:
-            alpha = complex(np.exp(1j * rng.uniform(0.0, math.pi * 0.999)))
-        else:
-            alpha = 1.0
-        tag = cone_membership(a, x, y, alpha)
-        lams = ts * alpha
-        grid = x[:, None] + y[:, None] * lams[None, :]
-        norm_sq = np.real(np.einsum("in,ij,jn->n", grid.conj(), a.matrix, grid))
-        norms = np.sqrt(np.clip(norm_sq, 0.0, None))
-        base = norm_a(a, x)
-        plus_ok = bool(np.all(norms[ts >= 0.0] >= base - 1e-9))
-        minus_ok = bool(np.all(norms[ts <= 0.0] >= base - 1e-9))
-        if tag in (ConeTag.PLUS_ONLY, ConeTag.BOTH) and not plus_ok:
-            failures.append(_fail(i, f"tag {tag} but norm dips for t >= 0"))
-        elif tag in (ConeTag.MINUS_ONLY, ConeTag.BOTH) and not minus_ok:
-            failures.append(_fail(i, f"tag {tag} but norm dips for t <= 0"))
-        elif not (plus_ok or minus_ok):
-            failures.append(_fail(i, "dichotomy violated on the grid"))
-    return failures
+    grid = x[:, None] + y[:, None] * (ts * alpha)[None, :]
+    norm_sq = np.real(np.einsum("in,ij,jn->n", grid.conj(), a.matrix, grid))
+    norms = np.sqrt(np.clip(norm_sq, 0.0, None))
+    base = norm_a(a, x)
+    plus_ok = bool(np.all(norms[ts >= 0.0] >= base - 1e-9))
+    minus_ok = bool(np.all(norms[ts <= 0.0] >= base - 1e-9))
+    if tag in (ConeTag.PLUS_ONLY, ConeTag.BOTH) and not plus_ok:
+        return _fail(f"tag {tag} but norm dips for t >= 0")
+    if tag in (ConeTag.MINUS_ONLY, ConeTag.BOTH) and not minus_ok:
+        return _fail(f"tag {tag} but norm dips for t <= 0")
+    if not (plus_ok or minus_ok):
+        return _fail("dichotomy violated on the grid")
+    return None
 
 
-def _suite_vec_degeneracy(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        complex_field = bool(rng.random() < 0.5)
-        n = int(rng.integers(2, 7))
-        rank = int(rng.integers(1, n))
-        a = smp.random_psd(rng, n, rank=rank, complex_field=complex_field)
-        x = null_basis(a) @ smp.gaussian(rng, (a.null_dim,), complex_field)
-        y = smp.random_vector(rng, n, complex_field)
-        eps = _pick_eps(rng)
-        if not is_a_null(a, x):
-            failures.append(_fail(i, "null vector not recognized as A-null"))
-            continue
-        checks = (
-            is_a_orthogonal(a, x, y).holds,
-            is_eps_orthogonal(a, x, y, eps).holds,
-            is_chmielinski_orthogonal_vec(a, x, y, eps).holds,
-            cone_membership(a, x, y) == ConeTag.BOTH if not complex_field else True,
-        )
-        if not all(checks):
-            failures.append(_fail(i, "degenerate x does not satisfy all predicates"))
-    return failures
+def _suite_vec_degeneracy(rng: np.random.Generator, i: int) -> Optional[dict]:
+    complex_field = bool(rng.random() < 0.5)
+    n = int(rng.integers(2, 7))
+    a = smp.random_psd(rng, n, rank=int(rng.integers(1, n)), complex_field=complex_field)
+    x = null_basis(a) @ smp.gaussian(rng, (a.null_dim,), complex_field)
+    y = smp.random_vector(rng, n, complex_field)
+    eps = _pick_eps(rng)
+    if not is_a_null(a, x):
+        return _fail("null vector not recognized as A-null")
+    checks = (
+        is_a_orthogonal(a, x, y).holds,
+        is_eps_orthogonal(a, x, y, eps).holds,
+        is_chmielinski_orthogonal_vec(a, x, y, eps).holds,
+        cone_membership(a, x, y) == ConeTag.BOTH if not complex_field else True,
+    )
+    if not all(checks):
+        return _fail("degenerate x does not satisfy all predicates")
+    return None
 
 
-def _suite_vec_directional_derivative(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
+def _suite_vec_directional_derivative(rng: np.random.Generator, i: int) -> Optional[dict]:
+    a, x, y = _vec_instance(rng)
+    nx = norm_a(a, x)
+    if nx < 1e-6:
+        return None
+    x = x / nx
     h = 1e-6
-    for i in range(trials):
-        a, x, y = _vec_instance(rng)
-        nx = norm_a(a, x)
-        if nx < 1e-6:
-            continue
-        x = x / nx
-        exact = directional_derivative(a, x, y)
-        fd = (norm_a(a, x + h * y) - norm_a(a, x - h * y)) / (2.0 * h)
-        if abs(exact - fd) > 1e-5 * (1.0 + abs(exact)):
-            failures.append(_fail(i, "finite difference mismatch", exact=exact, fd=fd))
-    return failures
+    exact = directional_derivative(a, x, y)
+    fd = (norm_a(a, x + h * y) - norm_a(a, x - h * y)) / (2.0 * h)
+    if abs(exact - fd) > 1e-5 * (1.0 + abs(exact)):
+        return _fail("finite difference mismatch", exact=exact, fd=fd)
+    return None
 
 
-def _op_instance(rng: np.random.Generator, complex_field: bool = False, min_rank: int = 1):
-    n = int(rng.integers(max(2, min_rank), 7))
-    rank = int(rng.integers(min_rank, n + 1))
-    a = smp.random_psd(rng, n, rank=rank, complex_field=complex_field)
+def _op_instance(rng: np.random.Generator, complex_field: bool = False):
+    n = int(rng.integers(2, 7))
+    a = smp.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_field=complex_field)
     t = smp.random_a_bounded(rng, a)
     s = smp.random_a_bounded(rng, a)
     return a, t, s
 
 
-def _suite_op_tilde(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        complex_field = bool(rng.random() < 0.5)
-        n = int(rng.integers(3, 7))
-        rank = int(rng.integers(1, n))  # rank-deficient on purpose
-        a = smp.random_psd(rng, n, rank=rank, complex_field=complex_field)
-        t = smp.random_a_bounded(rng, a)
-        s = smp.random_a_bounded(rng, a)
-        lam = float(rng.uniform(-3.0, 3.0))
+def _suite_op_tilde(rng: np.random.Generator, i: int) -> Optional[dict]:
+    complex_field = bool(rng.random() < 0.5)
+    n = int(rng.integers(3, 7))
+    rank = int(rng.integers(1, n))  # rank-deficient on purpose
+    a = smp.random_psd(rng, n, rank=rank, complex_field=complex_field)
+    t = smp.random_a_bounded(rng, a)
+    s = smp.random_a_bounded(rng, a)
+    lam = float(rng.uniform(-3.0, 3.0))
 
-        tilde_t = tilde_reduce(a, t)
-        norm_gap = abs(operator_norm_a(a, t) - float(np.linalg.norm(tilde_t, 2)))
-        if norm_gap > 1e-9 * (1.0 + float(np.linalg.norm(tilde_t, 2))):
-            failures.append(_fail(i, "norm vs reduction mismatch", gap=norm_gap))
-            continue
-        lin = float(
-            np.max(np.abs(tilde_reduce(a, t + s) - (tilde_t + tilde_reduce(a, s))))
-        )
-        hom = float(np.max(np.abs(tilde_reduce(a, lam * t) - lam * tilde_t)))
-        if lin > 1e-10 * (1.0 + float(np.max(np.abs(tilde_t)))) or hom > 1e-10 * (
-            1.0 + abs(lam) * float(np.max(np.abs(tilde_t)))
-        ):
-            failures.append(_fail(i, "reduction not linear", lin=lin, hom=hom))
-            continue
+    tilde_t = tilde_reduce(a, t)
+    norm_gap = abs(operator_norm_a(a, t) - float(np.linalg.norm(tilde_t, 2)))
+    if norm_gap > 1e-9 * (1.0 + float(np.linalg.norm(tilde_t, 2))):
+        return _fail("norm vs reduction mismatch", gap=norm_gap)
+    lin = float(
+        np.max(np.abs(tilde_reduce(a, t + s) - (tilde_t + tilde_reduce(a, s))))
+    )
+    hom = float(np.max(np.abs(tilde_reduce(a, lam * t) - lam * tilde_t)))
+    if lin > 1e-10 * (1.0 + float(np.max(np.abs(tilde_t)))) or hom > 1e-10 * (
+        1.0 + abs(lam) * float(np.max(np.abs(tilde_t)))
+    ):
+        return _fail("reduction not linear", lin=lin, hom=hom)
 
-        att = norm_attainment_set(a, t)
-        p = a.projector
-        for j in range(att.multiplicity):
-            v = att.attain_basis[:, j]
-            in_range = float(np.linalg.norm(v - p @ v))
-            unit_gap = abs(norm_a(a, v) - 1.0)
-            attain_gap = abs(norm_a(a, t @ v) - att.norm)
-            if in_range > 1e-9 or unit_gap > 1e-8 or attain_gap > 1e-8 * (1.0 + att.norm):
-                failures.append(
-                    _fail(i, "attainment basis defect", in_range=in_range, unit=unit_gap, att=attain_gap)
-                )
-                break
+    att = norm_attainment_set(a, t)
+    p = a.projector
+    defect = None
+    for j in range(att.multiplicity):
+        v = att.attain_basis[:, j]
+        in_range = float(np.linalg.norm(v - p @ v))
+        unit_gap = abs(norm_a(a, v) - 1.0)
+        attain_gap = abs(norm_a(a, t @ v) - att.norm)
+        if in_range > 1e-9 or unit_gap > 1e-8 or attain_gap > 1e-8 * (1.0 + att.norm):
+            defect = _fail("attainment basis defect", in_range=in_range, unit=unit_gap, att=attain_gap)
+            break
 
-        # null-space absorption
-        u = null_basis(a) @ smp.gaussian(rng, (a.null_dim,), complex_field)
-        v = a.from_coords(smp.gaussian(rng, (a.rank,), complex_field))
-        gap = abs(norm_a(a, t @ (u + v)) - norm_a(a, t @ v))
-        if gap > 1e-9 * (1.0 + norm_a(a, t @ v)):
-            failures.append(_fail(i, "null-space absorption", gap=gap))
-    return failures
+    # null-space absorption; drawn after a defect too, as the draws are pinned
+    u = null_basis(a) @ smp.gaussian(rng, (a.null_dim,), complex_field)
+    v = a.from_coords(smp.gaussian(rng, (a.rank,), complex_field))
+    if defect is not None:
+        return defect
+    gap = abs(norm_a(a, t @ (u + v)) - norm_a(a, t @ v))
+    if gap > 1e-9 * (1.0 + norm_a(a, t @ v)):
+        return _fail("null-space absorption", gap=gap)
+    return None
 
 
-def _suite_op_attainment_certificate(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
+def _suite_op_attainment_certificate(rng: np.random.Generator, i: int) -> Optional[dict]:
     samples = 2000
-    for i in range(trials):
-        complex_field = bool(rng.random() < 0.5)
-        a, t, _ = _op_instance(rng, complex_field=complex_field)
-        op = bind_operator(a, t)
-        coords = smp.gaussian(rng, (a.rank, samples), complex_field)
-        coords /= np.linalg.norm(coords, axis=0)[None, :]
-        xs = a.from_coords(coords)
-        imgs = op.tilde @ coords
-        norms = np.linalg.norm(imgs, axis=0)
-        if float(np.max(norms)) > op.norm + 1e-7:
-            failures.append(_fail(i, "Monte-Carlo exceeds norm", excess=float(np.max(norms)) - op.norm))
-            continue
-        # sup over pairs of |<Tx, y>_A| is also bounded by the norm
-        ys = smp.gaussian(rng, (a.rank, samples), complex_field)
-        ys = a.from_coords(ys / np.linalg.norm(ys, axis=0)[None, :])
-        pair_vals = np.abs(np.einsum("ik,ik->k", (a.matrix @ (t @ xs)).conj(), ys))
-        if float(np.max(pair_vals)) > op.norm + 1e-7:
-            failures.append(_fail(i, "sup-form exceeds norm"))
-            continue
-        att = norm_attainment_set(a, t)
-        v = att.attain_basis[:, 0]
-        if abs(norm_a(a, t @ v) - op.norm) > 1e-8 * (1.0 + op.norm):
-            failures.append(_fail(i, "certificate vector does not attain"))
-    return failures
+    complex_field = bool(rng.random() < 0.5)
+    a, t, _ = _op_instance(rng, complex_field=complex_field)
+    op = bind_operator(a, t)
+    coords = smp.gaussian(rng, (a.rank, samples), complex_field)
+    coords /= np.linalg.norm(coords, axis=0)[None, :]
+    xs = a.from_coords(coords)
+    norms = np.linalg.norm(op.tilde @ coords, axis=0)
+    if float(np.max(norms)) > op.norm + 1e-7:
+        return _fail("Monte-Carlo exceeds norm", excess=float(np.max(norms)) - op.norm)
+    # sup over pairs of |<Tx, y>_A| is also bounded by the norm
+    ys = smp.gaussian(rng, (a.rank, samples), complex_field)
+    ys = a.from_coords(ys / np.linalg.norm(ys, axis=0)[None, :])
+    pair_vals = np.abs(np.einsum("ik,ik->k", (a.matrix @ (t @ xs)).conj(), ys))
+    if float(np.max(pair_vals)) > op.norm + 1e-7:
+        return _fail("sup-form exceeds norm")
+    v = norm_attainment_set(a, t).attain_basis[:, 0]
+    if abs(norm_a(a, t @ v) - op.norm) > 1e-8 * (1.0 + op.norm):
+        return _fail("certificate vector does not attain")
+    return None
 
 
-def _suite_op_routes_real(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        a, t, s = _op_instance(rng, complex_field=False)
-        eps = _pick_eps(rng)
-        if operator_norm_a(a, t) < 1e-8:
-            continue
-        direct = op_orth_direct(a, t, s, eps)
-        attain = op_orth_attainment_real(a, t, s, eps)
-        if direct.holds != attain.holds:
-            failures.append(
-                _fail(i, "real routes disagree", eps=eps, direct=direct.margin, attain=attain.margin)
-            )
-    return failures
+def _routes_agree(a, t, s, eps: float, **extra: float) -> Optional[dict]:
+    """The direct route against the field's attainment route: the
+    attainment characterization over R, the theta sweep over C."""
+    direct = op_orth_direct(a, t, s, eps)
+    if a.is_complex:
+        field_name, key, other = "complex", "sweep", op_orth_theta_sweep_complex(a, t, s, eps)
+    else:
+        field_name, key, other = "real", "attain", op_orth_attainment_real(a, t, s, eps)
+    if direct.holds != other.holds:
+        return _fail(
+            f"{field_name} routes disagree", **extra, eps=eps, direct=direct.margin, **{key: other.margin}
+        )
+    return None
 
 
-def _suite_op_routes_complex(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        n = int(rng.integers(2, 5))
-        rank = int(rng.integers(1, n + 1))
-        a = smp.random_psd(rng, n, rank=rank, complex_field=True)
-        t = smp.random_a_bounded(rng, a)
-        s = smp.random_a_bounded(rng, a)
-        eps = _pick_eps(rng)
-        if operator_norm_a(a, t) < 1e-8:
-            continue
-        direct = op_orth_direct(a, t, s, eps)
-        sweep = op_orth_theta_sweep_complex(a, t, s, eps)
-        if direct.holds != sweep.holds:
-            failures.append(
-                _fail(i, "complex routes disagree", eps=eps, direct=direct.margin, sweep=sweep.margin)
-            )
-    return failures
+def _suite_op_routes_real(rng: np.random.Generator, i: int) -> Optional[dict]:
+    a, t, s = _op_instance(rng)
+    return _routes_agree(a, t, s, _pick_eps(rng))
 
 
-def _suite_op_routes_complex_multiplicity(rng: np.random.Generator, trials: int) -> list[dict]:
+def _suite_op_routes_complex(rng: np.random.Generator, i: int) -> Optional[dict]:
+    n = int(rng.integers(2, 5))
+    a = smp.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_field=True)
+    t = smp.random_a_bounded(rng, a)
+    s = smp.random_a_bounded(rng, a)
+    return _routes_agree(a, t, s, _pick_eps(rng))
+
+
+def _suite_op_routes_complex_multiplicity(rng: np.random.Generator, i: int) -> Optional[dict]:
     # T attains its norm on m = 2..4 dimensions; S random, an A-isometry or of multiplicity m
-    failures = []
-    for i in range(trials):
-        n = int(rng.integers(3, 7))
-        rank = int(rng.integers(2, n + 1))
-        m = int(rng.integers(2, min(4, rank) + 1))
-        a = smp.random_psd(rng, n, rank=rank, complex_field=True)
-        t = smp.operator_with_multiplicity(rng, a, m)
-        kind = i % 3
-        if kind == 0:
-            s = smp.random_a_bounded(rng, a)
-        elif kind == 1:
-            s = smp.random_a_isometry(rng, a)
-        else:
-            s = smp.operator_with_multiplicity(rng, a, m)
-        eps = _pick_eps(rng)
-        direct = op_orth_direct(a, t, s, eps)
-        sweep = op_orth_theta_sweep_complex(a, t, s, eps)
-        if direct.holds != sweep.holds:
-            failures.append(
-                _fail(i, "complex routes disagree", m=m, eps=eps, direct=direct.margin, sweep=sweep.margin)
-            )
-    return failures
-
-
-def _suite_op_homogeneity(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        a, t, s = _op_instance(rng, complex_field=False)
-        eps = _pick_eps(rng)
-        ct = float(rng.uniform(0.2, 4.0)) * float(rng.choice([-1.0, 1.0]))
-        cs = float(rng.uniform(0.2, 4.0)) * float(rng.choice([-1.0, 1.0]))
-        base = op_orth_direct(a, t, s, eps)
-        scaled = op_orth_direct(a, ct * t, cs * s, eps)
-        if base.holds != scaled.holds:
-            failures.append(_fail(i, "operator homogeneity", eps=eps, m0=base.margin, m1=scaled.margin))
-    return failures
-
-
-def _suite_op_monotonicity(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        a, t, s = _op_instance(rng, complex_field=False)
-        eps_lo = float(rng.uniform(0.0, 0.8))
-        eps_hi = float(rng.uniform(eps_lo, 0.99))
-        lo = op_orth_direct(a, t, s, eps_lo)
-        hi = op_orth_direct(a, t, s, eps_hi)
-        if hi.margin < lo.margin - 1e-10:
-            failures.append(_fail(i, "margin not monotone in eps", lo=lo.margin, hi=hi.margin))
-        elif lo.holds and not hi.holds:
-            failures.append(_fail(i, "verdict not monotone in eps"))
-    return failures
-
-
-def _suite_op_zero_degeneracy(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        n = int(rng.integers(2, 7))
-        rank = int(rng.integers(1, n))
-        a = smp.random_psd(rng, n, rank=rank)
-        z = smp.zero_a_norm_operator(rng, a)
+    n = int(rng.integers(3, 7))
+    rank = int(rng.integers(2, n + 1))
+    m = int(rng.integers(2, min(4, rank) + 1))
+    a = smp.random_psd(rng, n, rank=rank, complex_field=True)
+    t = smp.operator_with_multiplicity(rng, a, m)
+    kind = i % 3
+    if kind == 0:
         s = smp.random_a_bounded(rng, a)
-        eps = _pick_eps(rng)
-        if not op_orth_direct(a, z, s, eps).holds:
-            failures.append(_fail(i, "zero-norm T fails T perp S"))
-        elif not op_orth_direct(a, s, z, eps).holds:
-            failures.append(_fail(i, "zero-norm S fails T perp S"))
-    return failures
+    elif kind == 1:
+        s = smp.random_a_isometry(rng, a)
+    else:
+        s = smp.operator_with_multiplicity(rng, a, m)
+    return _routes_agree(a, t, s, _pick_eps(rng), m=m)
 
 
-def _suite_op_subset_reverse(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        n = int(rng.integers(2, 7))
-        rank = int(rng.integers(1, n + 1))
-        a = smp.random_psd(rng, n, rank=rank)
-        t, s = smp.shared_attainment_pair(rng, a, multiplicity=1)
-        eps = float(rng.uniform(0.2, 0.9))
-        if not attainment_subset(a, t, s):
-            failures.append(_fail(i, "constructed pair lost shared attainment"))
-            continue
-        fwd = op_orth_direct(a, t, s, eps)
-        if fwd.holds:
-            bwd = op_orth_direct(a, s, t, eps)
-            if not bwd.holds:
-                failures.append(_fail(i, "subset does not reverse", eps=eps, bwd=bwd.margin))
-                continue
-        pointwise = op_orth_pointwise(a, t, s, eps)
-        if pointwise.holds != fwd.holds:
-            failures.append(_fail(i, "pointwise route disagrees", eps=eps))
-    return failures
+def _suite_op_homogeneity(rng: np.random.Generator, i: int) -> Optional[dict]:
+    a, t, s = _op_instance(rng)
+    eps = _pick_eps(rng)
+    ct = float(rng.uniform(0.2, 4.0)) * float(rng.choice([-1.0, 1.0]))
+    cs = float(rng.uniform(0.2, 4.0)) * float(rng.choice([-1.0, 1.0]))
+    base = op_orth_direct(a, t, s, eps)
+    scaled = op_orth_direct(a, ct * t, cs * s, eps)
+    if base.holds != scaled.holds:
+        return _fail("operator homogeneity", eps=eps, m0=base.margin, m1=scaled.margin)
+    return None
 
 
-def _suite_sym_right_witness(rng: np.random.Generator, trials: int, complex_field: bool = False) -> list[dict]:
-    failures = []
-    for i in range(trials):
-        n = int(rng.integers(2, 7))
-        rank = int(rng.integers(2, n + 1))
-        a = smp.random_psd(rng, n, rank=rank, complex_field=complex_field)
-        t = smp.random_a_bounded(rng, a)
-        if is_a_isometry(a, t).ok:
-            continue
-        eps = float(EPS_POOL[i % len(EPS_POOL)])
-        report = classify_right(a, t, eps)
-        if report.kind is not SymmetryKind.NOT_RIGHT_SYMMETRIC or report.witness is None:
-            failures.append(_fail(i, "non-isometry classified right symmetric"))
-            continue
-        fwd, bwd = report.verify(a, t)
-        if not fwd.holds or bwd.holds:
-            failures.append(
-                _fail(i, "right witness fails verification", eps=eps, fwd=fwd.margin, bwd=bwd.margin)
-            )
-    return failures
+def _suite_op_monotonicity(rng: np.random.Generator, i: int) -> Optional[dict]:
+    a, t, s = _op_instance(rng)
+    eps_lo = float(rng.uniform(0.0, 0.8))
+    eps_hi = float(rng.uniform(eps_lo, 0.99))
+    lo = op_orth_direct(a, t, s, eps_lo)
+    hi = op_orth_direct(a, t, s, eps_hi)
+    if hi.margin < lo.margin - 1e-10:
+        return _fail("margin not monotone in eps", lo=lo.margin, hi=hi.margin)
+    if lo.holds and not hi.holds:
+        return _fail("verdict not monotone in eps")
+    return None
 
 
-def _suite_sym_right_isometry(rng: np.random.Generator, trials: int, complex_field: bool = False) -> list[dict]:
-    failures = []
-    probes = 8
-    for i in range(trials):
-        n = int(rng.integers(2, 7))
-        rank = int(rng.integers(2, n + 1))
-        a = smp.random_psd(rng, n, rank=rank, complex_field=complex_field)
-        t = smp.random_a_isometry(rng, a)
-        eps = float(EPS_POOL[i % len(EPS_POOL)])
-        if classify_right(a, t, eps).kind is not SymmetryKind.RIGHT_SYMMETRIC:
-            failures.append(_fail(i, "isometry not classified right symmetric"))
-            continue
-        for _ in range(probes):
-            s = (
-                smp.eps_orthogonal_probe(rng, a, t, eps)
-                if rng.random() < 0.7
-                else smp.random_a_bounded(rng, a)
-            )
-            if op_orth_direct(a, s, t, eps).holds and not op_orth_direct(a, t, s, eps).holds:
-                failures.append(_fail(i, "probe broke right symmetry of an isometry", eps=eps))
-                break
-    return failures
+def _suite_op_zero_degeneracy(rng: np.random.Generator, i: int) -> Optional[dict]:
+    n = int(rng.integers(2, 7))
+    a = smp.random_psd(rng, n, rank=int(rng.integers(1, n)))
+    z = smp.zero_a_norm_operator(rng, a)
+    s = smp.random_a_bounded(rng, a)
+    eps = _pick_eps(rng)
+    if not op_orth_direct(a, z, s, eps).holds:
+        return _fail("zero-norm T fails T perp S")
+    if not op_orth_direct(a, s, z, eps).holds:
+        return _fail("zero-norm S fails T perp S")
+    return None
 
 
-def _suite_sym_left_witness(rng: np.random.Generator, trials: int, complex_field: bool = False) -> list[dict]:
-    failures = []
-    branch_makers = (
-        lambda r_, a_: smp.operator_with_multiplicity(rng, a_, min(2, a_.rank)),
-        lambda r_, a_: smp.rank_one_operator(rng, a_),
-        lambda r_, a_: smp.operator_with_multiplicity(rng, a_, 1),
-    )
-    expected_tags = (
-        ConstructionTag.LEFT_MULTI_PAIR,
-        ConstructionTag.LEFT_CASE_I,
-        ConstructionTag.LEFT_CASE_II,
-    )
-    for i in range(trials):
-        n = int(rng.integers(2, 7))
-        rank = int(rng.integers(2, n + 1))
-        a = smp.random_psd(rng, n, rank=rank, complex_field=complex_field)
-        branch = i % 3
-        t = branch_makers[branch](rank, a)
-        eps = float(EPS_POOL[i % len(EPS_POOL)])
-        report = classify_left(a, t, eps)
-        if report.kind is not SymmetryKind.NOT_LEFT_SYMMETRIC:
-            failures.append(_fail(i, "nonzero operator classified left symmetric"))
-            continue
-        tag = report.construction.tag
-        if branch < 2 and tag is not expected_tags[branch]:
-            failures.append(_fail(i, f"expected {expected_tags[branch].value} branch, got {tag}"))
-            continue
-        fwd, bwd = report.verify(a, t)
-        if not fwd.holds or bwd.holds:
-            failures.append(
-                _fail(i, "left witness fails verification", eps=eps, fwd=fwd.margin, bwd=bwd.margin)
-            )
-    return failures
+def _suite_op_subset_reverse(rng: np.random.Generator, i: int) -> Optional[dict]:
+    n = int(rng.integers(2, 7))
+    a = smp.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+    t, s = smp.shared_attainment_pair(rng, a, multiplicity=1)
+    eps = float(rng.uniform(0.2, 0.9))
+    if not attainment_subset(a, t, s):
+        return _fail("constructed pair lost shared attainment")
+    fwd = op_orth_direct(a, t, s, eps)
+    if fwd.holds:
+        bwd = op_orth_direct(a, s, t, eps)
+        if not bwd.holds:
+            return _fail("subset does not reverse", eps=eps, bwd=bwd.margin)
+    if op_orth_pointwise(a, t, s, eps).holds != fwd.holds:
+        return _fail("pointwise route disagrees", eps=eps)
+    return None
 
 
-def _suite_left_parameter_grid(rng: np.random.Generator, trials: int) -> list[dict]:
-    failures = []
-    for i, eps in enumerate(np.linspace(0.0, 0.99, 100)):
+def _witness_verifies(report, a, t, eps: float, side: str) -> Optional[dict]:
+    """The report's witness, checked both ways by the direct route: the
+    relation holds one way and fails the other."""
+    fwd, bwd = report.verify(a, t)
+    if not fwd.holds or bwd.holds:
+        return _fail(f"{side} witness fails verification", eps=eps, fwd=fwd.margin, bwd=bwd.margin)
+    return None
+
+
+def _suite_sym_right_witness(rng: np.random.Generator, i: int, complex_field: bool = False) -> Optional[dict]:
+    n = int(rng.integers(2, 7))
+    a = smp.random_psd(rng, n, rank=int(rng.integers(2, n + 1)), complex_field=complex_field)
+    t = smp.random_a_bounded(rng, a)
+    if is_a_isometry(a, t).ok:
+        return None
+    eps = float(EPS_POOL[i % len(EPS_POOL)])
+    report = classify_right(a, t, eps)
+    if report.kind is not SymmetryKind.NOT_RIGHT_SYMMETRIC or report.witness is None:
+        return _fail("non-isometry classified right symmetric")
+    return _witness_verifies(report, a, t, eps, "right")
+
+
+def _suite_sym_right_isometry(rng: np.random.Generator, i: int, complex_field: bool = False) -> Optional[dict]:
+    n = int(rng.integers(2, 7))
+    a = smp.random_psd(rng, n, rank=int(rng.integers(2, n + 1)), complex_field=complex_field)
+    t = smp.random_a_isometry(rng, a)
+    eps = float(EPS_POOL[i % len(EPS_POOL)])
+    if classify_right(a, t, eps).kind is not SymmetryKind.RIGHT_SYMMETRIC:
+        return _fail("isometry not classified right symmetric")
+    for _ in range(8):
+        s = (
+            smp.eps_orthogonal_probe(rng, a, t, eps)
+            if rng.random() < 0.7
+            else smp.random_a_bounded(rng, a)
+        )
+        if op_orth_direct(a, s, t, eps).holds and not op_orth_direct(a, t, s, eps).holds:
+            return _fail("probe broke right symmetry of an isometry", eps=eps)
+    return None
+
+
+def _suite_sym_left_witness(rng: np.random.Generator, i: int, complex_field: bool = False) -> Optional[dict]:
+    n = int(rng.integers(2, 7))
+    a = smp.random_psd(rng, n, rank=int(rng.integers(2, n + 1)), complex_field=complex_field)
+    # three branches by i % 3: a multi-pair, case I and (most often) case II
+    if i % 3 == 0:
+        t, expected = smp.operator_with_multiplicity(rng, a, min(2, a.rank)), ConstructionTag.LEFT_MULTI_PAIR
+    elif i % 3 == 1:
+        t, expected = smp.rank_one_operator(rng, a), ConstructionTag.LEFT_CASE_I
+    else:
+        t, expected = smp.operator_with_multiplicity(rng, a, 1), None
+    eps = float(EPS_POOL[i % len(EPS_POOL)])
+    report = classify_left(a, t, eps)
+    if report.kind is not SymmetryKind.NOT_LEFT_SYMMETRIC:
+        return _fail("nonzero operator classified left symmetric")
+    tag = report.construction.tag
+    if expected is not None and tag is not expected:
+        return _fail(f"expected {expected.value} branch, got {tag}")
+    return _witness_verifies(report, a, t, eps, "left")
+
+
+def _suite_left_parameter_grid(rng: np.random.Generator, i: int) -> Optional[dict]:
+    for eps in np.linspace(0.0, 0.99, 100):
         p = left_parameters(float(eps))
-        eps1 = p.eps1
         checks = {
-            "a*eps1 > eps": p.a * eps1 > eps,
+            "a*eps1 > eps": p.a * p.eps1 > eps,
             "interval bound < 1": p.alpha_lo < 1.0,
             "unit circle": abs(p.a**2 + p.b**2 - 1.0) < 1e-12,
             "b > 0": p.b > 0.0,
@@ -612,15 +507,15 @@ def _suite_left_parameter_grid(rng: np.random.Generator, trials: int) -> list[di
         }
         bad = [name for name, ok in checks.items() if not ok]
         if bad:
-            failures.append(_fail(i, f"parameter inequalities failed: {bad}", eps=float(eps)))
-    return failures
+            return _fail(f"parameter inequalities failed: {bad}", eps=float(eps))
+    return None
 
 
 # ----------------------------- runner ---------------------------------------
 
-SuiteFn = Callable[[np.random.Generator, int], list[dict]]
+Trial = Callable[[np.random.Generator, int], Optional[dict]]
 
-SUITES: dict[str, tuple[SuiteFn, Optional[int]]] = {
+SUITES: dict[str, tuple[Trial, Optional[int]]] = {
     "core_spectral": (_suite_core_spectral, None),
     "vec_symmetry": (_suite_vec_symmetry, None),
     "vec_homogeneity": (_suite_vec_homogeneity, None),
@@ -677,6 +572,12 @@ class SelftestOutcome:
         return "\n".join(lines)
 
 
+def run_trials(trial: Trial, rng: np.random.Generator, trials: int) -> list[dict]:
+    """Run trials 0 .. trials - 1 of one suite on one generator and return
+    the failure records, each with its trial index under ``"trial"``."""
+    return [{"trial": i, **rec} for i in range(trials) if (rec := trial(rng, i)) is not None]
+
+
 def run_selftest(seed: int, trials: int) -> SelftestOutcome:
     """Run every property suite at a seed and trial budget.
 
@@ -688,7 +589,7 @@ def run_selftest(seed: int, trials: int) -> SelftestOutcome:
         effective = trials if cap is None else min(trials, cap)
         rng = np.random.default_rng([seed, index])
         start = time.perf_counter()
-        failures = fn(rng, effective)
+        failures = run_trials(fn, rng, effective)
         elapsed = time.perf_counter() - start
         results.append(
             SuiteResult(

@@ -528,8 +528,8 @@ def test_selftest_rejects_negative_seed(capsys):
 
 
 def test_selftest_fault_injection(tmp_path, monkeypatch, capsys):
-    def corrupted(rng, trials):
-        return [{"trial": 0, "detail": "injected fault"}]
+    def corrupted(rng, i):
+        return {"detail": "injected fault"}
 
     monkeypatch.setitem(selftest_mod.SUITES, "vec_symmetry", (corrupted, None))
     out = tmp_path / "r.json"
@@ -537,7 +537,7 @@ def test_selftest_fault_injection(tmp_path, monkeypatch, capsys):
     report = _read(out)
     assert report["passed"] is False
     bad = [s for s in report["suites"] if not s["passed"]]
-    assert bad and bad[0]["failures"][0]["detail"] == "injected fault"
+    assert bad and bad[0]["failures"][0] == {"trial": 0, "detail": "injected fault"}
     assert "SELFTEST FAIL" in capsys.readouterr().out
 
     # a real suite's records: flipping the attainment route makes the real
@@ -608,10 +608,10 @@ def _without_timing(path):
 
 
 def test_report_determinism(tmp_path):
-    """Two runs of a command on one instance write the same bytes apart from
-    the timing_s line: norm, check --mode op over R and over C (whose theta
-    witness writes x_theta and y_theta), check --mode vec and classify on
-    both sides."""
+    """Two runs of a command write the same bytes apart from the timing_s
+    line: norm, check --mode op over R and over C (whose theta witness
+    writes x_theta and y_theta), check --mode vec and classify on both sides
+    on one instance, and selftest at one seed."""
     a_mat, t, s = THETA_INSTANCES["m1"]
     complex_inst = {"field": "complex", "A": _pairs(a_mat), "T": _pairs(t), "S": _pairs(s), "epsilon": 0.25}
     commands = [
@@ -621,12 +621,14 @@ def test_report_determinism(tmp_path):
         (dict(REF, x=[1.0, 0.5], y=[0.3, -1.0]), ["check", "--mode", "vec"]),
         (REF, ["classify", "--side", "right"]),
         (REF, ["classify", "--side", "left"]),
+        (None, ["selftest", "--seed", "42", "--trials", "3"]),
     ]
     for k, (fields, command) in enumerate(commands):
-        inst = write_instance(tmp_path / f"i{k}.json", **fields)
+        if fields is not None:
+            command = [*command, write_instance(tmp_path / f"i{k}.json", **fields)]
         outs = [tmp_path / f"r{k}{run}.json" for run in "ab"]
         for out in outs:
-            assert cli.main([*command, inst, "--json-out", str(out)]) == EXIT_OK
+            assert cli.main([*command, "--json-out", str(out)]) == EXIT_OK
         assert outs[0].read_bytes().count(b'"timing_s"') == 1
         assert _without_timing(outs[0]) == _without_timing(outs[1])
     assert b'"x_theta"' in (tmp_path / "r2a.json").read_bytes()

@@ -298,7 +298,7 @@ def test_left_suite_builds_each_witness_once(monkeypatch):
 
     monkeypatch.setattr(symmetry, "left_witness", counted)
     monkeypatch.setattr(selftest, "left_witness", counted, raising=False)
-    assert selftest._suite_sym_left_witness(np.random.default_rng(5), 9) == []
+    assert selftest.run_trials(selftest._suite_sym_left_witness, np.random.default_rng(5), 9) == []
     assert len(builds) == 9
 
 
