@@ -25,7 +25,6 @@ from .errors import (
     IsometryError,
     NonFiniteError,
     NotABoundedError,
-    NotAUnitError,
     NotHermitianError,
     NotPositiveError,
     RankTooSmallError,

@@ -130,7 +130,7 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _eigh_descending(_hermitian_part(matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsdOperator:
     """A positive semidefinite operator with the maps to its range coordinates.
 
@@ -170,16 +170,17 @@ class PsdOperator:
     Each instance also keeps a private memo of the last matrices bound to it
     (see :func:`semiortho.operators.bind_operator`; witnesses bound from their
     factors are not kept), so binding one again costs no eigensolve. The memo
-    takes no part in comparisons and dies with the instance.
+    dies with the instance. An instance equals only itself and hashes by
+    identity, as ``bind_operator`` tells its own binds by ``t.psd is a``.
     """
 
     matrix: np.ndarray
     rank: int
     lam_max: float
-    _w: np.ndarray = field(repr=False, compare=False)
-    _w_inv: np.ndarray = field(repr=False, compare=False)
+    _w: np.ndarray = field(repr=False)
+    _w_inv: np.ndarray = field(repr=False)
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
-    _binds: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _binds: list = field(default_factory=list, init=False, repr=False)
 
     # the eigh path of psd_decompose fills this cache, so only the Cholesky
     # path computes it

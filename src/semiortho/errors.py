@@ -27,10 +27,6 @@ class EpsilonRangeError(SemiorthoError):
     """Approximation parameter epsilon lies outside [0, 1)."""
 
 
-class NotAUnitError(SemiorthoError):
-    """Vector is not A-unit where the operation requires it."""
-
-
 class ComplexFieldError(SemiorthoError):
     """Complex-field input passed to a real-field-only operation."""
 

@@ -24,7 +24,7 @@ class BoundedCheck:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ABoundedOperator:
     """An A-bounded operator with its cached reduction.
 
@@ -38,7 +38,8 @@ class ABoundedOperator:
     vanishes up to the rounding noise of the reduction, tested once per bind;
     and ``gram_eigh`` the ascending eigensystem (w, V) of tilde* tilde where
     the bind took one full ``eigh`` of it, else None, kept for the direct
-    route's first Newton step.
+    route's first Newton step. An instance equals only itself and hashes by
+    identity: two binds of one matrix are two objects.
     """
 
     psd: PsdOperator
@@ -132,15 +133,14 @@ def bind_operator(a: PsdOperator, t: Operand) -> ABoundedOperator:
         if key.dtype == t.dtype and np.array_equal(key, t):
             return ABoundedOperator(psd=a, matrix=t, **fields)
     tilde, image_ratio = _reduce(a, t)
-    fields = _singular_system(a, tilde, zero_image=image_ratio <= _ZERO_IMAGE)
+    fields = _singular_system(tilde, zero_image=image_ratio <= _ZERO_IMAGE)
     # two statements that never raise, so threads sharing ``a`` need no lock
     a._binds.append((t.copy(), fields))
     del a._binds[:-_BIND_MEMO_SIZE]
     return ABoundedOperator(psd=a, matrix=t, **fields)
 
 
-def _singular_system(a: PsdOperator, left: np.ndarray, right: np.ndarray | None = None,
-                     zero_image: bool = False) -> dict:
+def _singular_system(left: np.ndarray, right: np.ndarray | None = None, zero_image: bool = False) -> dict:
     """Cached fields of the reduction left @ right^H, ``right`` (r x k) with
     orthonormal columns or the identity when None: the squared singular
     values are the eigenvalues of the Gram matrix G = left^H left, padded
@@ -328,7 +328,7 @@ def _bind_product(a: PsdOperator, left: np.ndarray, right: np.ndarray) -> ABound
     defect = float(np.max(np.abs(right.conj().T @ right - np.eye(right.shape[1]))))
     if defect > _FACTOR_DEFECT:
         raise WitnessConstructionError(f"right factor not orthonormal (defect {defect:.2e})")
-    return ABoundedOperator(psd=a, matrix=a.lift(left, right), **_singular_system(a, left, right))
+    return ABoundedOperator(psd=a, matrix=a.lift(left, right), **_singular_system(left, right))
 
 
 def operator_norm_a(a: PsdOperator, t: np.ndarray) -> float:

@@ -36,7 +36,6 @@ import bisect
 import cmath
 import math
 from dataclasses import replace
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,10 +46,6 @@ from .operators import ABoundedOperator, Operand, bind_operator
 from .vectors import Method, OrthoVerdict, Scalar, Witness, _verdict, validate_epsilon
 
 FINITE_DIM_NOTE = "finite-dimensional attainment; B_H(A) cap R(A) bounded holds automatically"
-
-
-def _field_is_complex(*objs: ABoundedOperator) -> bool:
-    return any(o.is_complex for o in objs)
 
 
 # Cut budget of the ellipsoid minimizer, which makes one eigensolve per cut.
@@ -149,14 +144,21 @@ def _dual_bound(
     return gap - t * (slope - s * t) - _rounding(sv.size, norm_t, norm_s, 2.0 * abs(lam) + t)
 
 
-def _objective(
+def _radius(op_t: ABoundedOperator, op_s: ABoundedOperator, eps: float) -> float:
+    """2 (1 + eps) ||T||_A / ||S||_A: the radius of the disc of lambda that the
+    direct route searches, outside which the triangle inequality forces
+    g >= 0 = g(0)."""
+    return 2.0 * (1.0 + eps) * op_t.norm / op_s.norm
+
+
+def _query(
     op_t: ABoundedOperator, op_s: ABoundedOperator, eps: float, lam: Scalar
-) -> tuple[float, complex, Callable[[], tuple[np.ndarray, ...]], tuple]:
-    """g(lambda), a subgradient of g written d/dRe + i d/dIm, a function
-    returning what a Newton step needs: the eigensystem (w, V) of M* M, M
-    and the products M v and S~ v at its top eigenvector v, and the
-    arguments of ``_dual_bound`` at v after the norms, penalty and radius:
-    (lambda, M v, S~ v, <S~ v, M v>).
+) -> tuple[float, complex, float, Scalar, Callable, Callable]:
+    """The direct route's answer to a query of ``_ellipsoid_min`` at lambda:
+    the cut value (g less its rounding, ``_rounding``; g(0) = 0 exactly), a
+    subgradient of g written d/dRe + i d/dIm, g(lambda), lambda, and two
+    functions: the dual bound at the top eigenvector v of M* M
+    (``_dual_bound``) and the Newton step there (``_newton_step``).
 
     The smooth part sigma_max(M)^2 >= ||M v||^2, M = T~ + lambda S~, has
     subgradient 2 <M v, S~ v> (Lewis & Overton, Acta Numerica 1996). Of the
@@ -165,28 +167,27 @@ def _objective(
     subgradient proves lambda = 0 optimal. At lambda = 0, M = T~: g(0) = 0
     by definition and v is the top singular vector held by the bind of T,
     whose eigensystem of T~* T~ the Newton step reads (the bind kept it
-    below ``operators._PARTIAL_MIN_RANK``; above, it is formed if asked for).
+    below ``operators._PARTIAL_MIN_RANK``; above, the step forms it).
     """
     penalty = 2.0 * eps * op_t.norm * op_s.norm
     if lam == 0:
         m, v = op_t.tilde, op_t.top_coords[:, 0]
         val, mv, sv = 0.0, m @ v, op_s.tilde @ v
-        if op_t.gram_eigh is None:
-            eig = partial(_eigensystem, m, op_s.tilde)
-        else:
-            eig = lambda: (m, *op_t.gram_eigh, mv, sv)
+        system = None if op_t.gram_eigh is None else (m, *op_t.gram_eigh, mv, sv)
     else:
         system = _eigensystem(op_t.tilde + lam * op_s.tilde, op_s.tilde)
         _, w, _, mv, sv = system
         val = float(w[-1]) - op_t.norm**2 + penalty * abs(lam)
-        eig = lambda: system
+    cut = val if lam == 0 else val - _rounding(op_t.tilde.shape[0], op_t.norm, op_s.norm, abs(lam))
     q = complex(np.vdot(sv, mv))
     grad = 2.0 * q
     if lam != 0:
         grad += penalty * lam / abs(lam)
     elif grad != 0:
         grad *= max(0.0, 1.0 - penalty / abs(grad))
-    return val, grad, eig, (lam, mv, sv, q)
+    dual = lambda: _dual_bound(op_t.norm, op_s.norm, penalty, _radius(op_t, op_s, eps), lam, mv, sv, q)
+    step = lambda: _newton_step(op_s, penalty, lam, grad, system or _eigensystem(op_t.tilde, op_s.tilde))
+    return cut, grad, val, lam, dual, step
 
 
 def _newton_step(
@@ -194,9 +195,10 @@ def _newton_step(
     penalty: float,
     lam: Scalar,
     grad: complex,
-    eig: Callable[[], tuple[np.ndarray, ...]],
+    system: tuple[np.ndarray, ...],
 ) -> Optional[tuple[float, float]]:
-    """Newton step of g at lambda as (dRe, dIm), or None where the top
+    """Newton step of g at lambda as (dRe, dIm) from the eigensystem
+    ``system`` that ``_eigensystem`` returns at lambda, or None where the top
     eigenvalue of M* M is multiple (g is not smooth there) or the curvature
     along the step is not positive.
 
@@ -215,7 +217,7 @@ def _newton_step(
     smooth part's Hessian and h the shortened subgradient; in the real field
     that is the model's least point.
     """
-    m, w, vecs, mv, sv = eig()
+    m, w, vecs, mv, sv = system
     if w.size > 1 and w[-1] - w[-2] <= _SIMPLE_GAP * w[-1]:
         return None
     # b_1 = p + q and b_2 = i (q - p) with p = S~* M v and q = M* S~ v. The
@@ -248,24 +250,26 @@ def _newton_step(
 
 
 def _ellipsoid_min(
-    oracle: Callable, newton: Optional[Callable], dim: int, radius_sq: float,
-    tol: float, floor: float, exit_on_holds: bool,
+    oracle: Callable, dim: int, radius_sq: float, tol: float, floor: float, exit_on_holds: bool
 ) -> tuple[float, float, object]:
     """Certified minimum of a convex f with f(0) = 0 over the centred disc of
     squared radius ``radius_sq`` (an interval for dim = 1), as (U, L, point).
 
-    ``oracle(x, y)`` returns f there (or less, by at most its rounding), a
-    subgradient as d/dx + i d/dy, an upper bound on min f (f itself, or
-    better), a function returning a lower bound on min f that the oracle
-    proves by itself (-inf where it proves none), the point reported with
-    the upper bound and the state that ``newton(point, subgradient, state)``
-    takes to return a Newton step (dx, dy) or None. A deep-cut ellipsoid
-    method keeps every minimizer in its ellipsoid E, so f(x) + min over E of
-    <h, y - x> bounds min f from below at each query x with subgradient h;
-    the oracle's own bound is asked for only where that one leaves the
-    search unsettled, so a query that settles pays nothing for it. The query
-    is the centre of E, or the Newton point of the last query where that
-    lies in E and the last Newton step lowered f.
+    ``oracle(x, y)`` is the one query of every route. It returns a tuple:
+    the cut value, f there or less by at most its rounding; a subgradient as
+    d/dx + i d/dy; an upper bound on min f (f itself, or better); the point
+    reported with that bound; a function returning a lower bound on min f
+    that the oracle proves by itself (-inf where it proves none); and a
+    function returning a Newton step (dx, dy) or None, or None where the
+    route takes no Newton steps. The search releases that function before
+    its next query, as it may hold the query's eigensystem.
+
+    A deep-cut ellipsoid method keeps every minimizer in its ellipsoid E, so
+    f(x) + min over E of <h, y - x> bounds min f from below at each query x
+    with subgradient h; the oracle's own bound is asked for only where that
+    one leaves the search unsettled, so a query that settles pays nothing
+    for it. The query is the centre of E, or the Newton point of the last
+    query where that lies in E and the last Newton step lowered f.
     U <= 0 is the least upper bound (point None for f(0)) and L <= U the best
     lower bound. The search stops once U - L <= tol / 4 and the bounds do not
     straddle ``floor``, or, with ``exit_on_holds``, once L >= floor, or when
@@ -288,7 +292,7 @@ def _ellipsoid_min(
         return closed or (exit_on_holds and lo >= floor)
 
     for _ in range(_MAX_CUTS):
-        val, grad, bound, proven, point, state = oracle(x, y)
+        val, grad, bound, point, proven, newton = oracle(x, y)
         if bound < upper:
             upper, best = bound, point
         hx, hy = grad.real, grad.imag
@@ -325,8 +329,8 @@ def _ellipsoid_min(
                 )
         step = None
         if newton is not None and (newton_from is None or bound < newton_from):
-            step = newton(point, grad, state)
-        del state  # frees the oracle's eigensystem before the next eigensolve
+            step = newton()
+        del newton  # frees the query's eigensystem before the next eigensolve
         if step is not None:
             nx, ny = x + step[0], y + step[1]
             dx, dy = nx - ex, ny - ey
@@ -359,10 +363,10 @@ def op_orth_direct(
     case, so a minimizer next to the kink is reached in a few steps and they
     converge quadratically.
 
-    Each query has two lower bounds on min g: the cut bound over the
-    ellipsoid, and the dual bound at the query's own top eigenvector
-    (``_dual_bound``), which costs no eigensolve and is taken only where the
-    cut bound leaves the search unsettled. The dual bound is tight at a
+    Each query (``_query``) has two lower bounds on min g: the cut bound
+    over the ellipsoid, and the dual bound at the query's own top
+    eigenvector (``_dual_bound``), which costs no eigensolve and is taken
+    only where the cut bound leaves the search unsettled. The dual bound is tight at a
     smooth minimizer, so a "fails" is pinned at the query that reaches it,
     and a shallow dip next to the kink is bounded at lambda = 0 itself. The
     margin is the least g seen, at the witness lambda, and ``margin_lower``
@@ -380,22 +384,10 @@ def op_orth_direct(
     if op_t.zero_norm or op_s.zero_norm:
         return _verdict(0.0, Method.DIRECT_MINIMIZATION, tol, Witness(lam=0.0), margin_lower=0.0)
 
-    dim = 2 if _field_is_complex(op_t, op_s) else 1
-    penalty = 2.0 * eps * op_t.norm * op_s.norm
-    newton = partial(_newton_step, op_s, penalty)
-    radius = 2.0 * (1.0 + eps) * op_t.norm / op_s.norm
-
-    def oracle(x: float, y: float):
-        lam: Scalar = complex(x, y) if dim == 2 else x
-        val, grad, eig, at_v = _objective(op_t, op_s, eps, lam)
-        # g(0) = 0 exactly; elsewhere the cuts take g less its rounding
-        cut = val
-        if lam != 0:
-            cut -= _rounding(op_t.tilde.shape[0], op_t.norm, op_s.norm, abs(lam))
-        dual = lambda: _dual_bound(op_t.norm, op_s.norm, penalty, radius, *at_v)
-        return cut, grad, val, dual, lam, eig
-
-    upper, lower, best_lam = _ellipsoid_min(oracle, newton, dim, radius * radius, tol, -tol, True)
+    dim = 2 if op_t.is_complex or op_s.is_complex else 1
+    radius = _radius(op_t, op_s, eps)
+    query = lambda x, y: _query(op_t, op_s, eps, complex(x, y) if dim == 2 else x)
+    upper, lower, best_lam = _ellipsoid_min(query, dim, radius * radius, tol, -tol, True)
     return _verdict(
         upper, Method.DIRECT_MINIMIZATION, tol,
         Witness(lam=0.0 if best_lam is None else best_lam), margin_lower=lower,
@@ -410,7 +402,7 @@ def direct_objective(a: PsdOperator, t: Operand, s: Operand, eps: float, lam: Sc
     op_s = bind_operator(a, s)
     if op_t.zero_norm or op_s.zero_norm:
         return 0.0
-    return _objective(op_t, op_s, eps, lam)[0]
+    return _query(op_t, op_s, eps, lam)[2]
 
 
 def _least_modulus(form: np.ndarray) -> tuple[float, np.ndarray]:
@@ -453,7 +445,7 @@ def _attainment_route(
     eps = validate_epsilon(eps)
     op_t = bind_operator(a, t)
     op_s = bind_operator(a, s)
-    if _field_is_complex(op_t, op_s) != complex_field:
+    if (op_t.is_complex or op_s.is_complex) != complex_field:
         if complex_field:
             raise RealFieldError("theta sweep is complex-field only; use the attainment criterion")
         raise ComplexFieldError("attainment criterion is real-field only; use the theta sweep")
@@ -488,9 +480,9 @@ def _attainment_route(
             bound = val / mod if mod > 0.0 else 0.0
             if mod > 1.0:
                 val, z = val + r * (mod - 1.0), z + r * d / mod
-            return val, z, bound, proven, (d, v), None
+            return val, z, bound, (d, v), proven, None
 
-        upper, lower, best = _ellipsoid_min(oracle, None, 2, 1.0, tol, -tol - band, False)
+        upper, lower, best = _ellipsoid_min(oracle, 2, 1.0, tol, -tol - band, False)
         margin, lower = band + upper, band + lower
         best = (0j, _least_modulus(form)[1]) if best is None else best
     d, c = best
@@ -586,5 +578,5 @@ def op_orth_pointwise(
     op_s = bind_operator(a, s)
     if not attainment_subset(a, op_t, op_s):
         raise AttainmentSubsetError("M_A^T is not contained in M_A^S")
-    route = op_orth_theta_sweep_complex if _field_is_complex(op_t, op_s) else op_orth_attainment_real
+    route = op_orth_theta_sweep_complex if op_t.is_complex or op_s.is_complex else op_orth_attainment_real
     return replace(route(a, op_t, op_s, eps), method=Method.POINTWISE)

@@ -601,3 +601,15 @@ def test_non_finite_input_rejected(rng):
             norm_a(a, np.array([1.0, bad, 0.0]))
     with pytest.raises(ValueError):
         Tolerances(rank_tol=np.nan)
+
+
+def test_identity_equality_and_hash(rng):
+    """A decomposition and a bound operator each equal only themselves, and
+    == never compares their arrays, so it never raises; both hash, so they
+    can key a dict or a set. Two binds of one matrix are two objects."""
+    a1, a2 = psd_decompose(np.eye(3)), psd_decompose(np.eye(3))
+    assert a1 == a1 and a1 != a2
+    t = random_a_bounded(rng, a1)
+    op1, op2 = bind_operator(a1, t), bind_operator(a1, t)
+    assert op1 == op1 and op1 != op2 and op1 != bind_operator(a2, t)
+    assert len({a1, a2, op1, op2}) == 4 and {a1: op1}[a1] is op1

@@ -1,4 +1,5 @@
-"""A 50-digit oracle for the direct route's certificate on small real pairs.
+"""A 50-digit oracle for the direct route's certificate on small real pairs,
+and for the directional derivative where A's spectrum is wide.
 
 The route decides min g over real lambda, g(lambda) = sigma_max(T~ + lambda S~)^2
 - ||T||_A^2 + 2 eps ||T||_A ||S||_A |lambda|, and reports an interval
@@ -14,8 +15,15 @@ from __future__ import annotations
 import numpy as np
 from mpmath import mp
 
-from semiortho import bind_operator, op_orth_attainment_real, op_orth_direct
-from semiortho.sampling import random_a_bounded, random_psd
+from semiortho import (
+    bind_operator,
+    directional_derivative,
+    norm_a,
+    op_orth_attainment_real,
+    op_orth_direct,
+    psd_decompose,
+)
+from semiortho.sampling import random_a_bounded, random_orthonormal, random_psd, random_vector
 
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 
@@ -89,3 +97,26 @@ def test_direct_certificate_against_50_digit_minimum():
         slack = 4 * (r + 1) * _UNIT_ROUNDOFF * (op_t.norm + abs(v.witness.lam) * op_s.norm) ** 2
         assert v.margin_lower <= exact, (i, v.margin_lower, float(exact))
         assert exact <= v.margin + slack, (i, float(exact), v.margin)
+
+
+def test_directional_derivative_wide_spectrum_against_50_digits():
+    """x = v / ||v||_A along the least eigenvector v of A, where
+    lam_min / lam_max = 2e-10, so the rounding of <Ax, x> is about
+    u lam_max ||x||^2 = 5e9 u and the computed ||x||_A is off 1 by up to
+    about 1e-7: the derivative is still Re <x, y>_A / ||x||_A of the vectors
+    given, within 1e-9 ||y||_A of its 50-digit value, 20 draws per field.
+    At lam_min = rank_tol lam_max that eigenvector would count as A-null."""
+    rng = np.random.default_rng(11)
+    for complex_field in (False, True):
+        for _ in range(20):
+            q = random_orthonormal(rng, 16, complex_field)
+            a = psd_decompose((q * np.geomspace(1.0, 2e-10, 16)) @ q.conj().T)
+            x = q[:, -1] / norm_a(a, q[:, -1])
+            y = random_vector(rng, 16, complex_field)
+            with mp.workdps(50):
+                ax = mp.matrix(a.matrix.tolist()) * mp.matrix(x.tolist())
+                ip = sum(mp.conj(mp.mpmathify(yi)) * axi for yi, axi in zip(y.tolist(), ax))
+                sq = sum(mp.conj(mp.mpmathify(xi)) * axi for xi, axi in zip(x.tolist(), ax))
+                exact = float(mp.re(ip) / mp.sqrt(mp.re(sq)))
+            assert a.rank == 16
+            assert abs(directional_derivative(a, x, y) - exact) <= 1e-9 * norm_a(a, y)

@@ -30,13 +30,14 @@ from semiortho import (
     orthogonal_decomposition,
     psd_decompose,
 )
+from semiortho import orthogonality
 from semiortho.core import VERDICT_MARGIN_TOL
 from semiortho.orthogonality import (
     _SIMPLE_GAP,
     _SUBSET_SINE_TOL,
     _eigensystem,
     _newton_step,
-    _objective,
+    _query,
 )
 from semiortho.sampling import (
     eps_orthogonal_probe,
@@ -215,20 +216,27 @@ def test_direct_failing_witness_reproduces_margin(rng, eigh_calls, complex_field
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
-def test_direct_newton_at_zero_reads_the_bind(rng, eigh_calls, complex_field):
+def test_direct_newton_at_zero_reads_the_bind(rng, eigh_calls, monkeypatch, complex_field):
     """The proximal Newton step at lambda = 0 takes the eigensystem of
     T~* T~ that T's bind kept: bit for bit what a fresh ``_eigensystem``
-    gives, with no eigensolve (a real T~ paired with a complex S~ too)."""
+    gives, with no eigensolve (a real T~ paired with a complex S~ too). At
+    eps = 0 the subgradient is not shortened, so it is not 0 and the search
+    would ask for the step."""
+    systems = []
+    monkeypatch.setattr(orthogonality, "_newton_step", lambda *args: systems.append(args[-1]))
     for n in (2, 3, 5, 16):
         a = random_psd(rng, n, rank=max(1, n - 1), complex_field=complex_field)
         op_t = bind_operator(a, random_a_bounded(rng, a))
         for s in (random_a_bounded(rng, a), random_a_bounded(rng, a, complex_field=True)):
             op_s = bind_operator(a, s)
             eigh_calls.clear()
-            kept = _objective(op_t, op_s, 0.3, 0j if op_s.is_complex else 0.0)[2]()
-            assert eigh_calls == []
+            _, grad, _, _, _, step = _query(op_t, op_s, 0.0, 0j if op_s.is_complex else 0.0)
+            assert grad != 0
+            systems.clear()
+            step()
+            assert eigh_calls == [] and len(systems) == 1
             fresh = _eigensystem(op_t.tilde, op_s.tilde)
-            assert all(np.array_equal(x, y) for x, y in zip(kept, fresh))
+            assert all(np.array_equal(x, y) for x, y in zip(systems[0], fresh))
 
 
 def test_direct_from_bind_agrees_on_multiple_top_and_mixed_fields(rng):
@@ -371,11 +379,20 @@ def test_newton_step_simple_gap_boundary(factor, stepped, lam):
     m = np.diag([1.0, math.sqrt(1.0 - gap)])
     w, vecs = np.array([1.0 - gap, 1.0]), np.eye(2)[:, ::-1]  # ascending, as eigh
     v = vecs[:, -1]
-    eig = lambda: (m, w, vecs, m @ v, op_s.tilde @ v)
-    step = _newton_step(op_s, 0.1, lam, complex(0.4), eig)
+    step = _newton_step(op_s, 0.1, lam, complex(0.4), (m, w, vecs, m @ v, op_s.tilde @ v))
     assert (step is not None) is stepped
     if stepped:
         assert all(math.isfinite(d) for d in step)
+
+
+def test_newton_step_none_without_curvature():
+    """At a complex lambda != 0 with a simple top eigenvalue, S~ = 0 and
+    penalty 0 leave g no curvature, so no Newton step is proposed."""
+    op_s = bind_operator(psd_decompose(np.eye(2)), np.zeros((2, 2)))
+    m = np.diag([2.0, 1.0])
+    w, vecs = np.array([1.0, 4.0]), np.eye(2)[:, ::-1]  # ascending, as eigh
+    v = vecs[:, -1]
+    assert _newton_step(op_s, 0.0, 0.5 + 0.25j, complex(0.4), (m, w, vecs, m @ v, op_s.tilde @ v)) is None
 
 
 def test_direct_newton_steps_on_failing_pairs(rng, eigh_calls):
@@ -506,6 +523,20 @@ def test_attainment_witness_attains_and_reproduces(rng):
     value = abs(inner_a(a, t @ x, s @ x))
     margin = 0.3 * operator_norm_a(a, t) * operator_norm_a(a, s) - value
     assert margin == pytest.approx(v.margin, abs=1e-8)
+
+
+def test_attainment_form_with_zero_hermitian_part():
+    """A = T = I and S a rotation by pi/2: <Tx, Sx>_A = 0 for every x, so the
+    attainment form's Hermitian part is 0, its least modulus is 0 and the
+    real route holds with margin exactly eps, witnessed by an x with
+    <Tx, Sx>_A = 0; the direct route agrees."""
+    a = psd_decompose(np.eye(2))
+    t, s = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+    v = op_orth_attainment_real(a, t, s, 0.3)
+    assert v.holds and v.margin == 0.3
+    x = v.witness.vector
+    assert norm_a(a, x) == pytest.approx(1.0) and inner_a(a, t @ x, s @ x) == 0.0
+    assert op_orth_direct(a, t, s, 0.3).holds
 
 
 def test_attainment_self_fails_below_one(rng):

@@ -126,3 +126,15 @@ def test_probe_pinned_at_fixed_seed():
     t = random_a_bounded(rng, a)
     s = eps_orthogonal_probe(rng, a, t, 0.3)
     assert np.max(np.abs(s - _PINNED_PROBE)) <= 1e-12 * np.max(np.abs(_PINNED_PROBE))
+
+
+def test_probe_where_t_is_zero_on_the_range(rng):
+    """T of zero A-norm maps every x0 to 0, so the probe's S takes a random
+    image direction: S is A-bounded and S perp T holds."""
+    for complex_field in (False, True):
+        a = random_psd(rng, 5, rank=3, complex_field=complex_field)
+        t = zero_a_norm_operator(rng, a)
+        assert operator_norm_a(a, t) <= 1e-12 * np.linalg.norm(t)
+        s = eps_orthogonal_probe(rng, a, t, 0.3)
+        assert check_a_bounded(a, s).ok
+        assert op_orth_direct(a, s, t, 0.3).holds

@@ -11,7 +11,6 @@ from semiortho import (
     ConeTag,
     DimensionMismatchError,
     EpsilonRangeError,
-    NotAUnitError,
     cone_membership,
     directional_derivative,
     inner_a,
@@ -26,7 +25,7 @@ from semiortho import (
     validate_epsilon,
 )
 from semiortho.sampling import forced_inner_pair, random_psd, random_vector
-from semiortho.vectors import _UNIMODULAR_TOL, _UNIT_NORM_TOL
+from semiortho.vectors import _UNIMODULAR_TOL
 
 from conftest import SCAN_POWERS
 
@@ -357,23 +356,20 @@ def test_directional_derivative_self_and_orthogonal(rng):
     assert directional_derivative(a, x, z) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_directional_derivative_requires_unit():
-    with pytest.raises(NotAUnitError):
-        directional_derivative(A_REF, np.array([5.0, 5.0]), np.ones(2))
+def test_directional_derivative_non_unit_x():
+    """x need not be A-unit: the derivative of ||x + lambda y||_A is
+    Re <x, y>_A / ||x||_A, here 2.5 / 5."""
+    assert directional_derivative(A_REF, np.array([5.0, 0.0]), np.array([0.5, 0.25])) == 0.5
 
 
-@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
-def test_directional_derivative_unit_boundary(factor, accepted):
-    """||x||_A off 1 by half of _UNIT_NORM_TOL is accepted, above or below;
-    off by twice it raises NotAUnitError."""
-    y = np.array([0.5, 0.25])
-    for sign in (1.0, -1.0):
-        x = np.array([1.0 + sign * factor * _UNIT_NORM_TOL, 0.0])
-        if accepted:
-            assert directional_derivative(A_REF, x, y) == pytest.approx(0.5, rel=1e-7)
-        else:
-            with pytest.raises(NotAUnitError):
-                directional_derivative(A_REF, x, y)
+def test_directional_derivative_a_null_x():
+    """Where x is A-null, ||x + lambda y||_A = |lambda| ||y||_A, whose
+    one-sided derivative at 0 is ||y||_A."""
+    a = psd_decompose(np.diag([2.0, 0.0]))
+    x, y = np.array([0.0, 3.0]), np.array([0.5, 0.25])
+    assert directional_derivative(a, x, y) == norm_a(a, y) == math.sqrt(0.5)
+    h = 1e-3
+    assert directional_derivative(a, x, y) == pytest.approx((norm_a(a, x + h * y) - norm_a(a, x)) / h)
 
 
 def test_directional_derivative_finite_difference(rng):
