@@ -85,24 +85,29 @@ def _as_square_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if np.iscomplexobj(m):
-        return m.astype(np.complex128, copy=False)
-    return m.astype(np.float64, copy=False)
+    return m.astype(np.complex128 if m.dtype.kind == "c" else np.float64, copy=False)
 
 
 def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
     """Validate near-Hermitian input and return its exactly Hermitian part;
     the asymmetry is measured against the largest entry, at every scale."""
     m = _as_square_matrix(matrix)
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if not np.isfinite(scale):
+    scale = float(np.abs(m).max(initial=0.0))
+    if not math.isfinite(scale):
         raise NonFiniteError("matrix has a non-finite entry")
-    asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    # entries above half the largest double can overflow a sum or difference;
+    # halving is exact there (subnormal entries aside), so the test and the
+    # result are those of m / 2, and every other m keeps the rounding of
+    # (m + m*) / 2
+    if math.isinf(2.0 * scale):
+        return 2.0 * _hermitian_part(m / 2.0)
+    adjoint = m.conj().T
+    asym = float(np.abs(m - adjoint).max(initial=0.0))
     if asym > HERMITIAN_TOL * scale:
         raise NotHermitianError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} > {HERMITIAN_TOL:.1e} * {scale:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    return (m + adjoint) / 2.0
 
 
 def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +212,7 @@ class PsdOperator:
 
     @property
     def is_complex(self) -> bool:
-        return bool(np.iscomplexobj(self.matrix))
+        return self.matrix.dtype.kind == "c"
 
     @property
     def u_plus(self) -> np.ndarray:
@@ -258,7 +263,7 @@ class PsdOperator:
 
     def check_matrix(self, t: np.ndarray) -> np.ndarray:
         t = _as_square_matrix(t)
-        if t.shape[0] != self.dim:
+        if t.shape[0] != self.matrix.shape[0]:
             raise DimensionMismatchError(
                 f"operator shape {t.shape} does not match ambient dimension {self.dim}"
             )
@@ -390,8 +395,10 @@ def psd_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PsdOpera
         factors = _certified_factor(m, tol.rank_tol)
         if factors is not None:
             return PsdOperator(matrix=m, rank=m.shape[0], _w=factors[0], _w_inv=factors[1],
-                               lam_max=float(np.max(m.diagonal().real)), tol=tol)
+                               lam_max=float(m.diagonal().real.max()), tol=tol)
     w, v = _eigh_descending(m)
+    if w.size and not math.isfinite(w[0]):
+        raise NonFiniteError("matrix has an eigenvalue beyond the floating-point range")
     clipped, clip = _clip(w, tol.rank_tol)
     if w.size and float(w[-1]) < -clip:
         raise NotPositiveError(

@@ -76,10 +76,9 @@ def _bounded_check(a: PsdOperator, t: np.ndarray) -> BoundedCheck:
     if nb.shape[1] == 0 or a.lam_max == 0.0:
         return BoundedCheck(ok=True, residual=0.0)
     image = a.matrix @ (t @ nb)
-    worst = float(np.max(np.linalg.norm(image, axis=0)))
-    if worst == 0.0:
-        return BoundedCheck(ok=True, residual=0.0)
-    residual = worst / (a.lam_max * float(np.linalg.norm(t)))
+    worst = float(_norms(image, 0).max())
+    # T = 0 makes worst 0 and would divide 0 by 0
+    residual = worst / (a.lam_max * _norm(t.ravel(order="K"))) if worst else 0.0
     return BoundedCheck(ok=residual <= a.tol.rank_tol, residual=residual)
 
 
@@ -126,16 +125,18 @@ def bind_operator(a: PsdOperator, t: Operand) -> ABoundedOperator:
             return t
         t = t.matrix
     t = a.check_matrix(t)
-    # Entries hold a copy of the matrix, so that a caller's later in-place
-    # edit cannot match, and arrays only: a reference back to ``a`` would make
-    # a cycle that only the cyclic garbage collector frees.
-    for key, fields in a._binds:
-        if key.dtype == t.dtype and np.array_equal(key, t):
+    # Entries are keyed on the dtype and the C-order bytes of the matrix, a
+    # snapshot that a caller's later in-place edit cannot match, and hold no
+    # reference back to ``a``, which would make a cycle that only the cyclic
+    # garbage collector frees.
+    key = (t.dtype, t.tobytes())
+    for known, fields in a._binds:
+        if known == key:
             return ABoundedOperator(psd=a, matrix=t, **fields)
     tilde, image_ratio = _reduce(a, t)
     fields = _singular_system(tilde, zero_image=image_ratio <= _ZERO_IMAGE)
     # two statements that never raise, so threads sharing ``a`` need no lock
-    a._binds.append((t.copy(), fields))
+    a._binds.append((key, fields))
     del a._binds[:-_BIND_MEMO_SIZE]
     return ABoundedOperator(psd=a, matrix=t, **fields)
 
@@ -173,7 +174,7 @@ def _singular_system(left: np.ndarray, right: np.ndarray | None = None, zero_ima
             gram_eigh = (w, v)
         w, v = w[::-1], v[:, ::-1]
     sigma = np.zeros(left.shape[0])
-    sigma[:k] = np.sqrt(np.clip(w, 0.0, None))
+    sigma[:k] = np.sqrt(np.maximum(w, 0.0))
     norm = float(sigma[0]) if sigma.size else 0.0
     zero_norm = zero_image or norm == 0.0
     m = int(np.count_nonzero(sigma >= norm * (1.0 - CLUSTER_TOL)))
@@ -191,7 +192,7 @@ def _singular_system(left: np.ndarray, right: np.ndarray | None = None, zero_ima
             top = right @ top
     # bound operators are immutable, and memo hits share these arrays
     for array in (tilde, sigma, top, *(gram_eigh or ())):
-        array.flags.writeable = False
+        array.setflags(write=False)
     return {"tilde": tilde, "norm": norm, "sigma": sigma, "top_coords": top,
             "zero_norm": zero_norm, "gram_eigh": gram_eigh}
 
@@ -320,12 +321,24 @@ def _orthonormalize(x: np.ndarray) -> np.ndarray | None:
 _FACTOR_DEFECT = 1e-12
 
 
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)``, the same floating-point work without
+    its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of the vector ``v``, the same floating-point work
+    without its argument handling (for real ``v`` the second term is 0)."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
 def _bind_product(a: PsdOperator, left: np.ndarray, right: np.ndarray) -> ABoundedOperator:
     """Bind the operator whose reduction is left @ right^H, for nonzero r x k
     factors, ``right`` with orthonormal columns (within ``_FACTOR_DEFECT``): its
     lift (W- left)(W right)^H costs O(n r k) and is zero on N(A), its singular
     system takes a k x k eigensolve, and the memo of ``a`` does not keep it."""
-    defect = float(np.max(np.abs(right.conj().T @ right - np.eye(right.shape[1]))))
+    defect = float(np.abs(right.conj().T @ right - np.eye(right.shape[1])).max())
     if defect > _FACTOR_DEFECT:
         raise WitnessConstructionError(f"right factor not orthonormal (defect {defect:.2e})")
     return ABoundedOperator(psd=a, matrix=a.lift(left, right), **_singular_system(left, right))

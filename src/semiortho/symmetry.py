@@ -31,6 +31,8 @@ from .operators import (
     ABoundedOperator,
     Operand,
     _bind_product,
+    _norm,
+    _norms,
     bind_operator,
     is_a_isometry,
 )
@@ -201,10 +203,10 @@ def _unit_orthogonal(basis: np.ndarray) -> np.ndarray:
     e_k for the row k of least norm (distance sqrt(1 - |row k|^2), at least
     sqrt(1 - m/r)), projected off the span twice."""
     v = np.zeros(basis.shape[0], dtype=basis.dtype)
-    v[np.argmin(np.linalg.norm(basis, axis=1))] = 1.0
+    v[_norms(basis, 1).argmin()] = 1.0
     for _ in range(2):
         v -= basis @ (basis.conj().T @ v)
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
@@ -237,7 +239,7 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
     coords = op.top_coords
     m = coords.shape[1]
     images = op.tilde @ coords / op.sigma[:m]
-    gram_defect = float(np.max(np.abs(images.conj().T @ images - np.eye(m))))
+    gram_defect = float(np.abs(images.conj().T @ images - np.eye(m)).max())
     if gram_defect > _ORTHO_ASSERT_TOL:
         raise WitnessConstructionError(
             f"attainment images not orthonormal (defect {gram_defect:.2e}); "
@@ -249,8 +251,8 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
     if value != 0:
         w0 = w0 * (value / abs(value))
 
-    right = np.column_stack([coords, extension])
-    witness = _bind_product(a, np.column_stack([-images, w0]), right)
+    right = np.concatenate((coords, extension[:, None]), axis=1)
+    witness = _bind_product(a, np.concatenate((-images, w0[:, None]), axis=1), right)
     return WitnessConstruction(tag=ConstructionTag.RIGHT_PROOF, params=None, witness=witness)
 
 
@@ -310,8 +312,8 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
 
     x = coords[:, 0]
     image_x = tilde_n @ x
-    norms = np.linalg.norm(tilde_n - np.outer(image_x, x.conj()), axis=0)
-    k = int(np.argmax(norms))
+    norms = _norms(tilde_n - image_x[:, None] * x.conj(), 0)
+    k = int(norms.argmax())
 
     if norms[k] <= _RANK_ONE_COLUMN:
         tag = ConstructionTag.LEFT_CASE_I
@@ -322,7 +324,7 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
         tag = ConstructionTag.LEFT_CASE_II
         partner = -np.conj(x[k]) * x
         partner[k] += 1.0
-        partner /= np.linalg.norm(partner)
+        partner /= _norm(partner)
         w = tilde_n @ partner
         cross = np.vdot(image_x, w)
         if abs(cross) > _ORTHO_ASSERT_TOL:
@@ -331,7 +333,7 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
                 "attainment cluster is ill-resolved"
             )
         w = w - cross * image_x
-        beta = float(np.linalg.norm(w))
+        beta = _norm(w)
         w /= beta
 
     params = left_parameters(eps)
@@ -349,9 +351,10 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
             f"reverse guarantee violated: <Sz1,Tz1> = {value_st} <= eps = {eps}"
         )
 
-    right = np.column_stack([x, partner]) @ np.array([[e1, -s1], [s1, e1]])  # (z_1, z_2)
+    # (z_1, z_2)
+    right = np.concatenate((x[:, None], partner[:, None]), axis=1) @ np.array([[e1, -s1], [s1, e1]])
     mix = np.array([[params.a, params.alpha * params.b], [params.b, -params.alpha * params.a]])
-    witness = _bind_product(a, np.column_stack([image_x, w]) @ mix, right)
+    witness = _bind_product(a, np.concatenate((image_x[:, None], w[:, None]), axis=1) @ mix, right)
     return WitnessConstruction(tag=tag, params=params, witness=witness)
 
 

@@ -15,7 +15,7 @@ from semiortho import (
     psd_decompose,
     sqrt_psd,
 )
-from semiortho.core import _CHOLESKY_MIN_DIM, HERMITIAN_TOL, _lower_inverse
+from semiortho.core import _CHOLESKY_MIN_DIM, HERMITIAN_TOL, _hermitian_part, _lower_inverse
 from semiortho.sampling import gaussian, random_hermitian, random_orthonormal, random_psd
 
 
@@ -335,6 +335,54 @@ def test_cholesky_path_extreme_scales(eigh_calls):
             a = psd_decompose(scale * np.eye(32, dtype=dtype))
             assert a.rank == 32
             assert (not eigh_calls) == (1e-300 <= scale <= 1e150)
+
+
+@pytest.mark.parametrize("n", [2, 16, 24, 32])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_psd_decompose_near_overflow(eigh_calls, n, complex_field):
+    """Entries above half the largest double are halved before they are
+    added, which is exact, so A keeps its matrix and its rank under the
+    clipping rule, with no overflow warning: diag(big, 1, ..., 1) has rank 1
+    and big * I full rank, on the eigh path (n < 24) and where n >= 24
+    tries a Cholesky factor first, whose certificate's norms overflow, so
+    that eigh decides. The asymmetry test is made on the halves too: a skew
+    matrix of such entries raises NotHermitianError, not an overflow."""
+    dtype = complex if complex_field else float
+    skew = np.triu(np.ones((n, n)), 1)
+    with pytest.raises(NotHermitianError):
+        psd_decompose(1e308 * (skew - skew.T).astype(dtype))
+    for big in (1e308, 9e307):
+        a = psd_decompose(np.diag([big] + [1.0] * (n - 1)).astype(dtype))
+        assert a.rank == 1 and a.lam_max == big
+        assert np.array_equal(a.eigenvalues, [big] + [0.0] * (n - 1))
+        matrix = big * np.eye(n, dtype=dtype)
+        eigh_calls.clear()
+        a = psd_decompose(matrix)
+        assert a.rank == n and a.lam_max == big and np.array_equal(a.matrix, matrix)
+        assert len(eigh_calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 16, 24, 32])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_psd_decompose_rejects_a_spectrum_beyond_range(n, complex_field):
+    """Finite entries can still have an eigenvalue above the largest double:
+    the all-1e308 matrix has n * 1e308. That raises NonFiniteError, not a
+    rank of 0, on either side of the Cholesky crossover."""
+    with pytest.raises(NonFiniteError, match="eigenvalue"):
+        psd_decompose(np.full((n, n), 1e308, dtype=complex if complex_field else float))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 16, 64])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_hermitian_part_bits(rng, n, complex_field):
+    """``_hermitian_part`` returns the bits of (m + m*) / 2, for a matrix
+    within HERMITIAN_TOL of Hermitian and for the zero matrix, in either
+    field and memory order."""
+    m = random_hermitian(rng, n, complex_field) + 1e-12 * gaussian(rng, (n, n), complex_field)
+    for matrix in (m, np.asfortranarray(m), np.zeros_like(m)):
+        out = _hermitian_part(matrix)
+        expected = (matrix + matrix.conj().T) / 2.0
+        assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n, rank", [(4, 4), (4, 3), (64, 64), (64, 48)])

@@ -25,7 +25,15 @@ from semiortho import (
     psd_decompose,
     tilde_reduce,
 )
-from semiortho.operators import _DEPENDENT_LENGTH, _orthonormalize
+from semiortho.core import CLUSTER_TOL
+from semiortho.operators import (
+    _DEPENDENT_LENGTH,
+    _PARTIAL_MIN_RANK,
+    _bind_product,
+    _orthonormalize,
+    _singular_system,
+    _top_block,
+)
 from semiortho.sampling import (
     gaussian,
     operator_with_multiplicity,
@@ -319,6 +327,93 @@ def test_bound_singular_system(rng):
     assert np.linalg.norm(op.tilde @ top) == pytest.approx(op.norm, rel=1e-12)
 
 
+# ----------------------------- bit-pinned helpers -------------------------------
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _reference_system(left, right=None):
+    """The singular system of ``_singular_system`` (zero_image False), by
+    the expressions it used before it was trimmed for call overhead."""
+    gram = left.conj().T @ left
+    k = gram.shape[0]
+    partial = right is None and k >= _PARTIAL_MIN_RANK
+    v = gram_eigh = None
+    if partial:
+        w = np.linalg.eigvalsh(gram)[::-1]
+    else:
+        w, v = np.linalg.eigh(gram)
+        if right is None:
+            gram_eigh = (w, v)
+        w, v = w[::-1], v[:, ::-1]
+    sigma = np.zeros(left.shape[0])
+    sigma[:k] = np.sqrt(np.clip(w, 0.0, None))
+    norm = float(sigma[0]) if sigma.size else 0.0
+    m = int(np.count_nonzero(sigma >= norm * (1.0 - CLUSTER_TOL)))
+    tilde = left if right is None else left @ right.conj().T
+    if norm == 0.0 or m == sigma.size:
+        top = np.eye(left.shape[0], dtype=tilde.dtype)
+    else:
+        top = _top_block(gram, w, m) if partial else None
+        if top is None:
+            if v is None:
+                gram_eigh = tuple(np.linalg.eigh(gram))
+                v = gram_eigh[1][:, ::-1]
+            top = v[:, :m].copy(order="F")
+        if right is not None:
+            top = right @ top
+    return {"tilde": tilde, "norm": norm, "sigma": sigma, "top_coords": top,
+            "zero_norm": norm == 0.0, "gram_eigh": gram_eigh}
+
+
+def _assert_same_system(fields, expected):
+    assert fields["norm"] == expected["norm"] and fields["zero_norm"] == expected["zero_norm"]
+    for key in ("tilde", "sigma", "top_coords"):
+        assert _same_bits(fields[key], expected[key]), key
+    assert (fields["gram_eigh"] is None) == (expected["gram_eigh"] is None)
+    for got, want in zip(fields["gram_eigh"] or (), expected["gram_eigh"] or ()):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("r", [4, 16, 48, 64])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_singular_system_bits(rng, r, complex_field):
+    """``_singular_system`` keeps the bits of its reference expressions on
+    the full eigh path (r < 48) and the partial one, for a generic
+    reduction, one with a top cluster of two, and the zero matrix, and for
+    witness factors with k < r columns (padded singular values) and k = r."""
+    for m in (1, 2):
+        sigma = np.sort(rng.uniform(0.1, 1.0, r))[::-1]
+        sigma[:m] = 2.0
+        q1, q2 = random_orthonormal(rng, r, complex_field), random_orthonormal(rng, r, complex_field)
+        left = (q1 * sigma) @ q2.conj().T
+        _assert_same_system(_singular_system(left), _reference_system(left))
+    zero = np.zeros((r, r), dtype=complex if complex_field else float)
+    _assert_same_system(_singular_system(zero), _reference_system(zero))
+    for k in (2, r):
+        right = random_orthonormal(rng, r, complex_field)[:, :k]
+        left = gaussian(rng, (r, k), complex_field)
+        _assert_same_system(_singular_system(left, right), _reference_system(left, right))
+
+
+@pytest.mark.parametrize("n, rank", [(4, 3), (16, 12), (64, 64)])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_bind_product_bits(rng, n, rank, complex_field):
+    """``_bind_product`` lifts by ``PsdOperator.lift`` and binds the
+    reference singular system, bit for bit, for k = 2 columns (k < r) and
+    k = r."""
+    a = random_psd(rng, n, rank=rank, complex_field=complex_field)
+    for k in (2, rank):
+        right = random_orthonormal(rng, rank, complex_field)[:, :k]
+        left = gaussian(rng, (rank, k), complex_field)
+        op = _bind_product(a, left, right)
+        assert _same_bits(op.matrix, a.lift(left, right))
+        _assert_same_system(vars(op), _reference_system(left, right))
+
+
 # ----------------------------- partial singular system -------------------------
 
 # Ranks at and above ``_PARTIAL_MIN_RANK``: the bind takes eigvalsh plus
@@ -525,6 +620,28 @@ def test_bind_memo_keys_on_dtype(rng, eigh_calls):
     op = bind_operator(a, t.astype(np.complex128))
     assert len(eigh_calls) == 1 and op.is_complex and np.iscomplexobj(op.tilde)
     assert not bind_operator(a, t).is_complex
+    assert len(eigh_calls) == 1
+
+
+def test_bind_memo_key_is_dtype_and_bytes(rng, eigh_calls):
+    """The memo keys on the dtype and the C-order bytes of the matrix that
+    ``check_matrix`` returns, so a hit compares no arrays: the same entries
+    in Fortran order, as a non-contiguous view, or as float32 cast to
+    float64 on the way in all hit and share the stored arrays. A matrix
+    that differs only in the sign of a zero entry has other bytes, and
+    misses."""
+    a = random_psd(rng, 5)  # full rank: every T is A-bounded
+    t = gaussian(rng, (5, 5)).astype(np.float32).astype(np.float64)
+    t[0, 1] = 0.0
+    first = bind_operator(a, t)
+    eigh_calls.clear()
+    wide = np.repeat(t, 2, axis=1)
+    for same in (np.asfortranarray(t), wide[:, ::2], t.astype(np.float32)):
+        assert bind_operator(a, same).tilde is first.tilde
+    assert eigh_calls == []
+    signed = t.copy()
+    signed[0, 1] = -0.0
+    assert bind_operator(a, signed).tilde is not first.tilde
     assert len(eigh_calls) == 1
 
 
