@@ -141,12 +141,21 @@ def bind_operator(a: PsdOperator, t: Operand) -> ABoundedOperator:
     return ABoundedOperator(psd=a, matrix=t, **fields)
 
 
-def _singular_system(left: np.ndarray, right: np.ndarray | None = None, zero_image: bool = False) -> dict:
+def _singular_system(left: np.ndarray, right: np.ndarray | None = None, zero_image: bool = False,
+                     gram: np.ndarray | None = None) -> dict:
     """Cached fields of the reduction left @ right^H, ``right`` (r x k) with
     orthonormal columns or the identity when None: the squared singular
     values are the eigenvalues of the Gram matrix G = left^H left, padded
     with zeros to length r, and the top cluster's right-singular vectors are
     its top eigenvectors.
+
+    A witness whose left factor has orthogonal columns passes their Gram
+    matrix ``gram``, diagonal to within ``_FACTOR_DEFECT`` (see
+    ``_bind_product``). Its eigenvalues are then its diagonal: the singular
+    values are the column lengths sqrt(G_ii), sorted, and the top cluster's
+    right-singular vectors are the matching columns of ``right``, all of it,
+    in its own order, when every column is in the cluster. No eigensolve is
+    made.
 
     ||T||_A is zero where the bind found W* T at rounding level
     (``zero_image``; see ``_ZERO_IMAGE``), or where the computed norm is
@@ -159,20 +168,27 @@ def _singular_system(left: np.ndarray, right: np.ndarray | None = None, zero_ima
     alone (``eigvalsh``), and any cluster short of R(A) comes from
     ``_top_block``, with a full ``eigh`` where that cannot certify it.
     Smaller reductions take one ``eigh``. ``gram_eigh`` keeps any full
-    ``eigh`` of a bind, as LAPACK returns it; the k x k Gram matrices of
-    witness factors take one ``eigh`` and keep nothing.
+    ``eigh`` of a bind, as LAPACK returns it; the k x k Gram matrix of
+    witness factors that ``gram`` does not cover takes one ``eigh`` and
+    keeps nothing.
     """
-    gram = left.conj().T @ left
-    k = gram.shape[0]
-    partial = right is None and k >= _PARTIAL_MIN_RANK
-    v = gram_eigh = None
-    if partial:
-        w = np.linalg.eigvalsh(gram)[::-1]
+    v = gram_eigh = order = None
+    partial = False
+    if gram is not None:
+        w = gram.diagonal().real
+        order = (-w).argsort(kind="stable")
+        w = w[order]
     else:
-        w, v = np.linalg.eigh(gram)
-        if right is None:
-            gram_eigh = (w, v)
-        w, v = w[::-1], v[:, ::-1]
+        gram = left.conj().T @ left
+        partial = right is None and gram.shape[0] >= _PARTIAL_MIN_RANK
+        if partial:
+            w = np.linalg.eigvalsh(gram)[::-1]
+        else:
+            w, v = np.linalg.eigh(gram)
+            if right is None:
+                gram_eigh = (w, v)
+            w, v = w[::-1], v[:, ::-1]
+    k = gram.shape[0]
     sigma = np.zeros(left.shape[0])
     sigma[:k] = np.sqrt(np.maximum(w, 0.0))
     norm = float(sigma[0]) if sigma.size else 0.0
@@ -181,6 +197,8 @@ def _singular_system(left: np.ndarray, right: np.ndarray | None = None, zero_ima
     tilde = left if right is None else left @ right.conj().T
     if zero_norm or m == sigma.size:
         top = np.eye(left.shape[0], dtype=tilde.dtype)
+    elif order is not None:
+        top = right if m == k else right[:, order[:m]]
     else:
         top = _top_block(gram, w, m) if partial else None
         if top is None:
@@ -309,15 +327,21 @@ def _orthonormalize(x: np.ndarray) -> np.ndarray | None:
     return q
 
 
-# Largest entry of R* R - I accepted for the right factor R of
-# ``_bind_product``. The bind takes the singular values of L R* from L alone,
+# Largest defect accepted in the orthogonality of the two factors of
+# ``_bind_product``: the entries of R* R - I for the right factor R, and, for
+# a left factor L whose Gram matrix G = L* L the caller passes, the entries of
+# E = D^-1/2 G D^-1/2 - I, D the diagonal of G (off the diagonal, |G_ij| over
+# sqrt(G_ii G_jj)). The bind takes the singular values of L R* from L alone,
 # as is exact for orthonormal R; a defect E scales their squares by factors
 # within ||E||_2 <= k max|E_ij| of 1 (Ostrowski), k the number of columns (at
-# most m + 1 on the witnesses). So at 1e-12 the stored singular values are
-# those of the lifted witness to a relative k 1e-12, far inside CLUSTER_TOL
-# for any k below 10^3. The witnesses' factors are orthonormal to rounding:
-# at most 1.6e-15 over the 564 built on the seed-41/42 symmetry mixes. The
-# defect is dimensionless, so a fixed value is right.
+# most m + 1 on the witnesses). The same bound holds between the eigenvalues
+# of G and its sorted diagonal, as G is similar to (I + E)^1/2 D (I + E)^1/2,
+# so the column lengths of a passed L are its singular values to the same
+# relative k 1e-12 (for unit columns, G within 1e-12 of I entrywise is the
+# same test up to a factor 1 + 1e-12). That is far inside CLUSTER_TOL for any
+# k below 10^3. The witnesses' factors are orthonormal to rounding: at most
+# 1.6e-15 over the 564 built on the seed-41/42 symmetry mixes. The defect is
+# dimensionless, so a fixed value is right.
 _FACTOR_DEFECT = 1e-12
 
 
@@ -333,15 +357,24 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
-def _bind_product(a: PsdOperator, left: np.ndarray, right: np.ndarray) -> ABoundedOperator:
+def _bind_product(a: PsdOperator, left: np.ndarray, right: np.ndarray,
+                  gram: np.ndarray | None = None) -> ABoundedOperator:
     """Bind the operator whose reduction is left @ right^H, for nonzero r x k
     factors, ``right`` with orthonormal columns (within ``_FACTOR_DEFECT``): its
-    lift (W- left)(W right)^H costs O(n r k) and is zero on N(A), its singular
-    system takes a k x k eigensolve, and the memo of ``a`` does not keep it."""
+    lift (W- left)(W right)^H costs O(n r k) and is zero on N(A), and the memo
+    of ``a`` does not keep it.
+
+    A caller that has found the columns of ``left`` orthogonal passes their
+    Gram matrix ``gram`` = left^H left, diagonal to within ``_FACTOR_DEFECT``
+    (|G_ij| <= _FACTOR_DEFECT sqrt(G_ii G_jj) for i != j): the singular
+    values are then the column lengths and the top cluster the matching
+    columns of ``right``, read off with no eigensolve (``_singular_system``),
+    and ``right`` may be kept, read-only, as ``top_coords``. Any other pair
+    takes one k x k eigensolve."""
     defect = float(np.abs(right.conj().T @ right - np.eye(right.shape[1])).max())
     if defect > _FACTOR_DEFECT:
         raise WitnessConstructionError(f"right factor not orthonormal (defect {defect:.2e})")
-    return ABoundedOperator(psd=a, matrix=a.lift(left, right), **_singular_system(left, right))
+    return ABoundedOperator(psd=a, matrix=a.lift(left, right), **_singular_system(left, right, gram=gram))
 
 
 def operator_norm_a(a: PsdOperator, t: np.ndarray) -> float:
@@ -369,9 +402,11 @@ def norm_attainment_set(a: PsdOperator, t: Operand) -> NormAttainment:
     """Norm, attainment subspace basis, and N(A) basis for an A-bounded T."""
     op = bind_operator(a, t)
     coords = op.top_coords
+    # a cluster that fills R(A) has the r x r identity for coordinates
+    full = coords.shape[1] == coords.shape[0]
     return NormAttainment(
         norm=op.norm,
-        attain_basis=a.from_coords(coords),
+        attain_basis=a.range_basis(coords.dtype) if full else a.from_coords(coords),
         attain_coords=coords,
         null_basis=null_basis(a),
         multiplicity=coords.shape[1],

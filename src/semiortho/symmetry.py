@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,6 +30,7 @@ from .errors import (
 from .operators import (
     ABoundedOperator,
     Operand,
+    _FACTOR_DEFECT,
     _bind_product,
     _norm,
     _norms,
@@ -40,7 +41,8 @@ from .orthogonality import op_orth_direct
 from .vectors import OrthoVerdict, validate_epsilon
 
 # Largest defect accepted in the orthonormality that a witness's proof needs:
-# the entries of I - Y*Y for the right witness's unit images Y, and the cosine
+# the entries of I - L*L for the right witness's left factor L = [-Y, w_0],
+# its unit images Y and the unit w_0 projected off them, and the cosine
 # |<Tx, Tx_1>| between unit images in the left witness's case II. Both are
 # dimensionless, so rescaling T or A leaves them unchanged and no scale enters
 # the threshold; a fixed value is right. In exact arithmetic both vanish, since
@@ -204,8 +206,9 @@ def _unit_orthogonal(basis: np.ndarray) -> np.ndarray:
     sqrt(1 - m/r)), projected off the span twice."""
     v = np.zeros(basis.shape[0], dtype=basis.dtype)
     v[_norms(basis, 1).argmin()] = 1.0
+    basis_h = basis.conj().T
     for _ in range(2):
-        v -= basis @ (basis.conj().T @ v)
+        v -= basis @ (basis_h @ v)
     return v / _norm(v)
 
 
@@ -220,9 +223,12 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
     values differ within CLUSTER_TOL; pick a unit w_0 orthogonal to them, of
     the phase that makes <w_0, T x_{m+1}> >= 0; send x_i to -y_i for i <= m,
     x_{m+1} to w_0, the rest to zero: bind the factors
-    L = [-y_1..-y_m, w_0], R = [x_1..x_{m+1}] with an (m+1) x (m+1) eigensolve.
-    x_{m+1} and w_0 are each the coordinate vector farthest from the span they
-    must avoid, projected off it (``_unit_orthogonal``): O(r m), no QR.
+    L = [-y_1..-y_m, w_0], R = [x_1..x_{m+1}]. x_{m+1} and w_0 are each the
+    coordinate vector farthest from the span they must avoid, projected off
+    it (``_unit_orthogonal``): O(r m), no QR. The columns of L are
+    orthonormal, checked on its Gram matrix against ``_ORTHO_ASSERT_TOL``;
+    within ``_FACTOR_DEFECT`` of the identity, that Gram matrix gives the
+    bind its singular values, all 1, with no eigensolve.
 
     Over R and C alike, U attains its norm on the span of x_1..x_{m+1}, where
     the numerical range of <U x, T x>_A holds -sigma_1 (at x_1) and a value
@@ -239,20 +245,24 @@ def right_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction
     coords = op.top_coords
     m = coords.shape[1]
     images = op.tilde @ coords / op.sigma[:m]
-    gram_defect = float(np.abs(images.conj().T @ images - np.eye(m)).max())
-    if gram_defect > _ORTHO_ASSERT_TOL:
-        raise WitnessConstructionError(
-            f"attainment images not orthonormal (defect {gram_defect:.2e}); "
-            "attainment cluster is ill-resolved"
-        )
     extension = _unit_orthogonal(coords)
     w0 = _unit_orthogonal(images)
     value = np.vdot(w0, op.tilde @ extension)
     if value != 0:
         w0 = w0 * (value / abs(value))
 
+    left = np.concatenate((-images, w0[:, None]), axis=1)
+    gram = left.conj().T @ left
+    gram_defect = float(np.abs(gram - np.eye(m + 1)).max())
+    # w_0 is projected before this check: ill-resolved images may leave a
+    # NaN, which refuses as well
+    if not gram_defect <= _ORTHO_ASSERT_TOL:
+        raise WitnessConstructionError(
+            f"attainment images not orthonormal (defect {gram_defect:.2e}); "
+            "attainment cluster is ill-resolved"
+        )
     right = np.concatenate((coords, extension[:, None]), axis=1)
-    witness = _bind_product(a, np.concatenate((-images, w0[:, None]), axis=1), right)
+    witness = _bind_product(a, left, right, gram if gram_defect <= _FACTOR_DEFECT else None)
     return WitnessConstruction(tag=ConstructionTag.RIGHT_PROOF, params=None, witness=witness)
 
 
@@ -288,7 +298,10 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
     branch takes a QR.
 
     S is bound from its factors: L = [T z_2], R = [z_2] in the first branch,
-    L = [a Tx + b w, alpha (b Tx - a w)], R = [z_1, z_2] in the others.
+    L = [a Tx + b w, alpha (b Tx - a w)], R = [z_1, z_2] in the others. The
+    columns of L are orthogonal, of lengths 1 and alpha in the last two, and
+    where their Gram matrix confirms it within ``_FACTOR_DEFECT`` the bind
+    reads its singular values off them, with no eigensolve.
 
     Over C the parameters stay real: a real rotation of an orthonormal pair is
     orthonormal, and <T x, S x>_A and <S z_1, T z_1>_A are real and
@@ -307,7 +320,9 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
 
     if m >= 2:
         z2 = coords[:, 1:2]
-        witness = _bind_product(a, tilde_n @ z2, z2)
+        image = tilde_n @ z2
+        # one column: its 1 x 1 Gram matrix is diagonal
+        witness = _bind_product(a, image, z2, image.conj().T @ image)
         return WitnessConstruction(tag=ConstructionTag.LEFT_MULTI_PAIR, params=None, witness=witness)
 
     x = coords[:, 0]
@@ -336,9 +351,9 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
         beta = _norm(w)
         w /= beta
 
-    params = left_parameters(eps)
+    p = left_parameters(eps)
+    params = LeftParams(p.eps1, p.t, p.a, p.b, p.alpha_lo, p.alpha_hi, p.alpha, beta)
     e1, s1 = params.eps1, math.sqrt(1.0 - params.eps1**2)
-    params = replace(params, beta=beta)
 
     value_ts = abs(e1 * params.a - s1 * params.alpha * params.b)
     if value_ts > eps + _FORWARD_ROUNDING:
@@ -354,7 +369,10 @@ def left_witness(a: PsdOperator, t: Operand, eps: float) -> WitnessConstruction:
     # (z_1, z_2)
     right = np.concatenate((x[:, None], partner[:, None]), axis=1) @ np.array([[e1, -s1], [s1, e1]])
     mix = np.array([[params.a, params.alpha * params.b], [params.b, -params.alpha * params.a]])
-    witness = _bind_product(a, np.concatenate((image_x[:, None], w[:, None]), axis=1) @ mix, right)
+    left = np.concatenate((image_x[:, None], w[:, None]), axis=1) @ mix
+    gram = left.conj().T @ left
+    diagonal = abs(gram[0, 1]) <= _FACTOR_DEFECT * math.sqrt(gram[0, 0].real * gram[1, 1].real)
+    witness = _bind_product(a, left, right, gram if diagonal else None)
     return WitnessConstruction(tag=tag, params=params, witness=witness)
 
 

@@ -143,6 +143,30 @@ def test_attainment_basis_properties(rng):
         assert abs(norm_a(a, t @ v) - att.norm) <= 1e-8 * (1 + att.norm)
 
 
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_full_attainment_basis_is_the_identity_lift(rng, n, complex_field):
+    """Where the cluster fills R(A) (an A-isometry, zero A-norm, a real T on
+    a complex A), the attainment basis is W- without the product by the
+    identity, and has the bytes of that product. At n = 64 the Cholesky
+    factor of a diagonal A puts -0.0 entries in W-, which the product turns
+    into +0.0."""
+    diagonal = psd_decompose(np.diag(np.linspace(3.0, 1.0, n)).astype(complex if complex_field else float))
+    zeros = diagonal._w_inv.real[diagonal._w_inv.real == 0.0]
+    assert np.signbit(zeros).any() == (n == 64)
+    for a in (random_psd(rng, n, complex_field=complex_field),
+              random_psd(rng, n, rank=n - n // 4, complex_field=complex_field), diagonal):
+        for t in (random_a_isometry(rng, a), 1j * random_a_isometry(rng, a),
+                  zero_a_norm_operator(rng, a), 3.0 * np.eye(n)):
+            att = norm_attainment_set(a, t)
+            assert att.multiplicity == a.rank
+            want = a.from_coords(att.attain_coords)
+            got = att.attain_basis
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(att.attain_coords, np.eye(a.rank))
+
+
 def test_zero_operator_attains_everywhere(rng):
     a = random_psd(rng, 5, rank=3)
     att = norm_attainment_set(a, zero_a_norm_operator(rng, a))

@@ -30,7 +30,7 @@ from semiortho import (
 )
 from semiortho import operators, selftest, symmetry
 from semiortho.core import CLUSTER_TOL
-from semiortho.operators import _bind_product
+from semiortho.operators import _bind_product, _singular_system
 from semiortho.sampling import (
     lift_operator,
     operator_with_multiplicity,
@@ -475,10 +475,10 @@ def test_classifiers_bind_once(rng, eigh_calls):
                   rank_one_operator(rng, a)):
             eigh_calls.clear()
             assert classify_right(a, t, 0.3).witness is not None
-            assert len(eigh_calls) <= 2  # T's bind and the witness's (m+1) x (m+1) solve
+            assert len(eigh_calls) <= 1  # T's bind; the witness reads its factors
             eigh_calls.clear()
             assert classify_left(a, t, 0.3).witness is not None
-            assert len(eigh_calls) <= 2  # T's bind is a memo hit; the witness's solve
+            assert len(eigh_calls) == 0  # T's bind is a memo hit; so is the witness
 
 
 @pytest.mark.parametrize("n", [4, 16, 64])
@@ -533,19 +533,17 @@ def test_witnesses_on_axis_aligned_operators(a_diag, t, left_tag):
 
 def test_symmetry_calls_share_one_bind(rng, eigh_calls):
     """The four calls of a symmetry report on one matrix bind it once: one
-    r x r eigensolve for T, and one of size at most m + 1 for each witness,
-    which is bound from its factors."""
+    r x r eigensolve for T, and none for either witness, whose singular
+    system is read off its factors."""
     a = random_psd(rng, 16, rank=12)
     for t in (random_a_bounded(rng, a), rank_one_operator(rng, a),
               operator_with_multiplicity(rng, a, 3)):
         eigh_calls.clear()
         classify_right(a, t, 0.3)
         classify_left(a, t, 0.3)
-        m = norm_attainment_set(a, t).multiplicity
+        norm_attainment_set(a, t)
         is_a_isometry(a, t)
-        assert len(eigh_calls) == 3
-        assert eigh_calls.count((12, 12)) == 1
-        assert all(max(shape) <= m + 1 for shape in eigh_calls if shape != (12, 12))
+        assert eigh_calls == [(12, 12)]
 
 
 def _principal_sine(q1: np.ndarray, q2: np.ndarray) -> float:
@@ -577,6 +575,68 @@ def test_factored_witness_matches_fresh_bind(rng, n, deficient):
             assert np.linalg.norm(wit.tilde - fresh.tilde) <= 1e-12 * np.linalg.norm(wit.tilde)
             assert np.linalg.norm(wit.matrix @ null_basis(a)) <= 1e-12 * scale
     assert tags == set(ConstructionTag)
+
+
+def _recorded_binds(monkeypatch) -> list:
+    """Record the factors (left, right, gram) of every witness bind."""
+    binds = []
+
+    def recording(a, left, right, gram=None):
+        binds.append((left, right, gram))
+        return _bind_product(a, left, right, gram)
+
+    monkeypatch.setattr(symmetry, "_bind_product", recording)
+    return binds
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_witness_reads_singular_system_off_its_factors(rng, monkeypatch, eigh_calls, n, complex_field):
+    """The left factor of every witness of a generic, multiplicity-two or
+    rank-one T has orthogonal columns: its bind makes no eigh, and its
+    singular system agrees with the k x k eigensolve of ``_singular_system``
+    within the bounds of a fresh bind; its reduction has the same bits."""
+    binds = _recorded_binds(monkeypatch)
+    a = random_psd(rng, n, complex_field=complex_field)
+    for t in (random_a_bounded(rng, a), operator_with_multiplicity(rng, a, 2),
+              rank_one_operator(rng, a)):
+        op = bind_operator(a, t)
+        eigh_calls.clear()
+        binds.clear()
+        witnesses = [classify_right(a, op, 0.3).witness, classify_left(a, op, 0.3).witness]
+        assert eigh_calls == [] and len(binds) == 2
+        for wit, (left, right, gram) in zip(witnesses, binds):
+            assert gram is not None and wit.gram_eigh is None
+            ref = _singular_system(left, right)
+            assert abs(wit.norm - ref["norm"]) <= 1e-12 * ref["norm"]
+            assert np.max(np.abs(wit.sigma**2 - ref["sigma"] ** 2)) <= 1e-12 * ref["norm"] ** 2
+            assert wit.top_coords.shape == ref["top_coords"].shape
+            assert _principal_sine(ref["top_coords"], wit.top_coords) <= 1e-8
+            assert wit.tilde.tobytes() == ref["tilde"].tobytes()
+
+
+def test_right_witness_between_defects_takes_eigh(monkeypatch, eigh_calls):
+    """Images whose Gram defect lies between _FACTOR_DEFECT and
+    _ORTHO_ASSERT_TOL (a two-fold cluster turned by phi, as in
+    ``test_right_witness_gram_defect_boundary``) still give a witness, bound
+    with the (m + 1) x (m + 1) eigh of ``_singular_system``, bit for bit."""
+    a = psd_decompose(np.eye(4))
+    op = bind_operator(a, np.diag([1.0, 1.0 - 0.99 * CLUSTER_TOL, 0.5, 0.3]))
+    binds = _recorded_binds(monkeypatch)
+    for phi in (1e-3, 1e-2, 0.1):
+        rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        turned = dataclasses.replace(op, top_coords=op.top_coords @ rot)
+        eigh_calls.clear()
+        binds.clear()
+        wit = right_witness(a, turned, 0.3).witness
+        left, right, gram = binds[0]
+        defect = float(np.max(np.abs(left.conj().T @ left - np.eye(3))))
+        assert operators._FACTOR_DEFECT < defect < symmetry._ORTHO_ASSERT_TOL
+        assert gram is None and eigh_calls == [(3, 3)]
+        ref = _singular_system(left, right)
+        assert wit.norm == ref["norm"] and wit.gram_eigh is ref["gram_eigh"] is None
+        for key in ("tilde", "sigma", "top_coords"):
+            assert getattr(wit, key).tobytes() == ref[key].tobytes(), key
 
 
 SCAN_FAMILIES = {
