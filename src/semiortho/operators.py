@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _UNIT_ROUNDOFF, CLUSTER_TOL, PsdOperator, null_basis
+from .core import _UNIT_ROUNDOFF, CLUSTER_TOL, PsdOperator, _record, null_basis
 from .errors import NonFiniteError, NotABoundedError, WitnessConstructionError
 
 
@@ -69,13 +69,17 @@ def check_a_bounded(a: PsdOperator, t: np.ndarray) -> BoundedCheck:
     return _bounded_check(a, a.check_matrix(t))
 
 
+# The check's answer wherever A leaves it nothing to test: at full rank, and
+# at A = 0. Records are frozen, so every such check shares it.
+_NOTHING_TO_TEST = BoundedCheck(ok=True, residual=0.0)
+
+
 def _bounded_check(a: PsdOperator, t: np.ndarray) -> BoundedCheck:
     if not np.isfinite(t).all():
         raise NonFiniteError("operator has a non-finite entry")
-    nb = null_basis(a)
-    if nb.shape[1] == 0 or a.lam_max == 0.0:
-        return BoundedCheck(ok=True, residual=0.0)
-    image = a.matrix @ (t @ nb)
+    if a.null_dim == 0 or a.lam_max == 0.0:
+        return _NOTHING_TO_TEST
+    image = a.matrix @ (t @ null_basis(a))
     worst = float(_norms(image, 0).max())
     # T = 0 makes worst 0 and would divide 0 by 0
     residual = worst / (a.lam_max * _norm(t.ravel(order="K"))) if worst else 0.0
@@ -118,7 +122,9 @@ def bind_operator(a: PsdOperator, t: Operand) -> ABoundedOperator:
     bind once and pass the result on. A matrix equal, in dtype and every
     entry, to one of the last few bound to ``a`` reuses that reduction and
     singular system: passing the same matrix to several deciders costs one
-    eigensolve. Non-finite entries raise :class:`NonFiniteError`.
+    eigensolve. Non-finite entries raise :class:`NonFiniteError`, and so does
+    a T whose squared A-norm is beyond the floating-point range, before the
+    Gram product would overflow.
     """
     if isinstance(t, ABoundedOperator):
         if t.psd is a:
@@ -132,22 +138,26 @@ def bind_operator(a: PsdOperator, t: Operand) -> ABoundedOperator:
     key = (t.dtype, t.tobytes())
     for known, fields in a._binds:
         if known == key:
-            return ABoundedOperator(psd=a, matrix=t, **fields)
+            return _record(ABoundedOperator, psd=a, matrix=t, **fields)
     tilde, image_ratio = _reduce(a, t)
+    # ||T~||_F^2 bounds every entry of the Gram matrix T~* T~ (Cauchy-Schwarz),
+    # so where it is finite the Gram product cannot overflow
+    if not math.isfinite(np.vdot(tilde, tilde).real):
+        raise NonFiniteError("operator's squared A-norm is beyond the floating-point range")
     fields = _singular_system(tilde, zero_image=image_ratio <= _ZERO_IMAGE)
     # two statements that never raise, so threads sharing ``a`` need no lock
     a._binds.append((key, fields))
     del a._binds[:-_BIND_MEMO_SIZE]
-    return ABoundedOperator(psd=a, matrix=t, **fields)
+    return _record(ABoundedOperator, psd=a, matrix=t, **fields)
 
 
 def _singular_system(left: np.ndarray, right: np.ndarray | None = None, zero_image: bool = False,
                      gram: np.ndarray | None = None) -> dict:
     """Cached fields of the reduction left @ right^H, ``right`` (r x k) with
     orthonormal columns or the identity when None: the squared singular
-    values are the eigenvalues of the Gram matrix G = left^H left, padded
-    with zeros to length r, and the top cluster's right-singular vectors are
-    its top eigenvectors.
+    values are the eigenvalues of the Gram matrix G = left^H left (k x k),
+    padded with zeros to length r where k < r, and the top cluster's
+    right-singular vectors are its top eigenvectors.
 
     A witness whose left factor has orthogonal columns passes their Gram
     matrix ``gram``, diagonal to within ``_FACTOR_DEFECT`` (see
@@ -189,8 +199,11 @@ def _singular_system(left: np.ndarray, right: np.ndarray | None = None, zero_ima
                 gram_eigh = (w, v)
             w, v = w[::-1], v[:, ::-1]
     k = gram.shape[0]
-    sigma = np.zeros(left.shape[0])
-    sigma[:k] = np.sqrt(np.maximum(w, 0.0))
+    if k == left.shape[0]:
+        sigma = np.sqrt(np.maximum(w, 0.0))
+    else:
+        sigma = np.zeros(left.shape[0])
+        sigma[:k] = np.sqrt(np.maximum(w, 0.0))
     norm = float(sigma[0]) if sigma.size else 0.0
     zero_norm = zero_image or norm == 0.0
     m = int(np.count_nonzero(sigma >= norm * (1.0 - CLUSTER_TOL)))
@@ -374,7 +387,8 @@ def _bind_product(a: PsdOperator, left: np.ndarray, right: np.ndarray,
     defect = float(np.abs(right.conj().T @ right - np.eye(right.shape[1])).max())
     if defect > _FACTOR_DEFECT:
         raise WitnessConstructionError(f"right factor not orthonormal (defect {defect:.2e})")
-    return ABoundedOperator(psd=a, matrix=a.lift(left, right), **_singular_system(left, right, gram=gram))
+    return _record(ABoundedOperator, psd=a, matrix=a.lift(left, right),
+                   **_singular_system(left, right, gram=gram))
 
 
 def operator_norm_a(a: PsdOperator, t: np.ndarray) -> float:

@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import _UNIT_ROUNDOFF, VERDICT_MARGIN_TOL, PsdOperator
+from .core import _UNIT_ROUNDOFF, VERDICT_MARGIN_TOL, PsdOperator, _record
 from .errors import AttainmentSubsetError, ComplexFieldError, RealFieldError
 from .operators import ABoundedOperator, Operand, bind_operator
 from .vectors import Method, OrthoVerdict, Scalar, Witness, _verdict, validate_epsilon
@@ -382,16 +382,15 @@ def op_orth_direct(
     op_s = bind_operator(a, s)
     tol = VERDICT_MARGIN_TOL
     if op_t.zero_norm or op_s.zero_norm:
-        return _verdict(0.0, Method.DIRECT_MINIMIZATION, tol, Witness(lam=0.0), margin_lower=0.0)
+        witness = _record(Witness, lam=0.0, vector=None, theta=None)
+        return _verdict(0.0, Method.DIRECT_MINIMIZATION, tol, witness, margin_lower=0.0)
 
     dim = 2 if op_t.is_complex or op_s.is_complex else 1
     radius = _radius(op_t, op_s, eps)
     query = lambda x, y: _query(op_t, op_s, eps, complex(x, y) if dim == 2 else x)
     upper, lower, best_lam = _ellipsoid_min(query, dim, radius * radius, tol, -tol, True)
-    return _verdict(
-        upper, Method.DIRECT_MINIMIZATION, tol,
-        Witness(lam=0.0 if best_lam is None else best_lam), margin_lower=lower,
-    )
+    witness = _record(Witness, lam=0.0 if best_lam is None else best_lam, vector=None, theta=None)
+    return _verdict(upper, Method.DIRECT_MINIMIZATION, tol, witness, margin_lower=lower)
 
 
 def direct_objective(a: PsdOperator, t: Operand, s: Operand, eps: float, lam: Scalar) -> float:
@@ -488,8 +487,9 @@ def _attainment_route(
     d, c = best
     x = a.from_coords(coords @ c)
     if not complex_field:
-        return _verdict(margin, Method.ATTAINMENT, tol, Witness(vector=x), (FINITE_DIM_NOTE,))
-    witness = Witness(vector=x, theta=math.atan2(d.imag, d.real) % math.pi)
+        witness = _record(Witness, lam=None, vector=x, theta=None)
+        return _verdict(margin, Method.ATTAINMENT, tol, witness, (FINITE_DIM_NOTE,))
+    witness = _record(Witness, lam=None, vector=x, theta=math.atan2(d.imag, d.real) % math.pi)
     return _verdict(margin, Method.THETA_SWEEP, tol, witness, (FINITE_DIM_NOTE,), margin_lower=lower)
 
 

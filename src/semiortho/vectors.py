@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import VERDICT_MARGIN_TOL, PsdOperator
+from .core import VERDICT_MARGIN_TOL, PsdOperator, _record
 from .errors import EpsilonRangeError
 
 Scalar = Union[float, complex]
@@ -135,7 +135,8 @@ def _verdict(
     the boundary where |decided_on| <= tol."""
     margin = float(margin)
     decided = margin if decided_on is None else float(decided_on)
-    return OrthoVerdict(
+    return _record(
+        OrthoVerdict,
         holds=decided >= -tol,
         margin=margin,
         method=method,

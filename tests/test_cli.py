@@ -290,6 +290,50 @@ def test_non_finite_instances_rejected(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [2, 64])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_squared_norm_overflow_exits_3(tmp_path, capsys, n, field):
+    """An instance whose T has a squared A-norm beyond the floating-point
+    range (A = I, T = 1e160 diag(2, 1, ..., 1)) is a violated precondition:
+    ``norm``, ``check`` and ``classify`` exit 3 with one line naming
+    NonFiniteError. At 1e150 ``norm``, ``check`` and ``classify --side left``
+    decide, and the check holds (S = diag(0, 1, ..., 1) vanishes on T's
+    attaining vector). ``classify --side right`` is left out there: its
+    witness's reverse check by the direct route stops verifying from about
+    1e80 (ROADMAP item 17)."""
+
+    def entry(value):
+        return [value, 0.0] if field == "complex" else value
+
+    def diagonal(values):
+        return [[entry(values[i] if i == j else 0.0) for j in range(n)] for i in range(n)]
+
+    commands = (["norm"], ["check"], ["classify", "--side", "right"], ["classify", "--side", "left"])
+    for scale, code in ((1e160, EXIT_PRECONDITION), (1e150, EXIT_OK)):
+        inst = write_instance(
+            tmp_path / f"scale{scale:.0e}.json", field=field, epsilon=0.3, A=diagonal([1.0] * n),
+            T=diagonal([2.0 * scale] + [scale] * (n - 1)), S=diagonal([0.0] + [1.0] * (n - 1)),
+        )
+        reports = []
+        for i, command in enumerate(commands):
+            if code == EXIT_OK and command[-1] == "right":
+                continue
+            out = tmp_path / f"report{scale:.0e}-{i}.json"
+            assert cli.main([command[0], inst, *command[1:], "--json-out", str(out)]) == code, command
+            err = capsys.readouterr().err
+            if code == EXIT_PRECONDITION:
+                assert err.startswith("error: NonFiniteError: ") and err.count("\n") == 1, err
+                assert not out.exists()
+            else:
+                assert err == ""
+                reports.append(_read(out))
+    norm, check, left = reports
+    assert norm["derived"]["norm_t"] == pytest.approx(2e150, rel=1e-14)
+    assert check["routes_agree"] and all(v["holds"] for v in check["verdicts"])
+    assert left["classification"]["kind"] == "not_left_symmetric"
+    assert left["classification"]["witness_verified"]
+
+
 @pytest.mark.parametrize(
     "fields",
     [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,25 @@ from semiortho import (
     NotHermitianError,
     NotPositiveError,
     Tolerances,
+    bind_operator,
     hermitian_eig,
     norm_a,
     null_basis,
+    op_orth_attainment_real,
+    op_orth_direct,
+    op_orth_theta_sweep_complex,
     psd_decompose,
     sqrt_psd,
 )
 from semiortho.core import _CHOLESKY_MIN_DIM, HERMITIAN_TOL, _hermitian_part, _lower_inverse
-from semiortho.sampling import gaussian, random_hermitian, random_orthonormal, random_psd
+from semiortho.operators import _bind_product
+from semiortho.sampling import (
+    gaussian,
+    random_a_bounded,
+    random_hermitian,
+    random_orthonormal,
+    random_psd,
+)
 
 
 def test_hermitian_eig_diagonal():
@@ -404,3 +417,49 @@ def test_coordinate_methods_make_no_eigensolve(rng, monkeypatch, n, rank, comple
     assert _relative(a.reduce(t), w.conj().T @ t @ w_inv) <= 1e-13
     assert _relative(a.lift(u, u), (w_inv @ u) @ (w @ u).conj().T) <= 1e-13
     assert null_basis(a).shape == (n, n - rank)
+
+
+def _assert_keyword_twin(record) -> None:
+    """``record``, built in one step by ``core._record``, is the record its
+    class's keyword constructor builds from the same values: every field is
+    in its instance ``__dict__`` and matches (arrays and tuples by identity),
+    equality and repr agree, assignment raises, and ``dataclasses.replace``
+    round-trips it."""
+    cls = type(record)
+    fields = dataclasses.fields(cls)
+    assert {f.name for f in fields} <= set(vars(record))
+    twin = cls(**{f.name: getattr(record, f.name) for f in fields if f.init})
+    for f in fields:
+        got, want = getattr(record, f.name), getattr(twin, f.name)
+        assert got is want or (type(got) is type(want) and got == want), f.name
+    assert repr(record) == repr(twin)
+    if cls.__eq__ is not object.__eq__:
+        assert record == twin
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, fields[0].name, getattr(record, fields[0].name))
+    copy = dataclasses.replace(record)
+    assert all(getattr(copy, f.name) is getattr(record, f.name) for f in fields if f.init)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_one_step_records_are_keyword_records(rng, complex_field):
+    """The records that every operation builds in one step: decompositions on
+    both paths (n = 4 by eigh, n = 32 by a Cholesky factor), bound operators
+    on a fresh bind, a memo hit and a product of witness factors, and each
+    operator route's verdict and witness, zero-norm ones included."""
+    records = []
+    for n in (4, _CHOLESKY_MIN_DIM + 8):
+        a = random_psd(rng, n, complex_field=complex_field)
+        _assert_keyword_twin(a)
+        assert a._binds == [] and ("_spectrum" in vars(a)) == (n < _CHOLESKY_MIN_DIM)
+        t, s = random_a_bounded(rng, a), random_a_bounded(rng, a)
+        records += [bind_operator(a, t), bind_operator(a, t.copy())]
+        right = random_orthonormal(rng, n, complex_field)[:, :2]
+        records.append(_bind_product(a, gaussian(rng, (n, 2), complex_field), right))
+        attainment = op_orth_theta_sweep_complex if complex_field else op_orth_attainment_real
+        for verdict in (op_orth_direct(a, t, s, 0.3), attainment(a, t, s, 0.3),
+                        op_orth_direct(a, t, np.zeros_like(t), 0.3),
+                        attainment(a, np.zeros_like(t), s, 0.3)):
+            records += [verdict, verdict.witness]
+    for record in records:
+        _assert_keyword_twin(record)

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from semiortho import (
+    BoundedCheck,
     NonFiniteError,
     NotABoundedError,
+    SymmetryKind,
     Tolerances,
     bind_operator,
     check_a_bounded,
@@ -21,10 +23,14 @@ from semiortho import (
     norm_a,
     norm_attainment_set,
     null_basis,
+    op_orth_attainment_real,
+    op_orth_direct,
+    op_orth_theta_sweep_complex,
     operator_norm_a,
     psd_decompose,
     tilde_reduce,
 )
+from semiortho import operators
 from semiortho.core import CLUSTER_TOL
 from semiortho.operators import (
     _DEPENDENT_LENGTH,
@@ -82,6 +88,35 @@ def test_boundedness_check_is_scale_invariant(rng):
         for c in scales:
             assert check_a_bounded(a, c * t).ok, (trial, c)
             assert not check_a_bounded(a, c * unbounded).ok, (trial, c)
+
+
+@pytest.mark.parametrize("n", [4, 32])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_bounded_check_without_null_space(rng, monkeypatch, n, complex_field):
+    """At full rank, on either path of ``psd_decompose`` (eigh at n = 4, a
+    Cholesky factor at n = 32), and at A = 0 the check has nothing to test:
+    ok with residual 0.0, and no null basis is formed. A rank-deficient A
+    keeps the residual that the product with its null basis gives, bit for
+    bit, on an unbounded and a bounded T."""
+    full = random_psd(rng, n, complex_field=complex_field)
+    deficient = random_psd(rng, n, rank=n - 2, complex_field=complex_field)
+    zero = psd_decompose(np.zeros((n, n), dtype=full.matrix.dtype))
+    unbounded = gaussian(rng, (n, n), complex_field)
+
+    def no_null_basis(a):
+        raise AssertionError("null basis formed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "null_basis", no_null_basis)
+        for a in (full, zero):
+            assert check_a_bounded(a, unbounded) == BoundedCheck(ok=True, residual=0.0)
+    for t in (unbounded, random_a_bounded(rng, deficient)):
+        image = deficient.matrix @ (t @ null_basis(deficient))
+        worst = float(np.sqrt(np.add.reduce((image.conj() * image).real, axis=0)).max())
+        v = t.ravel(order="K")
+        residual = worst / (deficient.lam_max * math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
+        chk = check_a_bounded(deficient, t)
+        assert chk.residual == residual and chk.ok == (residual <= deficient.tol.rank_tol)
 
 
 # ----------------------------- norms ------------------------------------------
@@ -423,6 +458,31 @@ def test_singular_system_bits(rng, r, complex_field):
         _assert_same_system(_singular_system(left, right), _reference_system(left, right))
 
 
+@pytest.mark.parametrize("r", [16, 64])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_full_gram_sigma_bits(rng, r, complex_field):
+    """Where the Gram matrix is r x r (a bind, on the full eigh path at
+    r = 16 and the partial one at r = 64, and witness factors with k = r),
+    sigma is the root of the clipped eigenvalues itself: bit for bit the
+    zero-padded array of length r it replaces, a fresh read-only C-ordered
+    float64 array. A reduction of rank r - 2 has eigenvalues at rounding
+    level, negative ones among them, for the clip to act on."""
+    right = random_orthonormal(rng, r, complex_field)
+    generic = gaussian(rng, (r, r), complex_field)
+    deficient = gaussian(rng, (r, r - 2), complex_field) @ gaussian(rng, (r - 2, r), complex_field)
+    for left, factor in ((generic, None), (deficient, None), (generic, right), (deficient, right)):
+        gram = left.conj().T @ left
+        if factor is None and r >= _PARTIAL_MIN_RANK:
+            w = np.linalg.eigvalsh(gram)[::-1]
+        else:
+            w = np.linalg.eigh(gram)[0][::-1]
+        padded = np.zeros(r)
+        padded[:r] = np.sqrt(np.maximum(w, 0.0))
+        sigma = _singular_system(left, factor)["sigma"]
+        assert _same_bits(sigma, padded)
+        assert sigma.flags.c_contiguous and sigma.flags.owndata and not sigma.flags.writeable
+
+
 @pytest.mark.parametrize("n, rank", [(4, 3), (16, 12), (64, 64)])
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_bind_product_bits(rng, n, rank, complex_field):
@@ -742,6 +802,42 @@ def test_non_finite_input_rejected(rng):
             norm_a(a, np.array([1.0, bad, 0.0]))
     with pytest.raises(ValueError):
         Tolerances(rank_tol=np.nan)
+
+
+def _overflow_pair(n, complex_field, scale):
+    """A = I, T = scale diag(2, 1, ..., 1), S = diag(0, 1, ..., 1) of the
+    field: ||T||_A = 2 scale, and S e_1 = 0 on T's one attaining vector."""
+    dtype = complex if complex_field else float
+    t = np.diag([2.0] + [1.0] * (n - 1)).astype(dtype) * scale
+    s = np.diag([0.0] + [1.0] * (n - 1)).astype(dtype)
+    return psd_decompose(np.eye(n, dtype=dtype)), t, s
+
+
+@pytest.mark.parametrize("n", [2, 64])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_squared_norm_overflow_raises(n, complex_field):
+    """A T whose squared A-norm is beyond the floating-point range (A = I,
+    T = 1e160 diag(2, 1, ..., 1)) raises NonFiniteError from the bind, before
+    its Gram product could overflow, so with no warning (warnings are errors
+    here), and the memo keeps nothing; so does every decider that binds it.
+    At 1e150 the bind and the routes decide."""
+    a, t, s = _overflow_pair(n, complex_field, 1e160)
+    attainment = op_orth_theta_sweep_complex if complex_field else op_orth_attainment_real
+    calls = (
+        lambda: bind_operator(a, t), lambda: operator_norm_a(a, t),
+        lambda: norm_attainment_set(a, t), lambda: is_a_isometry(a, t),
+        lambda: op_orth_direct(a, t, s, 0.3), lambda: attainment(a, t, s, 0.3),
+        lambda: classify_right(a, t, 0.3), lambda: classify_left(a, t, 0.3),
+    )
+    for call in calls:
+        with pytest.raises(NonFiniteError, match="squared A-norm"):
+            call()
+    assert a._binds == []
+    a, t, s = _overflow_pair(n, complex_field, 1e150)
+    assert operator_norm_a(a, t) == pytest.approx(2e150, rel=1e-14)
+    assert op_orth_direct(a, t, s, 0.3).holds and attainment(a, t, s, 0.3).holds
+    assert classify_right(a, t, 0.3).kind is SymmetryKind.NOT_RIGHT_SYMMETRIC
+    assert classify_left(a, t, 0.3).kind is SymmetryKind.NOT_LEFT_SYMMETRIC
 
 
 def test_identity_equality_and_hash(rng):

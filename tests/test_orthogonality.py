@@ -22,6 +22,7 @@ from semiortho import (
     is_eps_orthogonal,
     norm_a,
     norm_attainment_set,
+    null_basis,
     op_orth_attainment_real,
     op_orth_direct,
     op_orth_pointwise,
@@ -41,15 +42,19 @@ from semiortho.orthogonality import (
 )
 from semiortho.sampling import (
     eps_orthogonal_probe,
+    gaussian,
     operator_with_multiplicity,
     random_a_bounded,
     random_a_isometry,
+    random_orthonormal,
     random_psd,
     random_vector,
     shared_attainment_pair,
     zero_a_norm_operator,
 )
 from semiortho.selftest import EPS_POOL
+
+from conftest import load_bench
 
 A_REF = psd_decompose(np.diag([1.0, 2.0]))
 T_REF = np.diag([2.0, 1.0])
@@ -910,6 +915,41 @@ def test_subset_reverses_orthogonality(rng):
             seen_premise += 1
             assert op_orth_direct(a, s, t, eps).holds
     assert seen_premise >= 10  # the construction must actually exercise the premise
+
+
+def test_verdicts_invariant_on_benchmark_pairs(monkeypatch, tmp_path):
+    """Standing invariance test (ROADMAP item 1) on the 578 pairs with
+    n <= 16 of the seed-41 and seed-42 ``op-real`` and ``op-complex`` mixes:
+    neither the direct route's verdict nor the field's attainment route's
+    changes under a random unitary similarity
+    (A, T, S) -> (U A U*, U T U*, U S U*), or when T gains an N whose range
+    lies in N(A) (N = Z Y, Z an orthonormal basis of N(A) and Y Gaussian),
+    which leaves ||(T + lambda S) x||_A unchanged for every x and lambda."""
+    workloads = load_bench("workloads", monkeypatch)
+    pairs = [slot for workload in ("op-real", "op-complex") for seed in (41, 42)
+             for slot in workloads.build(workload, seed, tmp_path) if slot.n <= 16]
+    assert len(pairs) == 578
+    rng = np.random.default_rng(31)
+    flips = []
+    for i, slot in enumerate(pairs):
+        complex_field = slot.A.dtype.kind == "c"
+        attainment = op_orth_theta_sweep_complex if complex_field else op_orth_attainment_real
+
+        def verdicts(a, t, s):
+            return op_orth_direct(a, t, s, slot.eps).holds, attainment(a, t, s, slot.eps).holds
+
+        a = psd_decompose(slot.A)
+        base = verdicts(a, slot.T, slot.S)
+        u = random_orthonormal(rng, slot.n, complex_field)
+        adj = u.conj().T
+        if verdicts(psd_decompose(u @ slot.A @ adj), u @ slot.T @ adj, u @ slot.S @ adj) != base:
+            flips.append((i, "similarity"))
+        z = null_basis(a)
+        if z.shape[1]:
+            shifted = slot.T + z @ gaussian(rng, (z.shape[1], slot.n), complex_field)
+            if verdicts(a, shifted, slot.S) != base:
+                flips.append((i, "null-range shift"))
+    assert flips == []
 
 
 # ----------------------------- one verdict rule --------------------------------
